@@ -43,10 +43,6 @@ def max_bit(mask: int) -> int:
     return mask.bit_length() - 1
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def interval_mask(a: int, b: int) -> int:
     """Mask of the integer interval [a, b]; empty when a > b."""
     if a > b:

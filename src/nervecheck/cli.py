@@ -1,9 +1,9 @@
 """Command line driver: inspection subcommands and the batch verifier.
 
-Exit codes: 0 all good, 1 a check failed, 2 inconclusive results only,
-64 usage error.  --json writes the machine-readable result next to the
-human output; --dot writes a Hasse diagram for the poset-shaped
-subcommands.
+Exit codes: 0 all good, 1 a check failed (or none ran), 2 inconclusive
+results only, 64 usage error.  --json writes the machine-readable result
+next to the human output; --dot writes a Hasse diagram for the
+poset-shaped subcommands.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .battery import DEFAULT_SEED
-from .bits import from_digits
-from .category import CatFunctor, FiniteCategory, label_str
-from .funcspec import FunctorSpec, digits
+from .bits import digits, from_digits
+from .category import CatFunctor, FiniteCategory
+from .funcspec import FunctorSpec
 from .homotopy import complex_from_json, contractibility_verdict, homology
 from .horn import admissible_and_superior, l_complex
 from .lifting import collapse_nat, identity_nat, reduced_lifting_check
@@ -56,23 +56,29 @@ def _emit(args, payload: dict, dot: str | None = None) -> None:
             Path(args.dot).write_text(dot)
 
 
-def hasse_dot(poset: Poset, name=None) -> str:
-    name = name or label_str
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for e in poset.elements:
-        lines.append(f'  "{name(e)}";')
-    for i, j in poset.covers:
-        lines.append(f'  "{name(poset.elements[i])}" -> "{name(poset.elements[j])}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
+def _digit_arg(flag: str, text: str) -> int:
+    try:
+        return from_digits(text)
+    except ValueError:
+        raise CliUsage(f"{flag} {text!r} is not a digit string") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise CliUsage(f"{path} is not valid JSON: {err}") from None
 
 
 def _ground_of(args) -> int:
     if args.ground:
-        g = from_digits(args.ground)
-        if not g:
-            raise CliUsage("--ground must name at least one position")
-        return g
+        return _digit_arg("--ground", args.ground)
     if args.n is None:
         raise CliUsage("give --n or --ground")
     if not 0 <= args.n <= 12:
@@ -106,11 +112,17 @@ def cmd_dn(args) -> int:
                           for a, b in p.covers],
                "minimum": digits(p.minimum()) if p.minimum() is not None else None,
                "maximum": digits(p.maximum()) if p.maximum() is not None else None}
-    _emit(args, payload, hasse_dot(p, name=digits))
+    _emit(args, payload, p.to_dot(digits))
     return 0
 
 
+def _check_inner(args) -> None:
+    if not 0 < args.i < args.n:
+        raise CliUsage(f"--i must lie in [1, {args.n - 1}] for an inner horn")
+
+
 def cmd_horn(args) -> int:
+    _check_inner(args)
     fam = admissible_and_superior(args.n, args.i)
     dp = build_d(standard_interval(args.n))
     sub = l_complex(args.n, args.i, dp)
@@ -128,17 +140,20 @@ def cmd_horn(args) -> int:
                "superior": [digits(j) for j in fam.superior],
                "chains_by_dim": hist,
                "vertices": [digits(e) for e in members]}
-    _emit(args, payload, hasse_dot(dp.poset.full_subposet(members), name=digits))
+    _emit(args, payload, dp.poset.full_subposet(members).to_dot(digits))
     return 0
 
 
 def cmd_mapping_space(args) -> int:
     dp = build_d(standard_interval(args.n))
     if args.i is not None:
+        _check_inner(args)
         k = l_complex(args.n, args.i, dp)
     else:
         k = ChainSubcomplex(dp.poset, nerve_chains(dp.poset), validate=False)
-    s, t = from_digits(getattr(args, "src")), from_digits(args.to)
+    s, t = _digit_arg("--from", args.src), _digit_arg("--to", args.to)
+    if s not in dp.poset or t not in dp.poset or not dp.poset.less_eq(s, t):
+        raise CliUsage(f"need --from <= --to in D^{args.n}, got {digits(s)}, {digits(t)}")
     payload: dict = {"n": args.n, "i": args.i,
                      "from": digits(s), "to": digits(t)}
     dot = None
@@ -150,7 +165,7 @@ def cmd_mapping_space(args) -> int:
         print("flag model counts:", fm.counts())
         vs = fm.vertices()
         refine = Poset.from_relation(vs, lambda a, b: a & ~b == 0)
-        dot = hasse_dot(refine, name=lambda m: "<".join(_chain_labels(dp.poset, m)))
+        dot = refine.to_dot(lambda m: "<".join(_chain_labels(dp.poset, m)))
     if args.model in ("necklace", "both"):
         no = necklace_oracle(k, s, t, max_dim=args.dim)
         payload["necklace"] = {"counts": no.counts()}
@@ -165,8 +180,11 @@ def cmd_mapping_space(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    data = json.loads(Path(args.input).read_text())
-    cx = complex_from_json(data)
+    data = _read_json(args.input)
+    try:
+        cx = complex_from_json(data)
+    except (KeyError, TypeError, ValueError) as err:
+        raise CliUsage(f"{args.input} is not a simplex list: {err!r}") from None
     h = homology(cx)
     v = contractibility_verdict(cx)
     for k, (b, tor) in enumerate(zip(h.betti, h.torsion)):
@@ -180,7 +198,7 @@ def cmd_homology(args) -> int:
 
 
 def _load_spec(path: str) -> FunctorSpec:
-    return FunctorSpec.from_json(json.loads(Path(path).read_text()))
+    return FunctorSpec.from_json(_read_json(path))
 
 
 def cmd_nerve2(args) -> int:
@@ -224,7 +242,7 @@ def cmd_compare_nerves(args) -> int:
 
 
 def cmd_lift_check(args) -> int:
-    payload = json.loads(Path(args.spec).read_text())
+    payload = _read_json(args.spec)
     if "functor" in payload:
         spec = FunctorSpec.from_json(payload["functor"])
         target = payload.get("target", "collapse")
@@ -246,7 +264,7 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_base_change(args) -> int:
-    fdata = json.loads(Path(args.f).read_text())
+    fdata = _read_json(args.f)
     spec = _load_spec(args.spec)
     bf = CatFunctor(FiniteCategory.from_json(fdata["source"]),
                     FiniteCategory.from_json(fdata["target"]),
@@ -339,11 +357,11 @@ def build_parser() -> Parser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=_positive, default=None,
                    help="seeded instance count where applicable")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_positive, default=None,
                    help="sampled pairs per deep grid point")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     _common(p)
     p.set_defaults(func=cmd_verify)
 

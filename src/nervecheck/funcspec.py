@@ -12,12 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .bits import bit_list, from_digits, interval_mask, subsets_of
+from .bits import bit_list, digits, from_digits, interval_mask, subsets_of
 from .category import CatFunctor, FiniteCategory, is_natural, label_str
-
-
-def digits(mask: int) -> str:
-    return "".join(str(b) for b in bit_list(mask))
 
 
 def one_cells(i: int, j: int) -> list[int]:

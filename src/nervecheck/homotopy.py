@@ -1,11 +1,13 @@
 """Machine verdicts on contractibility of finite simplicial complexes.
 
-Complexes here are abstract: a simplex is a sorted tuple of vertex ids
-and the family is closed under nonempty subsets.  The verdict pipeline
-is greedy free-face collapse first; if that strands a core, integer
-homology (Smith normal form over Python ints, so no overflow exists)
-and an edge-path-group triviality search run on the core.  Elementary
-collapses preserve homotopy type, which keeps the matrices small.
+Complexes here are abstract: a simplex is a strictly increasing tuple
+of int vertex ids and the family is closed under nonempty subsets.
+Producers hand in families closed by construction; generate interns and
+closes outside input.  The verdict pipeline is greedy free-face collapse
+first; if that strands a core, integer homology (Smith normal form over
+Python ints, so no overflow exists) and an edge-path-group triviality
+search run on the core.  Elementary collapses preserve homotopy type,
+which keeps the matrices small.
 
 Verdict semantics:
   Contractible      collapse reached a single vertex, or the stuck core
@@ -23,40 +25,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
+from .bits import bits
+
 
 class Complex:
-    """Finite abstract simplicial complex with interned vertex ids."""
+    """Face-closed family of strictly increasing int tuples, stored as given."""
 
-    def __init__(self, simplices: Iterable[Sequence[Hashable]]):
-        labels: dict[Hashable, int] = {}
-        family: set[tuple[int, ...]] = set()
-        for s in simplices:
-            for v in s:
-                if v not in labels:
-                    labels[v] = len(labels)
-            t = tuple(sorted(labels[v] for v in s))
-            if len(set(t)) != len(t):
-                raise ValueError("repeated vertex in simplex")
-            if t:
-                family.add(t)
-        self.vertex_labels = [v for v, _ in sorted(labels.items(), key=lambda kv: kv[1])]
-        self.simplices = family
-        self._close()
-
-    def _close(self):
-        stack = list(self.simplices)
-        while stack:
-            s = stack.pop()
-            if len(s) == 1:
-                continue
-            for f in combinations(s, len(s) - 1):
-                if f not in self.simplices:
-                    self.simplices.add(f)
-                    stack.append(f)
-
-    @classmethod
-    def from_maximal(cls, simplices: Iterable[Sequence[Hashable]]) -> "Complex":
-        return cls(simplices)
+    def __init__(self, simplices: Iterable[tuple[int, ...]]):
+        self.simplices = set(simplices)
 
     def by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         out: dict[int, list[tuple[int, ...]]] = {}
@@ -233,7 +209,10 @@ def collapse(cx: Complex, reverse: bool = False) -> CollapseResult:
     for s in present:
         if len(s) > 1:
             for f in combinations(s, len(s) - 1):
-                cofaces[f].add(s)
+                try:
+                    cofaces[f].add(s)
+                except KeyError:
+                    raise ValueError(f"face {f} of {s} is missing") from None
 
     if reverse:
         def key(s):
@@ -405,7 +384,7 @@ def contractibility_verdict(cx: Complex) -> Verdict:
         return Verdict("Contractible", "collapse",
                        {"pairs": len(second.pairs), "order": "reverse-lex"})
     core_cells = min((first.critical, second.critical), key=len)
-    core = Complex(core_cells)
+    core = Complex(core_cells)  # collapses leave a subcomplex
     h = homology(core)
     if not h.trivial():
         k, b, t = h.top_nonzero()
@@ -420,10 +399,31 @@ def contractibility_verdict(cx: Complex) -> Verdict:
                    {"core_cells": len(core_cells)})
 
 
-def complex_from_chains(sub) -> Complex:
-    """Abstract complex of a chain family (poset nerve subcomplex)."""
-    return Complex(sub.vertex_sets())
+def generate(simplices: Iterable[Sequence[Hashable]]) -> Complex:
+    """Close outside input under faces; labels become ids by first appearance."""
+    labels: dict[Hashable, int] = {}
+    family: set[tuple[int, ...]] = set()
+    for s in simplices:
+        t = tuple(sorted(labels.setdefault(v, len(labels)) for v in s))
+        if len(set(t)) != len(t):
+            raise ValueError("repeated vertex in simplex")
+        if t:
+            family.add(t)
+    stack = list(family)
+    while stack:
+        s = stack.pop()
+        if len(s) > 1:
+            for f in combinations(s, len(s) - 1):
+                if f not in family:
+                    family.add(f)
+                    stack.append(f)
+    return Complex(family)
+
+
+def complex_from_chains(chains: Iterable[int]) -> Complex:
+    """Abstract complex of a subchain-closed family of chain masks."""
+    return Complex(tuple(bits(c)) for c in chains)
 
 
 def complex_from_json(data: dict) -> Complex:
-    return Complex([tuple(s) for s in data["simplices"]])
+    return generate(data["simplices"])

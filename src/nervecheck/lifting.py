@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .bits import digits
 from .category import CatFunctor, FiniteCategory, poset_functors
-from .funcspec import FunctorSpec, digits, one_cells, pair_mask
+from .funcspec import FunctorSpec, one_cells, pair_mask
 from .nerves import Rel2Backend, pair_order, relative_nerve_2
 from .oriental import d_leq, rho_image, rho_preimage
 from .simplicial import SimplexTable, sphere_maps

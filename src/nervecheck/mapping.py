@@ -16,7 +16,6 @@ vertex set of the necklace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .bits import bit_list, bits, mask_of, max_bit, min_bit, subsets_of
@@ -48,9 +47,9 @@ class FlagModel:
         return not self.simplices.get(0)
 
     def to_complex(self):
+        """Flags are strictly increasing mask tuples, closed under dropping levels."""
         from .homotopy import Complex
-        all_flags = [f for fs in self.simplices.values() for f in fs]
-        return Complex(all_flags)
+        return Complex(f for fs in self.simplices.values() for f in fs)
 
     def same_simplices(self, other: "FlagModel") -> bool:
         keys = set(self.simplices) | set(other.simplices)

@@ -373,8 +373,8 @@ def _rel2_thin(spec):
     return lambda z: oriental_thin(z[0])
 
 
-def relative_nerve_2(spec: FunctorSpec, dim: int, validate=None) -> SimplexTable:
-    backend = Rel2Backend(spec, validate=validate)
+def relative_nerve_2(spec: FunctorSpec, dim: int) -> SimplexTable:
+    backend = Rel2Backend(spec)
     return SimplexTable(backend, dim, marked_rule=_rel2_marked(spec),
                         thin_rule=_rel2_thin(spec))
 

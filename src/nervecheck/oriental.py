@@ -194,11 +194,6 @@ class Geometry:
             return True
         return abs(self.coords[t][-1] - self.coords[s][-1]) <= 1
 
-    def last_gap(self, s: int, t: int) -> int:
-        if self.n <= 1:
-            return 0
-        return self.coords[t][-1] - self.coords[s][-1]
-
 
 def rho(ground: int, sub: int, s1: int, s2: int) -> int:
     """Pullback pairing: a hom element into min(sub) joined with an element of D^sub."""

@@ -68,9 +68,6 @@ class Poset:
     def less_eq(self, a: Label, b: Label) -> bool:
         return bool(self.leq[self.index[a], self.index[b]])
 
-    def less(self, a: Label, b: Label) -> bool:
-        return a != b and self.less_eq(a, b)
-
     @cached_property
     def up_masks(self) -> list[int]:
         """up_masks[i] = bitmask of {j : i <= j}."""
@@ -315,10 +312,6 @@ class ChainSubcomplex:
     def intersection(self, other: "ChainSubcomplex") -> "ChainSubcomplex":
         assert self.ambient is other.ambient
         return ChainSubcomplex(self.ambient, self.chains & other.chains, validate=False)
-
-    def vertex_sets(self) -> list[tuple[int, ...]]:
-        """Simplices as sorted tuples of ambient element indices."""
-        return [self.ambient.chain_tuple(c) for c in sorted(self.chains)]
 
     def __repr__(self) -> str:
         return f"ChainSubcomplex({len(self.chains)} chains, dim {self.dimension()})"

@@ -79,8 +79,9 @@ class Report:
         return out
 
     def exit_code(self) -> int:
+        """1 on any failure, and on an empty report: zero checks prove nothing."""
         tally = self.counts()
-        if tally[FAIL]:
+        if tally[FAIL] or not self.checks:
             return 1
         if tally[INCONCLUSIVE]:
             return 2

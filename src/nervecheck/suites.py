@@ -17,9 +17,8 @@ from typing import Callable
 
 from .battery import (DEFAULT_SEED, functor_battery, lifting_battery,
                       seeded_diagrams, seeded_pairs, seeded_subcomplexes)
-from .bits import interval_mask, max_bit
+from .bits import digits, interval_mask, max_bit
 from .category import CatFunctor, FiniteCategory, chain_category
-from .funcspec import digits
 from .groth import grothendieck_poset
 from .homotopy import (Verdict, complex_from_chains, contractibility_verdict)
 from .horn import (a_elements, admissible_and_superior, is_admissible,
@@ -61,7 +60,7 @@ def _horn(n: int, i: int) -> ChainSubcomplex:
 
 
 def _poset_complex(p: Poset):
-    return complex_from_chains(ChainSubcomplex(p, nerve_chains(p), validate=False))
+    return complex_from_chains(nerve_chains(p))
 
 
 def _poset_verdict(p: Poset) -> Verdict:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nervecheck.battery import functor_battery
 from nervecheck.category import chain_category, label_str
 from nervecheck.cli import main
@@ -108,3 +110,27 @@ def test_base_change_long_edge(tmp_path, capsys):
     fpath.write_text(json.dumps(fdata))
     assert main(["base-change", "--f", str(fpath), "--spec", str(spec)]) == 0
     assert "isomorphism: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["horn", "--n", "3", "--i", "3"],
+    ["mapping-space", "--n", "3", "--from", "0", "--to", "9"],
+    ["mapping-space", "--n", "3", "--from", "03", "--to", "0"],
+    ["dn", "--ground", "0a"],
+    ["verify", "lemma-colimit", "--count", "-3"],
+    ["verify", "theorem-contractible", "--deep", "--n", "5", "--samples", "0"],
+    ["verify", "lemma-distant", "--jobs", "0"],
+], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
+        "ground-not-digits", "count-negative", "samples-zero", "jobs-zero"])
+def test_usage_errors_exit_64_with_one_line(argv, capsys):
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_homology_rejects_malformed_json(tmp_path, capsys):
+    src = tmp_path / "broken.json"
+    src.write_text('{"simplices": [[0, 1], [1, 2]')
+    assert main(["homology", "--input", str(src)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -5,19 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nervecheck.homotopy import (Complex, collapse, complex_from_chains,
-                                 contractibility_verdict, homology, pi1_trivial)
+                                 contractibility_verdict, generate, homology,
+                                 pi1_trivial)
+from nervecheck.horn import l_complex
+from nervecheck.mapping import flag_model
+from nervecheck.oriental import build_d, standard_interval
+from nervecheck.poset import ChainSubcomplex, nerve_chains
 
 
 def full_simplex(n):
-    return Complex([tuple(range(n + 1))])
+    return generate([tuple(range(n + 1))])
 
 
 def sphere(n):
-    return Complex(list(combinations(range(n + 2), n + 1)))
+    return generate(list(combinations(range(n + 2), n + 1)))
 
 
 def test_closure():
-    cx = Complex([(0, 1, 2)])
+    cx = generate([(0, 1, 2)])
     assert len(cx) == 7
     assert cx.dimension() == 2
 
@@ -58,7 +63,7 @@ def test_homology_torus():
             d = idx[(i, (j + 1) % 3)]
             tris.append((a, b, c))
             tris.append((a, c, d))
-    h = homology(Complex(tris))
+    h = homology(generate(tris))
     assert h.betti == [0, 2, 1]
     assert all(not t for t in h.torsion)
 
@@ -67,7 +72,7 @@ def test_homology_projective_plane_torsion():
     # minimal 6-vertex triangulation
     tris = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
             (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
-    h = homology(Complex(tris))
+    h = homology(generate(tris))
     assert h.betti == [0, 0, 0]
     assert h.torsion[1] == [2]
 
@@ -86,7 +91,7 @@ def test_collapse_sphere_fails_with_core():
 
 def test_collapse_preserves_homology_cross_check():
     # on success the complex must have been acyclic to begin with
-    cx = Complex([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    cx = generate([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
     res = collapse(cx)
     assert res.success
     assert homology(cx).trivial()
@@ -94,7 +99,7 @@ def test_collapse_preserves_homology_cross_check():
 
 def test_pi1_trivial_on_disc():
     assert pi1_trivial(full_simplex(3)) is True
-    cx = Complex([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    cx = generate([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
     assert pi1_trivial(cx) is True
 
 
@@ -110,19 +115,76 @@ def test_verdicts():
     assert contractibility_verdict(Complex([])).status == "NotContractible"
 
 
-def test_verdict_dunce_hat_like_core():
-    # 2-sphere: homology nonzero in top degree
+def test_verdict_two_sphere_core():
+    # no free face: the whole 2-sphere is the core, nonzero in top degree
     v = contractibility_verdict(sphere(2))
     assert v.status == "NotContractible"
     assert v.detail["degree"] == 2
 
 
+# Zeeman's dunce hat, 8 vertices and 17 triangles: a triangle whose sides
+# are glued along the word a a a^-1, each side cut as v - x - y - v, with
+# five interior vertices 3..7.  Every edge lies in two or three triangles,
+# so greedy collapse cannot start.
+DUNCE_HAT = [(0, 1, 3), (0, 1, 4), (0, 1, 7), (0, 2, 4), (0, 2, 5), (0, 2, 6),
+             (0, 3, 7), (0, 5, 6), (1, 2, 3), (1, 2, 5), (1, 2, 6), (1, 4, 5),
+             (1, 6, 7), (2, 3, 4), (3, 4, 5), (3, 5, 6), (3, 6, 7)]
+
+
+def test_verdict_dunce_hat_is_acyclic_and_simply_connected():
+    cx = generate(DUNCE_HAT)
+    assert len(cx.by_dim()[0]) == 8 and len(cx.by_dim()[1]) == 24
+    assert not collapse(cx).success
+    v = contractibility_verdict(cx)
+    assert v.status == "Contractible"
+    assert v.method == "acyclic-simply-connected"
+    assert v.detail["core_cells"] == len(cx) == 49
+
+
+def test_generate_interns_closes_and_rejects():
+    cx = generate([("b", "a"), (), ("c",)])
+    assert cx.simplices == {(0,), (1,), (0, 1), (2,)}
+    with pytest.raises(ValueError, match="repeated vertex"):
+        generate([(0, 1, 0)])
+
+
+def test_collapse_rejects_unclosed_family():
+    with pytest.raises(ValueError, match=r"face \(0,\) of \(0, 1\) is missing"):
+        collapse(Complex([(0, 1), (1,)]))
+
+
+def assert_closed(family):
+    """The family equals its own generate closure, vertex ids kept in order."""
+    family = set(family)
+    verts = sorted({v for s in family for v in s})
+    rank = {v: k for k, v in enumerate(verts)}
+    closed = generate([(v,) for v in verts] + sorted(family))
+    assert closed.simplices == {tuple(rank[v] for v in s) for s in family}
+
+
+def test_flag_models_are_closed():
+    for n in (1, 2, 3):
+        dp = build_d(standard_interval(n))
+        p = dp.poset
+        ks = [ChainSubcomplex(p, nerve_chains(p), validate=False)]
+        ks += [l_complex(n, i, dp) for i in range(1, n)]
+        for k in ks:
+            for s in p.elements:
+                for t in p.elements:
+                    if p.less_eq(s, t):
+                        assert_closed(flag_model(k, s, t).to_complex().simplices)
+
+
+def test_poset_nerves_are_closed():
+    for n in (1, 2, 3, 4):
+        p = build_d(standard_interval(n)).poset
+        assert_closed(complex_from_chains(nerve_chains(p)).simplices)
+
+
 def test_verdict_on_poset_nerve():
-    from nervecheck.oriental import build_d, standard_interval
-    from nervecheck.poset import ChainSubcomplex, nerve_chains
     d3 = build_d(standard_interval(3))
     full = ChainSubcomplex(d3.poset, nerve_chains(d3.poset), validate=False)
-    v = contractibility_verdict(complex_from_chains(full))
+    v = contractibility_verdict(complex_from_chains(full.chains))
     assert v.status == "Contractible"
 
 
@@ -133,7 +195,7 @@ def small_complexes(draw):
         st.tuples(st.integers(0, n), st.integers(0, n), st.integers(0, n)),
         min_size=1, max_size=8))
     cleaned = [tuple(sorted(set(t))) for t in sims]
-    return Complex([c for c in cleaned if c])
+    return generate([c for c in cleaned if c])
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,6 +213,18 @@ def test_euler_equals_alternating_betti_when_torsion_free(cx):
 def test_collapse_success_implies_trivial_homology(cx):
     if collapse(cx).success:
         assert homology(cx).trivial()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.booleans())
+def test_collapse_cores_are_closed(cx, reverse):
+    assert_closed(collapse(cx, reverse=reverse).critical)
+
+
+def test_stuck_cores_are_closed():
+    for cx in (sphere(1), sphere(2), generate(DUNCE_HAT)):
+        for reverse in (False, True):
+            assert_closed(collapse(cx, reverse=reverse).critical)
 
 
 @settings(max_examples=40, deadline=None)

@@ -52,7 +52,7 @@ def test_exit_codes():
     assert _report([PASS, PASS]).exit_code() == 0
     assert _report([PASS, FAIL, INCONCLUSIVE]).exit_code() == 1
     assert _report([PASS, INCONCLUSIVE]).exit_code() == 2
-    assert _report([]).exit_code() == 0
+    assert _report([]).exit_code() == 1  # zero checks are never green
 
 
 def test_to_json_carries_digest_and_counts():
