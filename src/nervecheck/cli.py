@@ -56,10 +56,12 @@ def _emit(args, payload: dict, dot: str | None = None) -> None:
             Path(args.dot).write_text(dot)
 
 
-def _positive(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _at_least(lo: int):
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        return int(text)
+    return parse
 
 
 def _digit_arg(flag: str, text: str) -> int:
@@ -74,6 +76,15 @@ def _read_json(path: str):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise CliUsage(f"{path} is not valid JSON: {err}") from None
+
+
+def _parse(path: str, what: str, build):
+    """build() of the JSON in path; content of the wrong shape is a usage error."""
+    data = _read_json(path)
+    try:
+        return build(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise CliUsage(f"{path} is not {what}: {err!r}") from None
 
 
 def _ground_of(args) -> int:
@@ -180,11 +191,7 @@ def cmd_mapping_space(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    data = _read_json(args.input)
-    try:
-        cx = complex_from_json(data)
-    except (KeyError, TypeError, ValueError) as err:
-        raise CliUsage(f"{args.input} is not a simplex list: {err!r}") from None
+    cx = _parse(args.input, "a simplex list", complex_from_json)
     h = homology(cx)
     v = contractibility_verdict(cx)
     for k, (b, tor) in enumerate(zip(h.betti, h.torsion)):
@@ -198,7 +205,20 @@ def cmd_homology(args) -> int:
 
 
 def _load_spec(path: str) -> FunctorSpec:
-    return FunctorSpec.from_json(_read_json(path))
+    return _parse(path, "a functor spec", FunctorSpec.from_json)
+
+
+def _lift_problem(payload) -> tuple[FunctorSpec, str]:
+    if "functor" in payload:
+        return (FunctorSpec.from_json(payload["functor"]),
+                payload.get("target", "collapse"))
+    return FunctorSpec.from_json(payload), "collapse"
+
+
+def _base_functor(data) -> CatFunctor:
+    return CatFunctor(FiniteCategory.from_json(data["source"]),
+                      FiniteCategory.from_json(data["target"]),
+                      dict(data["obj"]), dict(data["mor"]))
 
 
 def cmd_nerve2(args) -> int:
@@ -242,12 +262,7 @@ def cmd_compare_nerves(args) -> int:
 
 
 def cmd_lift_check(args) -> int:
-    payload = _read_json(args.spec)
-    if "functor" in payload:
-        spec = FunctorSpec.from_json(payload["functor"])
-        target = payload.get("target", "collapse")
-    else:
-        spec, target = FunctorSpec.from_json(payload), "collapse"
+    spec, target = _parse(args.spec, "a lifting problem", _lift_problem)
     if target == "collapse":
         nat = collapse_nat(spec)
     elif target == "identity":
@@ -264,11 +279,8 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_base_change(args) -> int:
-    fdata = _read_json(args.f)
+    bf = _parse(args.f, "a base functor", _base_functor)
     spec = _load_spec(args.spec)
-    bf = CatFunctor(FiniteCategory.from_json(fdata["source"]),
-                    FiniteCategory.from_json(fdata["target"]),
-                    dict(fdata["obj"]), dict(fdata["mor"]))
     rep = base_change_check(bf, spec, args.dim)
     for k, row in rep["dims"].items():
         print(f"  dim {k}: nerve {row['nerve']} vs pullback {row['pullback']} "
@@ -279,13 +291,9 @@ def cmd_base_change(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {"n": args.n, "deep": args.deep}
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.count is not None:
-        params["count"] = args.count
-    if args.samples is not None:
-        params["samples"] = args.samples
+    given = {"n": args.n, "deep": args.deep or None, "seed": args.seed,
+             "count": args.count, "samples": args.samples}
+    params = {k: v for k, v in given.items() if v is not None}
     report = run_suite(args.suite, params, jobs=args.jobs)
     for line in report.lines():
         print(line)
@@ -318,7 +326,7 @@ def build_parser() -> Parser:
     p.add_argument("--to", required=True, metavar="T")
     p.add_argument("--model", choices=("flag", "necklace", "both"),
                    default="both")
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=_at_least(0), default=None)
     _common(p)
     p.set_defaults(func=cmd_mapping_space)
 
@@ -329,7 +337,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("nerve2", help="enumerate the functor-family nerve")
     p.add_argument("--spec", required=True, metavar="F.json")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_at_least(0), required=True)
     p.add_argument("--out", required=True, metavar="T.json")
     _common(p)
     p.set_defaults(func=cmd_nerve2)
@@ -337,7 +345,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("compare-nerves",
                        help="family nerve vs total-category nerve")
     p.add_argument("--spec", required=True, metavar="F.json")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_at_least(0), required=True)
     _common(p)
     p.set_defaults(func=cmd_compare_nerves)
 
@@ -350,18 +358,18 @@ def build_parser() -> Parser:
     p = sub.add_parser("base-change", help="restriction along a base functor")
     p.add_argument("--f", required=True, metavar="f.json")
     p.add_argument("--spec", required=True, metavar="F.json")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=_at_least(0), default=3)
     _common(p)
     p.set_defaults(func=cmd_base_change)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--count", type=_positive, default=None,
+    p.add_argument("--count", type=_at_least(1), default=None,
                    help="seeded instance count where applicable")
-    p.add_argument("--samples", type=_positive, default=None,
+    p.add_argument("--samples", type=_at_least(1), default=None,
                    help="sampled pairs per deep grid point")
-    p.add_argument("--jobs", type=_positive, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     _common(p)
     p.set_defaults(func=cmd_verify)
 

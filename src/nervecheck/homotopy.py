@@ -3,17 +3,20 @@
 Complexes here are abstract: a simplex is a strictly increasing tuple
 of int vertex ids and the family is closed under nonempty subsets.
 Producers hand in families closed by construction; generate interns and
-closes outside input.  The verdict pipeline is greedy free-face collapse
-first; if that strands a core, integer homology (Smith normal form over
-Python ints, so no overflow exists) and an edge-path-group triviality
-search run on the core.  Elementary collapses preserve homotopy type,
-which keeps the matrices small.
+closes outside input.  The verdict pipeline first removes dominated
+vertices from the facet list (strong collapse); if more than one vertex
+survives, greedy free-face collapse runs on the whole complex, and if
+that strands a core, integer homology (Smith normal form over Python
+ints, so no overflow exists) and an edge-path-group triviality search
+run on the core.  Both kinds of collapse preserve homotopy type, which
+keeps the matrices small.
 
 Verdict semantics:
-  Contractible      collapse reached a single vertex, or the stuck core
-                    has trivial fundamental group and zero reduced
-                    homology (simply connected + acyclic suffices for
-                    finite complexes by Whitehead's theorem)
+  Contractible      strong collapse or greedy collapse reached a single
+                    vertex, or the stuck core has trivial fundamental
+                    group and zero reduced homology (simply connected +
+                    acyclic suffices for finite complexes by Whitehead's
+                    theorem)
   NotContractible   some reduced homology group is nonzero
   Inconclusive      everything else; never claimed from a failed search
 """
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, repeat
+from operator import and_
 from typing import Hashable, Iterable, Sequence
 
 from .bits import bits
@@ -247,6 +252,97 @@ def collapse(cx: Complex, reverse: bool = False) -> CollapseResult:
     return CollapseResult(success, pairs, critical)
 
 
+def facets(cx: Complex) -> list[tuple[int, ...]]:
+    """Simplices that are no codimension-1 face of another, sorted.
+
+    Checks closure on the way, one dimension at a time: a missing
+    codimension-1 face raises ValueError naming it.
+    """
+    by_len: dict[int, list[tuple[int, ...]]] = {}
+    for s in cx.simplices:
+        by_len.setdefault(len(s), []).append(s)
+    out: list[tuple[int, ...]] = []
+    covered: set[tuple[int, ...]] = set()  # faces of the level above
+    for k in sorted(by_len, reverse=True):
+        level = by_len[k]
+        out.extend(s for s in level if s not in covered)
+        if k == 1:
+            break
+        covered = set(chain.from_iterable(map(combinations, level, repeat(k - 1))))
+        missing = covered.difference(cx.simplices)
+        if missing:
+            f = min(missing)
+            s = min(s for s in level if set(f) <= set(s))
+            raise ValueError(f"face {f} of {s} is missing")
+    out.sort()
+    return out
+
+
+@dataclass
+class StrongCollapseResult:
+    removed: int  # dominated vertices removed
+    core: list[tuple[int, ...]]  # facets of the strong core, sorted
+
+    @property
+    def success(self) -> bool:
+        return len(self.core) == 1 and len(self.core[0]) == 1
+
+
+def strong_collapse(cx: Complex) -> StrongCollapseResult:
+    """Remove dominated vertices from the facet list until none is left.
+
+    A vertex v is dominated when the facets containing v share another
+    vertex; its removal is a sequence of elementary collapses (Barmak and
+    Minian, Strong homotopy types, nerves and collapses, DCG 47 (2012)).
+    Facets are bitmasks over the vertices in increasing order.  Vertices
+    are tried smallest first and tried again when a neighbour goes, so the
+    surviving core does not depend on set iteration order.
+    """
+    tops = facets(cx)
+    labels = sorted({v for f in tops for v in f})
+    index = {v: i for i, v in enumerate(labels)}
+    star: list[set[int]] = [set() for _ in labels]  # facet masks per vertex
+    members: dict[int, tuple[int, ...]] = {}  # live facet mask -> vertex ids
+    for f in tops:
+        ids = tuple(map(index.__getitem__, f))
+        m = sum(map((1).__lshift__, ids))
+        members[m] = ids
+        for i in ids:
+            star[i].add(m)
+    heap = list(range(len(labels)))
+    queued = [True] * len(labels)
+    removed = 0
+    while heap:
+        v = heapq.heappop(heap)
+        queued[v] = False
+        mine, bit = star[v], 1 << v
+        if reduce(and_, mine) == bit:
+            continue
+        star[v] = set()
+        removed += 1
+        shrunk = []
+        for m in mine:
+            ids = members.pop(m)
+            for u in ids:
+                if u != v:
+                    star[u].discard(m)
+            shrunk.append((m ^ bit, tuple(u for u in ids if u != v)))
+        # F - v is kept unless a facet without v contains it; two shrunk
+        # facets never contain one another, since their originals did not
+        for g, ids in shrunk:
+            fewest = min(ids, key=lambda u: len(star[u]))
+            if not any(h & g == g for h in star[fewest]):
+                members[g] = ids
+                for u in ids:
+                    star[u].add(g)
+            for u in ids:
+                if not queued[u]:
+                    queued[u] = True
+                    heapq.heappush(heap, u)
+    core = sorted(tuple(labels[i] for i in ids) for ids in members.values())
+    return StrongCollapseResult(removed, core)
+
+
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
     out: list[int] = []
     for x in word:
@@ -371,10 +467,14 @@ class Verdict:
 
 
 def contractibility_verdict(cx: Complex) -> Verdict:
-    """Collapse greedily; on a stuck core fall back to homology and pi_1."""
+    """Strong-collapse; else collapse greedily, then homology and pi_1."""
     if cx.is_empty():
         return Verdict("NotContractible", "empty",
                        {"reason": "empty complex is not contractible"})
+    strong = strong_collapse(cx)
+    if strong.success:
+        return Verdict("Contractible", "strong-collapse",
+                       {"removed": strong.removed, "vertex": strong.core[0][0]})
     first = collapse(cx)
     if first.success:
         return Verdict("Contractible", "collapse",

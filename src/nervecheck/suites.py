@@ -572,6 +572,9 @@ _PARAM_KEYS = {
 def normalize_params(suite: str, params: dict | None) -> dict:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}")
+    stray = sorted(set(params or {}) - set(_PARAM_KEYS[suite]))
+    if stray:
+        raise UsageError(f"{suite} takes no {', '.join('--' + k for k in stray)}")
     out = dict(_DEFAULTS)
     out.update(params or {})
     if out["count"] is None:

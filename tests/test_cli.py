@@ -95,8 +95,8 @@ def test_lift_check_collapse_target(tmp_path, capsys):
     assert "bijective: True" in capsys.readouterr().out
 
 
-def test_base_change_long_edge(tmp_path, capsys):
-    spec = _spec_file(tmp_path, "two-chain-mixed")
+def _edge02_file(tmp_path):
+    """The base functor [1] -> [2] onto the long edge 0 -> 2."""
     c1, c2 = chain_category(1), chain_category(2)
     fdata = {
         "source": c1.to_json(),
@@ -108,6 +108,12 @@ def test_base_change_long_edge(tmp_path, capsys):
     }
     fpath = tmp_path / "edge02.json"
     fpath.write_text(json.dumps(fdata))
+    return fpath
+
+
+def test_base_change_long_edge(tmp_path, capsys):
+    spec = _spec_file(tmp_path, "two-chain-mixed")
+    fpath = _edge02_file(tmp_path)
     assert main(["base-change", "--f", str(fpath), "--spec", str(spec)]) == 0
     assert "isomorphism: True" in capsys.readouterr().out
 
@@ -120,8 +126,16 @@ def test_base_change_long_edge(tmp_path, capsys):
     ["verify", "lemma-colimit", "--count", "-3"],
     ["verify", "theorem-contractible", "--deep", "--n", "5", "--samples", "0"],
     ["verify", "lemma-distant", "--jobs", "0"],
+    ["verify", "base-change", "--n", "3"],
+    ["verify", "lemma-distant", "--seed", "3"],
+    ["mapping-space", "--n", "3", "--from", "0", "--to", "03", "--dim", "-1"],
+    ["nerve2", "--spec", "F.json", "--dim", "-1", "--out", "T.json"],
+    ["compare-nerves", "--spec", "F.json", "--dim", "-1"],
+    ["base-change", "--f", "f.json", "--spec", "F.json", "--dim", "-1"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
-        "ground-not-digits", "count-negative", "samples-zero", "jobs-zero"])
+        "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
+        "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
+        "nerve2-dim-negative", "compare-dim-negative", "base-change-dim-negative"])
 def test_usage_errors_exit_64_with_one_line(argv, capsys):
     assert main(argv) == 64
     err = capsys.readouterr().err
@@ -134,3 +148,24 @@ def test_homology_rejects_malformed_json(tmp_path, capsys):
     assert main(["homology", "--input", str(src)]) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift-check", "--n", "2", "--spec", "{bad}"],
+    ["nerve2", "--spec", "{bad}", "--dim", "1", "--out", "{out}"],
+    ["compare-nerves", "--spec", "{bad}", "--dim", "1"],
+    ["base-change", "--f", "{bad}", "--spec", "{good}"],
+    ["base-change", "--f", "{edge}", "--spec", "{bad}"],
+], ids=["lift-check", "nerve2", "compare-nerves", "base-change-f",
+        "base-change-spec"])
+@pytest.mark.parametrize("content", [{"simplices": [[[0], [1]]]}, [1, 2]],
+                         ids=["simplex-list", "list"])
+def test_json_of_the_wrong_shape_exits_64(argv, content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    paths = {"bad": bad, "good": _spec_file(tmp_path, "two-chain-mixed"),
+             "edge": _edge02_file(tmp_path), "out": tmp_path / "table.json"}
+    assert main([a.format(**paths) for a in argv]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "bad.json is not a" in err

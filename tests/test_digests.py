@@ -20,7 +20,7 @@ DIGESTS = {
     "lemma-colimit":
         "04f25787359547136f4f572b64e94041def10151132bee43c8fe37e76e878a4b",
     "lemma-distant":
-        "9c3125713ad6c1f3e48c23635a3b49e31114899425e7b67c81808acd57a3ecbf",
+        "a72c9b81615e2b67e117368f3eb0ccc41fc00ca1e9e1a3a31c576de4ccb45930",
     "nerve-comparison":
         "11e49595de81cb4788d25ab90a29e4f4212f0ec07c4afde1038120bdf26eb0ca",
     "oracle-flag-necklace":
@@ -30,7 +30,7 @@ DIGESTS = {
     "straightening-fragment":
         "5d84ca4902cf3534475046d7f2b7f120eb5b55835de2ced56c5d9a4cd2f06de9",
     "theorem-contractible":
-        "fd6630db0d091ed514c1183165c7efbe143514289c8f562b14c2fc7763d8d2fb",
+        "4d85c2def389276f4ef874cbf96c8afa093d264ee820450875f9e120f6938c7e",
 }
 
 

@@ -1,16 +1,17 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nervecheck.homotopy import (Complex, collapse, complex_from_chains,
-                                 contractibility_verdict, generate, homology,
-                                 pi1_trivial)
+                                 contractibility_verdict, facets, generate,
+                                 homology, pi1_trivial, strong_collapse)
 from nervecheck.horn import l_complex
 from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, nerve_chains
+from nervecheck.suites import _dp, _horn, _pairs
 
 
 def full_simplex(n):
@@ -141,6 +142,59 @@ def test_verdict_dunce_hat_is_acyclic_and_simply_connected():
     assert v.detail["core_cells"] == len(cx) == 49
 
 
+def test_dunce_hat_strong_core_is_the_whole_complex():
+    res = strong_collapse(generate(DUNCE_HAT))
+    assert not res.success
+    assert res.removed == 0 and len(res.core) == 17
+
+
+def presentation_complex(relators):
+    """Triangulated presentation complex of a group with relators over 1, 2, ...
+
+    Word letters are +-g.  One base vertex; generator g is a loop cut in
+    three edges; each relator bounds a disc triangulated as a ring of
+    fresh vertices around a fresh centre, so no two triangles share their
+    vertex set and the boundary runs along the word.
+    """
+    gens = sorted({abs(x) for r in relators for x in r})
+    loop = {g: ("base", (g, 1), (g, 2)) for g in gens}
+    tris = []
+    for k, word in enumerate(relators):
+        path = ["base"]
+        for x in word:
+            steps = loop[abs(x)][1:] if x > 0 else loop[abs(x)][:0:-1]
+            path += [*steps, "base"]
+        rim = path[:-1]
+        ring = [(k, "ring", j) for j in range(len(rim))]
+        for j in range(len(rim)):
+            a, b = rim[j], rim[(j + 1) % len(rim)]
+            r, s = ring[j], ring[(j + 1) % len(rim)]
+            tris += [(a, b, r), (b, r, s), ((k, "centre"), r, s)]
+    return generate(tris)
+
+
+# <s, t | s^3 = t^5 = (st)^2>: the binary icosahedral group of order 120,
+# perfect, so its presentation complex is acyclic but not contractible
+BINARY_ICOSAHEDRAL = [(1, 1, 1, -2, -2, -2, -2, -2), (1, 1, 1, -2, -1, -2, -1)]
+
+
+def test_presentation_complex_of_binary_icosahedral_group():
+    cx = presentation_complex(BINARY_ICOSAHEDRAL)
+    assert cx.euler_characteristic() == 1
+    assert homology(cx).trivial()
+    assert not strong_collapse(cx).success
+    assert not collapse(cx).success and not collapse(cx, reverse=True).success
+    v = contractibility_verdict(cx)
+    assert (v.status, v.method) == ("Inconclusive", "pi1-unresolved")
+
+
+def test_presentation_complex_of_trivial_group_is_contractible():
+    # <s, t | s t, s t^2> presents the trivial group: built the same way,
+    # rings and centres included, the complex is contractible and settled
+    v = contractibility_verdict(presentation_complex([(1, 2), (1, 2, 2)]))
+    assert (v.status, v.method) == ("Contractible", "acyclic-simply-connected")
+
+
 def test_generate_interns_closes_and_rejects():
     cx = generate([("b", "a"), (), ("c",)])
     assert cx.simplices == {(0,), (1,), (0, 1), (2,)}
@@ -149,8 +203,35 @@ def test_generate_interns_closes_and_rejects():
 
 
 def test_collapse_rejects_unclosed_family():
-    with pytest.raises(ValueError, match=r"face \(0,\) of \(0, 1\) is missing"):
-        collapse(Complex([(0, 1), (1,)]))
+    for check in (collapse, facets, contractibility_verdict):
+        with pytest.raises(ValueError, match=r"face \(0,\) of \(0, 1\) is missing"):
+            check(Complex([(0, 1), (1,)]))
+
+
+def test_facets_and_strong_collapse_of_a_simplex_and_a_cone():
+    assert facets(full_simplex(3)) == [(0, 1, 2, 3)]
+    res = strong_collapse(full_simplex(3))
+    assert (res.removed, res.core) == (3, [(3,)])
+    # cone over a circle: the apex dominates every rim vertex
+    cone = generate([(9, 0, 1), (9, 1, 2), (9, 0, 2)])
+    assert facets(cone) == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+    v = contractibility_verdict(cone)
+    assert (v.method, v.detail) == ("strong-collapse", {"removed": 3, "vertex": 3})
+
+
+def test_strong_core_of_a_circle_is_the_circle():
+    res = strong_collapse(sphere(1))
+    assert (res.removed, res.core) == (0, [(0, 1), (0, 2), (1, 2)])
+
+
+def test_theorem_grid_is_strong_and_greedy_collapsible():
+    # the greedy collapse stays as the oracle of the strong tier
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for s, t in _pairs(_dp(n), strict=False):
+                cx = flag_model(_horn(n, i), s, t).to_complex()
+                assert strong_collapse(cx).success, (n, i, s, t)
+                assert collapse(cx).success, (n, i, s, t)
 
 
 def assert_closed(family):
@@ -236,3 +317,22 @@ def test_verdict_never_lies_against_homology(cx):
         assert h.trivial()
     if v.status == "NotContractible" and not cx.is_empty():
         assert not h.trivial()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes())
+def test_strong_collapse_verdict_implies_trivial_homology(cx):
+    v = contractibility_verdict(cx)
+    assert (v.method == "strong-collapse") == strong_collapse(cx).success
+    if v.method == "strong-collapse":
+        assert homology(cx).trivial()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(), st.integers(min_value=0))
+def test_verdict_rejects_a_family_with_a_face_removed(cx, pick):
+    inner = sorted(cx.simplices.difference(facets(cx)))
+    assume(inner)
+    gone = inner[pick % len(inner)]
+    with pytest.raises(ValueError, match="is missing"):
+        contractibility_verdict(Complex(cx.simplices - {gone}))

@@ -19,6 +19,13 @@ def test_unknown_suite_rejected():
         normalize_params("no-such-suite", {})
 
 
+def test_option_the_suite_does_not_take_is_rejected():
+    with pytest.raises(UsageError, match="base-change takes no --n"):
+        normalize_params("base-change", {"n": 3})
+    with pytest.raises(UsageError, match="lemma-distant takes no --deep, --seed"):
+        run_suite("lemma-distant", {"n": 2, "seed": 1, "deep": True})
+
+
 def test_theorem_grid_at_n2():
     rep = run_suite("theorem-contractible", {"n": 2})
     # D^2 is a 4-chain: 10 comparable pairs including equalities, one inner i
