@@ -41,8 +41,6 @@ class Parser(argparse.ArgumentParser):
 def _common(p: Parser) -> None:
     p.add_argument("--json", metavar="FILE", help="write JSON result here")
     p.add_argument("--dot", metavar="FILE", help="write a DOT Hasse diagram")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled grids")
-    p.add_argument("--deep", action="store_true", help="extend parameter ceilings")
 
 
 def _emit(args, payload: dict, dot: str | None = None) -> None:
@@ -370,6 +368,8 @@ def build_parser() -> Parser:
     p.add_argument("--samples", type=_at_least(1), default=None,
                    help="sampled pairs per deep grid point")
     p.add_argument("--jobs", type=_at_least(1), default=1)
+    p.add_argument("--seed", type=int, default=None, help="seed for sampled grids")
+    p.add_argument("--deep", action="store_true", help="extend parameter ceilings")
     _common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -6,9 +6,11 @@ Producers hand in families closed by construction; generate interns and
 closes outside input.  The verdict pipeline first removes dominated
 vertices from the facet list (strong collapse); if more than one vertex
 survives, greedy free-face collapse runs on the whole complex, and if
-that strands a core, integer homology (Smith normal form over Python
-ints, so no overflow exists) and an edge-path-group triviality search
-run on the core.  Both kinds of collapse preserve homotopy type, which
+that strands a core, integer homology and an edge-path-group triviality
+search run on the core.  Homology works over Python ints, so no overflow
+exists: unit pivots eliminated sparsely, Smith normal form on the
+residual, torsion as invariant factors; indexed Tietze search for the
+edge-path group.  Both kinds of collapse preserve homotopy type, which
 keeps the matrices small.
 
 Verdict semantics:
@@ -27,6 +29,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, repeat
+from math import gcd
 from operator import and_
 from typing import Hashable, Iterable, Sequence
 
@@ -64,7 +67,10 @@ def smith_diagonal(rows: list[dict[int, int]], ncols: int) -> list[int]:
     """Nonzero diagonal of the Smith normal form of a sparse integer matrix.
 
     Exact arithmetic on Python ints.  Pivot choice favours entries of
-    minimal absolute value to limit growth.
+    minimal absolute value to limit growth.  The diagonal is returned as
+    invariant factors, each dividing the next.  Every pivot rescans the
+    whole matrix, so homology runs this only on the rows left after
+    _eliminate_units.
     """
     # convert to dense-of-dicts working form
     mat: dict[tuple[int, int], int] = {}
@@ -138,7 +144,69 @@ def smith_diagonal(rows: list[dict[int, int]], ncols: int) -> list[int]:
             set_entry(pr, c, 0)
         for r in list(by_col.get(pc, ())):
             set_entry(r, pc, 0)
-    return diag
+    return _invariant_factors(diag)
+
+
+def _invariant_factors(diag: list[int]) -> list[int]:
+    """Diagonal with each entry dividing the next, by gcd/lcm of pairs."""
+    rest = sorted(d for d in diag if d != 1)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return [1] * (len(diag) - len(rest)) + rest
+
+
+def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Sparse elimination of unit pivots: their count and the rows left.
+
+    Rows are taken in order.  A row with a +-1 entry pivots on the one
+    whose column has the fewest entries, ties to the smaller column id.
+    Exact row operations clear that column from every other row (1/p = p
+    for a unit p), and the pivot row and column are dropped: one invariant
+    factor 1 each.  Passes repeat while some row left gains a unit entry,
+    so the Smith normal form of rows is that many 1s followed by the one
+    of the rows left, none of which has a unit entry (Dumas, Saunders and
+    Villard, On efficient sparse integer matrix Smith normal form
+    computations, J. Symb. Comput. 32 (2001)).  The rows are modified.
+    """
+    cols: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    units = 0
+    pending = list(range(len(rows)))
+    while True:
+        left = []
+        for r in pending:
+            row = rows[r]
+            unit = [c for c, v in row.items() if v == 1 or v == -1]
+            if not unit:
+                left.append(r)
+                continue
+            pc = min(unit, key=lambda c: (len(cols[c]), c))
+            p = row.pop(pc)
+            for c in row:
+                cols[c].discard(r)
+            for r2 in cols.pop(pc):
+                if r2 == r:
+                    continue
+                other = rows[r2]
+                k = other.pop(pc) * p
+                for c, v in row.items():
+                    w = other.get(c, 0) - k * v
+                    if w:
+                        if c not in other:
+                            cols[c].add(r2)
+                        other[c] = w
+                    else:
+                        del other[c]
+                        cols[c].discard(r2)
+            units += 1
+        left = [r for r in left if rows[r]]
+        if len(left) == len(pending):
+            return units, [rows[r] for r in left]
+        pending = left
 
 
 @dataclass
@@ -159,31 +227,41 @@ class HomologySummary:
 
 
 def homology(cx: Complex) -> HomologySummary:
-    """Reduced homology with integer coefficients via Smith normal form."""
+    """Reduced homology with integer coefficients.
+
+    Each boundary matrix, rows the d-simplices in order, first loses its
+    unit pivots (_eliminate_units); Smith normal form runs on the rows
+    left.  Torsion is reported as invariant factors.  A missing
+    codimension-1 face raises ValueError naming it.
+    """
     if cx.is_empty():
         return HomologySummary([], [])
     strata = cx.by_dim()
     top = cx.dimension()
     index = {d: {s: i for i, s in enumerate(strata.get(d, []))} for d in range(top + 1)}
 
-    def boundary(d: int) -> tuple[list[dict[int, int]], int]:
-        """Matrix of the boundary map from degree d to degree d-1."""
+    def boundary(d: int) -> list[dict[int, int]]:
+        """Rows of the boundary map from degree d to degree d-1."""
+        faces = index[d - 1]
         rows = []
         for s in strata.get(d, []):
             row: dict[int, int] = {}
             for k in range(len(s)):
                 f = s[:k] + s[k + 1:]
-                row[index[d - 1][f]] = (-1) ** k
+                try:
+                    row[faces[f]] = -1 if k & 1 else 1
+                except KeyError:
+                    raise ValueError(f"face {f} of {s} is missing") from None
             rows.append(row)
-        return rows, len(strata.get(d - 1, []))
+        return rows
 
     ranks: dict[int, int] = {}
     torsions: dict[int, list[int]] = {}
     for d in range(1, top + 1):
-        rows, ncols = boundary(d)
-        diag = smith_diagonal(rows, ncols)
-        ranks[d] = len(diag)
-        torsions[d] = sorted(v for v in diag if v > 1)
+        units, rest = _eliminate_units(boundary(d))
+        diag = smith_diagonal(rest, len(index[d - 1]))
+        ranks[d] = units + len(diag)
+        torsions[d] = [v for v in diag if v > 1]
     betti = []
     torsion = []
     for d in range(top + 1):
@@ -363,19 +441,34 @@ def _cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
 def pi1_trivial(cx: Complex) -> bool | None:
     """Try to prove the edge-path group trivial by greedy Tietze moves.
 
-    Returns True only when every generator is eliminated; never claims
+    Each move takes the shortest, then lexicographically least, relator
+    of length 1, or of length 2 in two distinct generators, and
+    substitutes for its first generator.  Relators are indexed by the
+    generators they contain and the eligible ones wait in a heap, so a
+    move rewrites only the relators that contain its generator.  Returns
+    True only when every generator is eliminated; never claims
     nontriviality (that is homology's job through the abelianization).
+    A missing face in the 2-skeleton raises ValueError naming it.
     """
     strata = cx.by_dim()
     vertices = [s[0] for s in strata.get(0, [])]
     edges = strata.get(1, [])
     triangles = strata.get(2, [])
-    if not vertices:
-        return None
     adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
+    for e in edges:
+        for v in e:
+            if v not in adj:
+                raise ValueError(f"face {(v,)} of {e} is missing")
+        a, b = e
         adj[a].append(b)
         adj[b].append(a)
+    present = set(edges)
+    for t in triangles:
+        for f in combinations(t, 2):
+            if f not in present:
+                raise ValueError(f"face {f} of {t} is missing")
+    if not vertices:
+        return None
     root = vertices[0]
     parent: dict[int, int | None] = {root: None}
     order = [root]
@@ -400,50 +493,45 @@ def pi1_trivial(cx: Complex) -> bool | None:
             return 0
         return g if (u, v) == e else -g
 
-    relators: list[tuple[int, ...]] = []
+    relators: set[tuple[int, ...]] = set()
+    by_gen: dict[int, set[tuple[int, ...]]] = {}
+    short: list[tuple[int, tuple[int, ...]]] = []  # heap of eligible relators
+
+    def add(r):
+        if not r or r in relators:
+            return
+        relators.add(r)
+        for x in r:
+            by_gen.setdefault(abs(x), set()).add(r)
+        if len(r) == 1 or (len(r) == 2 and abs(r[0]) != abs(r[1])):
+            heapq.heappush(short, (len(r), r))
+
     for a, b, c in triangles:
-        w = tuple(x for x in (letter(a, b), letter(b, c), -letter(a, c)) if x)
-        relators.append(_cyclic_reduce(w))
+        add(_cyclic_reduce(tuple(x for x in (letter(a, b), letter(b, c), -letter(a, c))
+                                 if x)))
 
     live = set(range(1, len(gen_of) + 1))
-    relators = [r for r in relators if r]
-
-    def substitute(word, g, repl):
-        out: list[int] = []
-        for x in word:
-            if x == g:
-                out.extend(repl)
-            elif x == -g:
-                out.extend(-y for y in reversed(repl))
-            else:
-                out.append(x)
-        return _cyclic_reduce(tuple(out))
-
-    changed = True
-    while changed and live:
-        changed = False
-        relators = sorted({r for r in (_cyclic_reduce(r) for r in relators) if r},
-                          key=lambda r: (len(r), r))
-        sub: tuple[int, tuple[int, ...]] | None = None
-        for r in relators:
-            if len(r) == 1:
-                sub = (abs(r[0]), ())
-                break
-            if len(r) == 2 and abs(r[0]) != abs(r[1]):
-                x, y = r
-                # x y = 1; solve for the first letter's generator
-                if x > 0:
-                    sub = (x, (-y,))
-                else:
-                    sub = (-x, (y,))
-                break
-        if sub is None:
-            break
-        g, repl = sub
+    while live and short:
+        _, r = heapq.heappop(short)
+        if r not in relators:
+            continue  # rewritten since it was queued
+        if len(r) == 1:
+            g, repl = abs(r[0]), ()
+        else:
+            # x y = 1; solve for the first letter's generator
+            x, y = r
+            g, repl = (x, (-y,)) if x > 0 else (-x, (y,))
         live.discard(g)
-        relators = [substitute(r, g, repl) for r in relators]
-        relators = [r for r in relators if r]
-        changed = True
+        touched = by_gen.pop(g)
+        for w in touched:
+            relators.discard(w)
+            for x in w:
+                if abs(x) != g:
+                    by_gen[abs(x)].discard(w)
+        inverse = tuple(-y for y in reversed(repl))
+        for w in touched:
+            add(_cyclic_reduce(tuple(chain.from_iterable(
+                repl if x == g else inverse if x == -g else (x,) for x in w))))
     if not live:
         return True
     return None

@@ -69,6 +69,19 @@ def test_homology_reports_a_hole(capsys, tmp_path):
     assert "betti" in out
 
 
+def test_homology_prints_torsion_of_the_projective_plane(capsys, tmp_path):
+    src, out = tmp_path / "rp2.json", tmp_path / "rp2-out.json"
+    tris = [[0, 1, 2], [0, 2, 3], [0, 1, 5], [0, 3, 4], [0, 4, 5],
+            [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]]
+    src.write_text(json.dumps({"simplices": tris}))
+    assert main(["homology", "--input", str(src), "--json", str(out)]) == 0
+    assert "  H~_1: betti 0, torsion [2]" in capsys.readouterr().out.splitlines()
+    data = json.loads(out.read_text())
+    assert data["torsion"] == [[], [2], []]
+    assert data["verdict"]["method"] == "homology"
+    assert data["verdict"]["status"] == "NotContractible"
+
+
 def test_nerve2_writes_table(tmp_path, capsys):
     spec = _spec_file(tmp_path, "two-chain-mixed")
     out = tmp_path / "table.json"
@@ -132,10 +145,15 @@ def test_base_change_long_edge(tmp_path, capsys):
     ["nerve2", "--spec", "F.json", "--dim", "-1", "--out", "T.json"],
     ["compare-nerves", "--spec", "F.json", "--dim", "-1"],
     ["base-change", "--f", "f.json", "--spec", "F.json", "--dim", "-1"],
+    ["dn", "--n", "2", "--seed", "5", "--deep"],
+    ["dn", "--n", "2", "--deep"],
+    ["horn", "--n", "3", "--i", "1", "--seed", "5"],
+    ["homology", "--input", "X.json", "--deep"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
-        "nerve2-dim-negative", "compare-dim-negative", "base-change-dim-negative"])
+        "nerve2-dim-negative", "compare-dim-negative", "base-change-dim-negative",
+        "dn-seed-deep", "dn-deep", "horn-seed", "homology-deep"])
 def test_usage_errors_exit_64_with_one_line(argv, capsys):
     assert main(argv) == 64
     err = capsys.readouterr().err

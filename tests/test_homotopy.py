@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nervecheck.homotopy import (Complex, collapse, complex_from_chains,
-                                 contractibility_verdict, facets, generate,
-                                 homology, pi1_trivial, strong_collapse)
+from nervecheck.homotopy import (Complex, _cyclic_reduce, collapse,
+                                 complex_from_chains, contractibility_verdict,
+                                 facets, generate, homology, pi1_trivial,
+                                 smith_diagonal, strong_collapse)
 from nervecheck.horn import l_complex
 from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, standard_interval
@@ -52,28 +53,53 @@ def test_homology_disjoint_points():
     assert h.betti[0] == 2  # reduced
 
 
-def test_homology_torus():
-    verts = [(i, j) for i in range(3) for j in range(3)]
-    idx = {v: k for k, v in enumerate(verts)}
+def grid_surface(k, glue):
+    """k x k grid of squares, each cut in two triangles, glued by glue(x, y)."""
     tris = []
-    for i in range(3):
-        for j in range(3):
-            a = idx[(i, j)]
-            b = idx[((i + 1) % 3, j)]
-            c = idx[((i + 1) % 3, (j + 1) % 3)]
-            d = idx[(i, (j + 1) % 3)]
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    h = homology(generate(tris))
+    for x in range(k):
+        for y in range(k):
+            a, b, c, d = (glue(x, y), glue(x + 1, y), glue(x + 1, y + 1),
+                          glue(x, y + 1))
+            tris += [(a, b, c), (a, c, d)]
+    return generate(tris)
+
+
+def torus(k):
+    return grid_surface(k, lambda x, y: (x % k, y % k))
+
+
+def klein_bottle(k):
+    # the side x = k is glued to x = 0 with y reversed
+    return grid_surface(k, lambda x, y: (0, -y % k) if x == k else (x, y % k))
+
+
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
+       (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+
+def test_homology_torus():
+    h = homology(torus(3))
     assert h.betti == [0, 2, 1]
     assert all(not t for t in h.torsion)
 
 
+def test_homology_of_a_six_by_six_torus_and_a_klein_bottle():
+    cx = torus(6)
+    assert (len(cx), cx.euler_characteristic()) == (36 + 108 + 72, 0)
+    h = homology(cx)
+    assert (h.betti, h.torsion) == ([0, 2, 1], [[], [], []])
+    cx = klein_bottle(6)
+    assert (len(cx), cx.euler_characteristic()) == (36 + 108 + 72, 0)
+    h = homology(cx)
+    assert (h.betti, h.torsion) == ([0, 1, 0], [[], [2], []])
+    v = contractibility_verdict(cx)
+    assert (v.status, v.detail["degree"], v.detail["torsion"]) == (
+        "NotContractible", 1, [2])
+
+
 def test_homology_projective_plane_torsion():
     # minimal 6-vertex triangulation
-    tris = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
-            (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
-    h = homology(generate(tris))
+    h = homology(generate(RP2))
     assert h.betti == [0, 0, 0]
     assert h.torsion[1] == [2]
 
@@ -195,6 +221,17 @@ def test_presentation_complex_of_trivial_group_is_contractible():
     assert (v.status, v.method) == ("Contractible", "acyclic-simply-connected")
 
 
+def test_smith_diagonal_returns_invariant_factors():
+    assert smith_diagonal([{0: 2}, {1: 3}], 2) == [1, 6]
+    assert smith_diagonal([{0: 4}, {1: 6}], 2) == [2, 12]
+
+
+def test_torsion_of_a_presentation_complex_is_an_invariant_factor():
+    # <a, b | a^2, b^3>: H_1 = Z/2 + Z/3 = Z/6
+    h = homology(presentation_complex([(1, 1), (2, 2, 2)]))
+    assert (h.betti, h.torsion) == ([0, 0, 0], [[], [6], []])
+
+
 def test_generate_interns_closes_and_rejects():
     cx = generate([("b", "a"), (), ("c",)])
     assert cx.simplices == {(0,), (1,), (0, 1), (2,)}
@@ -203,9 +240,14 @@ def test_generate_interns_closes_and_rejects():
 
 
 def test_collapse_rejects_unclosed_family():
-    for check in (collapse, facets, contractibility_verdict):
+    for check in (collapse, facets, contractibility_verdict, homology, pi1_trivial):
         with pytest.raises(ValueError, match=r"face \(0,\) of \(0, 1\) is missing"):
             check(Complex([(0, 1), (1,)]))
+    with pytest.raises(ValueError, match=r"face \(1, 2\) of \(0, 1, 2\) is missing"):
+        homology(Complex([(0,), (1,), (0, 1, 2)]))
+    # a triangle edge missing from the family is not taken for a tree edge
+    with pytest.raises(ValueError, match=r"face \(0, 2\) of \(0, 1, 2\) is missing"):
+        pi1_trivial(Complex([(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)]))
 
 
 def test_facets_and_strong_collapse_of_a_simplex_and_a_cone():
@@ -336,3 +378,147 @@ def test_verdict_rejects_a_family_with_a_face_removed(cx, pick):
     gone = inner[pick % len(inner)]
     with pytest.raises(ValueError, match="is missing"):
         contractibility_verdict(Complex(cx.simplices - {gone}))
+
+
+def full_matrix_homology(cx):
+    """Betti numbers and torsion from smith_diagonal on whole boundary matrices."""
+    strata = cx.by_dim()
+    top = cx.dimension()
+    index = {d: {s: i for i, s in enumerate(strata.get(d, []))} for d in range(top + 1)}
+    ranks, torsions = {}, {}
+    for d in range(1, top + 1):
+        rows = [{index[d - 1][s[:k] + s[k + 1:]]: (-1) ** k for k in range(len(s))}
+                for s in strata.get(d, [])]
+        diag = smith_diagonal(rows, len(index[d - 1]))
+        ranks[d] = len(diag)
+        torsions[d] = [v for v in diag if v > 1]
+    betti = [len(strata.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0) - (d == 0)
+             for d in range(top + 1)]
+    return betti, [torsions.get(d + 1, []) for d in range(top + 1)]
+
+
+def pi1_trivial_oracle(cx: Complex) -> bool | None:
+    """The quadratic Tietze loop that pi1_trivial replaced, kept as its oracle."""
+    strata = cx.by_dim()
+    vertices = [s[0] for s in strata.get(0, [])]
+    edges = strata.get(1, [])
+    triangles = strata.get(2, [])
+    if not vertices:
+        return None
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = vertices[0]
+    parent: dict[int, int | None] = {root: None}
+    order = [root]
+    for u in order:
+        for v in sorted(adj[u]):
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    if len(parent) != len(vertices):
+        return None  # disconnected; homology already reports this
+    tree = {tuple(sorted((v, p))) for v, p in parent.items() if p is not None}
+    gen_of: dict[tuple[int, int], int] = {}
+    for e in edges:
+        if e not in tree:
+            gen_of[e] = len(gen_of) + 1
+
+    def letter(u, v):
+        """Generator letter for the oriented step u -> v, 0 for tree edges."""
+        e = (u, v) if u < v else (v, u)
+        g = gen_of.get(e, 0)
+        if g == 0:
+            return 0
+        return g if (u, v) == e else -g
+
+    relators: list[tuple[int, ...]] = []
+    for a, b, c in triangles:
+        w = tuple(x for x in (letter(a, b), letter(b, c), -letter(a, c)) if x)
+        relators.append(_cyclic_reduce(w))
+
+    live = set(range(1, len(gen_of) + 1))
+    relators = [r for r in relators if r]
+
+    def substitute(word, g, repl):
+        out: list[int] = []
+        for x in word:
+            if x == g:
+                out.extend(repl)
+            elif x == -g:
+                out.extend(-y for y in reversed(repl))
+            else:
+                out.append(x)
+        return _cyclic_reduce(tuple(out))
+
+    changed = True
+    while changed and live:
+        changed = False
+        relators = sorted({r for r in (_cyclic_reduce(r) for r in relators) if r},
+                          key=lambda r: (len(r), r))
+        sub: tuple[int, tuple[int, ...]] | None = None
+        for r in relators:
+            if len(r) == 1:
+                sub = (abs(r[0]), ())
+                break
+            if len(r) == 2 and abs(r[0]) != abs(r[1]):
+                x, y = r
+                # x y = 1; solve for the first letter's generator
+                if x > 0:
+                    sub = (x, (-y,))
+                else:
+                    sub = (-x, (y,))
+                break
+        if sub is None:
+            break
+        g, repl = sub
+        live.discard(g)
+        relators = [substitute(r, g, repl) for r in relators]
+        relators = [r for r in relators if r]
+        changed = True
+    if not live:
+        return True
+    return None
+
+
+def oracle_corpus():
+    return [torus(3), klein_bottle(3), generate(RP2), generate(DUNCE_HAT),
+            presentation_complex(BINARY_ICOSAHEDRAL),
+            presentation_complex([(1, 2), (1, 2, 2)])]
+
+
+@st.composite
+def presentations(draw):
+    """Presentation complexes of up to three relators in up to three generators."""
+    letters = st.sampled_from([1, 2, 3, -1, -2, -3])
+    words = st.lists(letters, min_size=1, max_size=4).map(_cyclic_reduce).filter(bool)
+    return presentation_complex(draw(st.lists(words, min_size=1, max_size=3)))
+
+
+def assert_homology_matches_full_matrix(cx):
+    h = homology(cx)
+    assert (h.betti, h.torsion) == full_matrix_homology(cx)
+
+
+def test_homology_matches_full_matrix_smith_on_the_corpus():
+    for cx in oracle_corpus():
+        assert_homology_matches_full_matrix(cx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_complexes(), presentations()))
+def test_homology_matches_full_matrix_smith(cx):
+    assert_homology_matches_full_matrix(cx)
+
+
+def test_pi1_matches_the_quadratic_loop_on_the_corpus():
+    answers = [pi1_trivial(cx) for cx in oracle_corpus()]
+    assert answers == [pi1_trivial_oracle(cx) for cx in oracle_corpus()]
+    assert answers == [None, None, None, True, None, True]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_complexes(), presentations()))
+def test_pi1_matches_the_quadratic_loop(cx):
+    assert pi1_trivial(cx) == pi1_trivial_oracle(cx)
