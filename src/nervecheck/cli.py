@@ -74,6 +74,10 @@ def _read_json(path: str):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise CliUsage(f"{path} is not valid JSON: {err}") from None
+    except UnicodeDecodeError as err:
+        raise CliUsage(f"{path} is not UTF-8 text: {err}") from None
+    except OSError as err:
+        raise CliUsage(f"cannot read {path}: {err.strerror}") from None
 
 
 def _parse(path: str, what: str, build):
@@ -85,13 +89,23 @@ def _parse(path: str, what: str, build):
         raise CliUsage(f"{path} is not {what}: {err!r}") from None
 
 
+# Largest --n per subcommand: build_d on [0, 11] takes ~15 s, and
+# horn --i 2 at n=7 ~76 s and 1.6 GB (2.4 s and 93 MB at n=6).
+MAX_N_DN = 12
+MAX_N_HORN = 7
+
+
+def _check_n(n: int, top: int) -> None:
+    if not 0 <= n <= top:
+        raise CliUsage(f"--n out of range (0..{top})")
+
+
 def _ground_of(args) -> int:
     if args.ground:
         return _digit_arg("--ground", args.ground)
     if args.n is None:
         raise CliUsage("give --n or --ground")
-    if not 0 <= args.n <= 12:
-        raise CliUsage("--n out of range (0..12)")
+    _check_n(args.n, MAX_N_DN)
     return standard_interval(args.n)
 
 
@@ -131,6 +145,7 @@ def _check_inner(args) -> None:
 
 
 def cmd_horn(args) -> int:
+    _check_n(args.n, MAX_N_HORN)
     _check_inner(args)
     fam = admissible_and_superior(args.n, args.i)
     dp = build_d(standard_interval(args.n))
@@ -154,6 +169,7 @@ def cmd_horn(args) -> int:
 
 
 def cmd_mapping_space(args) -> int:
+    _check_n(args.n, MAX_N_HORN)
     dp = build_d(standard_interval(args.n))
     if args.i is not None:
         _check_inner(args)

@@ -268,8 +268,7 @@ def lifting_problem_report(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
     }
 
 
-def reduced_lifting_check(nat: NatTrans, n: int,
-                          max_problems: int | None = None) -> dict:
+def reduced_lifting_check(nat: NatTrans, n: int) -> dict:
     """Sweep every lifting problem at one level and compare both sides.
 
     A problem is a boundary sphere in the family nerve of the source
@@ -302,10 +301,7 @@ def reduced_lifting_check(nat: NatTrans, n: int,
     broken = 0
     reduced_total = 0
     hist: dict[int, int] = {}
-    done = False
     for sphere in sphere_maps(tf, n):
-        if done:
-            break
         key = tuple(sphere[i] for i in range(n + 1))
         cands = under.get(tuple(img(r) for r in key), [])
         if not cands:
@@ -313,9 +309,6 @@ def reduced_lifting_check(nat: NatTrans, n: int,
         x, f = _sphere_xf(tf, sphere, n)
         zs_all = fillers.get(key, [])
         for w in cands:
-            if max_problems is not None and problems >= max_problems:
-                done = True
-                break
             problems += 1
             wc = tg.concrete(w)
             zv = (wc[0], x, tuple(f[pq] for pq in pair_order(n)))

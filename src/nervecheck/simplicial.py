@@ -318,7 +318,8 @@ class CategoryNerveBackend:
         return len(s[0]) - 1
 
 
-def nerve_table(cat, dim: int, marked_isos: bool = True) -> SimplexTable:
-    backend = CategoryNerveBackend(cat)
-    marked = (lambda e: cat.is_iso(e[1][0])) if marked_isos else None
-    return SimplexTable(backend, dim, marked_rule=marked, thin_rule=lambda t: True)
+def nerve_table(cat, dim: int) -> SimplexTable:
+    """Nerve of cat through dim, isomorphisms marked, every triangle thin."""
+    return SimplexTable(CategoryNerveBackend(cat), dim,
+                        marked_rule=lambda e: cat.is_iso(e[1][0]),
+                        thin_rule=lambda t: True)

@@ -1,16 +1,18 @@
 """Verification suites: named parameter grids of machine checks.
 
 Each suite builds a deterministic, parameter-lexicographic list of
-checks; run_suite executes them (optionally on a thread pool, merged
-back in construction order) and returns a Report.  A check that raises
-becomes a FAIL whose certificate carries the exception, so one broken
-instance never takes down the rest of a sweep.
+checks.  A check is data: a module-level function and a tuple of plain,
+picklable arguments.  run_suite executes them (optionally on a pool of
+worker processes, at most one per core, merged back in construction
+order) and returns a Report.  A check that raises becomes a FAIL whose
+certificate carries the exception, so one broken instance never takes
+down the rest of a sweep.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -37,9 +39,11 @@ SUITES: dict[str, Callable] = {}
 
 @dataclass
 class Check:
+    """Run as fn(*args); fn is module-level so the check can be pickled."""
     id: str
     claim: str
-    run: Callable[[], tuple[str, dict]]
+    fn: Callable[..., tuple[str, dict]]
+    args: tuple = ()
 
 
 def _suite(name):
@@ -75,6 +79,10 @@ def _from_verdict(v: Verdict, extra: dict | None = None) -> tuple[str, dict]:
     if extra:
         cert.update(extra)
     return by_status[v.status], cert
+
+
+def _no_instances() -> tuple[str, dict]:
+    return PASS, {"instances": 0}
 
 
 def _pairs(dp: DPoset, strict: bool = True) -> list[tuple[int, int]]:
@@ -120,16 +128,14 @@ def _theorem(params: dict) -> list[Check]:
             for s, t in pairs:
                 checks.append(Check(
                     f"n{n}/i{i}/{digits(s)}-{digits(t)}", CLAIM_THEOREM,
-                    _theorem_thunk(n, i, s, t)))
+                    _theorem_check, (n, i, s, t)))
     return checks
 
 
-def _theorem_thunk(n, i, s, t):
-    def run():
-        fm = flag_model(_horn(n, i), s, t)
-        return _from_verdict(contractibility_verdict(fm.to_complex()),
-                             {"simplices": fm.counts()})
-    return run
+def _theorem_check(n, i, s, t):
+    fm = flag_model(_horn(n, i), s, t)
+    return _from_verdict(contractibility_verdict(fm.to_complex()),
+                         {"simplices": fm.counts()})
 
 
 CLAIM_DISTANT = "open interval between a distant pair is contractible"
@@ -144,19 +150,17 @@ def _distant(params: dict) -> list[Check]:
         if not found:
             checks.append(Check(
                 f"n{n}", "no distant comparable pairs at this size",
-                lambda: (PASS, {"instances": 0})))
+                _no_instances))
         for s, t in found:
             checks.append(Check(
                 f"n{n}/{digits(s)}-{digits(t)}", CLAIM_DISTANT,
-                _distant_thunk(n, s, t)))
+                _distant_check, (n, s, t)))
     return checks
 
 
-def _distant_thunk(n, s, t):
-    def run():
-        g = strict_interval(_dp(n).poset, s, t)
-        return _from_verdict(_poset_verdict(g), {"interior": len(g)})
-    return run
+def _distant_check(n, s, t):
+    g = strict_interval(_dp(n).poset, s, t)
+    return _from_verdict(_poset_verdict(g), {"interior": len(g)})
 
 
 CLAIM_CLOSE = "a candidate admissible face covers the closed interval"
@@ -171,28 +175,26 @@ def _close(params: dict) -> list[Check]:
             if geom.close(s, t):
                 checks.append(Check(
                     f"n{n}/{digits(s)}-{digits(t)}", CLAIM_CLOSE,
-                    _close_thunk(n, s, t)))
+                    _close_check, (n, s, t)))
     return checks
 
 
-def _close_thunk(n, s, t):
+def _close_check(n, s, t):
     # the three unit-cube faces from the covering argument
-    def run():
-        dp = _dp(n)
-        full = standard_interval(n)
-        candidates = [full & ~(1 << n), (0b11 << (n - 1)), 1 << n]
-        interval = set(_interval(dp, s, t))
-        inner = range(1, n)
-        for j in candidates:
-            if interval <= set(a_elements(dp, j)):
-                if not all(is_admissible(j, n, i) for i in inner):
-                    continue
-                return PASS, {"witness": digits(j),
-                              "interval": len(interval),
-                              "admissible_for_all_inner": True}
-        return FAIL, {"reason": "no candidate face covers the interval",
-                      "candidates": [digits(j) for j in candidates]}
-    return run
+    dp = _dp(n)
+    full = standard_interval(n)
+    candidates = [full & ~(1 << n), (0b11 << (n - 1)), 1 << n]
+    interval = set(_interval(dp, s, t))
+    inner = range(1, n)
+    for j in candidates:
+        if interval <= set(a_elements(dp, j)):
+            if not all(is_admissible(j, n, i) for i in inner):
+                continue
+            return PASS, {"witness": digits(j),
+                          "interval": len(interval),
+                          "admissible_for_all_inner": True}
+    return FAIL, {"reason": "no candidate face covers the interval",
+                  "candidates": [digits(j) for j in candidates]}
 
 
 CLAIM_ADMISSIBLE = "interval slices through superior faces stay contractible"
@@ -215,46 +217,44 @@ def _admissible(params: dict) -> list[Check]:
         if not found:
             checks.append(Check(
                 f"n{n}", "no hybrid-case instances at this size",
-                lambda: (PASS, {"instances": 0})))
+                _no_instances))
         for i, s, t, u in found:
             checks.append(Check(
                 f"n{n}/i{i}/{digits(s)}-{digits(t)}", CLAIM_ADMISSIBLE,
-                _admissible_thunk(n, i, s, t, u)))
+                _admissible_check, (n, i, s, t, u)))
     return checks
 
 
-def _admissible_thunk(n, i, s, t, u):
-    def run():
-        dp = _dp(n)
-        full = standard_interval(n)
-        amem = {j: frozenset(a_elements(dp, j)) for j in u}
-        # every eligible superior face must be a punctured interval
-        # avoiding i and n, with the puncture above max(S)
-        shape_ok = all(
-            bin(full & ~j).count("1") == 1
-            and max_bit(full & ~j) > max_bit(s)
-            and full & ~j != 1 << n and full & ~j != 1 << i
-            for j in u)
-        verdicts = {}
-        worst = PASS
-        for pick in range(1 << len(u)):
-            jbar = [u[k] for k in range(len(u)) if (pick >> k) & 1]
-            members = [v for v in _interval(dp, s, t) if v not in (s, t)
-                       and all(v in amem[j] for j in jbar)]
-            g = dp.poset.full_subposet(members)
-            v = contractibility_verdict(_poset_complex(g))
-            label = "+".join(digits(j) for j in jbar) or "none"
-            verdicts[label] = v.status
-            if v.status == "NotContractible":
-                worst = FAIL
-            elif v.status == "Inconclusive" and worst == PASS:
-                worst = INCONCLUSIVE
-        if not shape_ok:
+def _admissible_check(n, i, s, t, u):
+    dp = _dp(n)
+    full = standard_interval(n)
+    amem = {j: frozenset(a_elements(dp, j)) for j in u}
+    # every eligible superior face must be a punctured interval
+    # avoiding i and n, with the puncture above max(S)
+    shape_ok = all(
+        bin(full & ~j).count("1") == 1
+        and max_bit(full & ~j) > max_bit(s)
+        and full & ~j != 1 << n and full & ~j != 1 << i
+        for j in u)
+    verdicts = {}
+    worst = PASS
+    for pick in range(1 << len(u)):
+        jbar = [u[k] for k in range(len(u)) if (pick >> k) & 1]
+        members = [v for v in _interval(dp, s, t) if v not in (s, t)
+                   and all(v in amem[j] for j in jbar)]
+        g = dp.poset.full_subposet(members)
+        v = contractibility_verdict(_poset_complex(g))
+        label = "+".join(digits(j) for j in jbar) or "none"
+        verdicts[label] = v.status
+        if v.status == "NotContractible":
             worst = FAIL
-        cert = {"superior": [digits(j) for j in u], "shape_ok": shape_ok,
-                "families": len(verdicts), "verdicts": verdicts}
-        return worst, cert
-    return run
+        elif v.status == "Inconclusive" and worst == PASS:
+            worst = INCONCLUSIVE
+    if not shape_ok:
+        worst = FAIL
+    cert = {"superior": [digits(j) for j in u], "shape_ok": shape_ok,
+            "families": len(verdicts), "verdicts": verdicts}
+    return worst, cert
 
 
 CLAIM_COLIMIT = "total poset of a contractible diagram is contractible"
@@ -264,28 +264,26 @@ CLAIM_COLIMIT = "total poset of a contractible diagram is contractible"
 def _colimit(params: dict) -> list[Check]:
     diagrams = seeded_diagrams(params["count"], params["seed"])
     return [Check(f"diagram/{idx:02d}", CLAIM_COLIMIT,
-                  _colimit_thunk(trip))
+                  _colimit_check, (trip,))
             for idx, trip in enumerate(diagrams)]
 
 
-def _colimit_thunk(trip):
-    def run():
-        base, values, transport = trip
-        inputs_ok = _poset_verdict(base).status == "Contractible"
-        for p in base.elements:
-            if _poset_verdict(values[p]).status != "Contractible":
-                inputs_ok = False
-        total = grothendieck_poset(base, values, transport)
-        v = _poset_verdict(total)
-        cert = {"base_elements": len(base),
-                "value_sizes": [len(values[p]) for p in base.elements],
-                "total_elements": len(total),
-                "inputs_contractible": inputs_ok,
-                "total": v.status}
-        if not inputs_ok:
-            return FAIL, cert
-        return _from_verdict(v, cert)[0], cert
-    return run
+def _colimit_check(trip):
+    base, values, transport = trip
+    inputs_ok = _poset_verdict(base).status == "Contractible"
+    for p in base.elements:
+        if _poset_verdict(values[p]).status != "Contractible":
+            inputs_ok = False
+    total = grothendieck_poset(base, values, transport)
+    v = _poset_verdict(total)
+    cert = {"base_elements": len(base),
+            "value_sizes": [len(values[p]) for p in base.elements],
+            "total_elements": len(total),
+            "inputs_contractible": inputs_ok,
+            "total": v.status}
+    if not inputs_ok:
+        return FAIL, cert
+    return _from_verdict(v, cert)[0], cert
 
 
 CLAIM_ADJOINT = "horn image agrees with the expected level"
@@ -299,25 +297,23 @@ def _adjoint(params: dict) -> list[Check]:
             for j in range(n + 1):
                 checks.append(Check(
                     f"n{n}/i{i}/j{j}", CLAIM_ADJOINT,
-                    _adjoint_thunk(n, i, j)))
+                    _adjoint_check, (n, i, j)))
     return checks
 
 
-def _adjoint_thunk(n, i, j):
-    def run():
-        restricted, full = phi_on_objects(n, i, j)
-        if j > 0:
-            expected = set(full.chains)
-            label = "full nerve over the truncated ground set"
-        else:
-            expected = set(_horn(n, i).chains)
-            label = "horn subcomplex"
-        got = set(restricted.chains)
-        ok = got == expected
-        cert = {"chains": len(got), "expected": len(expected),
-                "matches": label}
-        return (PASS if ok else FAIL), cert
-    return run
+def _adjoint_check(n, i, j):
+    restricted, full = phi_on_objects(n, i, j)
+    if j > 0:
+        expected = set(full.chains)
+        label = "full nerve over the truncated ground set"
+    else:
+        expected = set(_horn(n, i).chains)
+        label = "horn subcomplex"
+    got = set(restricted.chains)
+    ok = got == expected
+    cert = {"chains": len(got), "expected": len(expected),
+            "matches": label}
+    return (PASS if ok else FAIL), cert
 
 
 CLAIM_ORACLE = "flag model agrees with the necklace oracle on every pair"
@@ -330,39 +326,37 @@ def _oracle(params: dict) -> list[Check]:
     for n in ns:
         for i in range(1, n):
             checks.append(Check(f"d{n}/horn-{i}", CLAIM_ORACLE,
-                                _oracle_thunk(n, _horn(n, i))))
+                                _oracle_check, (n, _horn(n, i))))
         dp = _dp(n)
         full = ChainSubcomplex(dp.poset, nerve_chains(dp.poset), validate=False)
-        checks.append(Check(f"d{n}/full", CLAIM_ORACLE, _oracle_thunk(n, full)))
+        checks.append(Check(f"d{n}/full", CLAIM_ORACLE, _oracle_check, (n, full)))
     if 3 in ns:
         subs = seeded_subcomplexes(3, params["count"], params["seed"])
         for idx, k in enumerate(subs):
             checks.append(Check(f"d3/seeded-{idx:02d}", CLAIM_ORACLE,
-                                _oracle_thunk(3, k)))
+                                _oracle_check, (3, k)))
     return checks
 
 
-def _oracle_thunk(n, k):
-    def run():
-        dp = _dp(n)
-        present = 0
-        for c in k.chains:
-            present |= c
-        verts = {dp.poset.elements[b] for b in range(len(dp.poset))
-                 if (present >> b) & 1}
-        mismatches = []
-        pairs = 0
-        for s, t in _pairs(dp, strict=False):
-            if s not in verts or t not in verts:
-                continue
-            pairs += 1
-            fm = flag_model(k, s, t)
-            no = necklace_oracle(k, s, t)
-            if not fm.same_simplices(no):
-                mismatches.append(f"{digits(s)}-{digits(t)}")
-        cert = {"pairs": pairs, "mismatches": mismatches}
-        return (PASS if not mismatches else FAIL), cert
-    return run
+def _oracle_check(n, k):
+    dp = _dp(n)
+    present = 0
+    for c in k.chains:
+        present |= c
+    verts = {dp.poset.elements[b] for b in range(len(dp.poset))
+             if (present >> b) & 1}
+    mismatches = []
+    pairs = 0
+    for s, t in _pairs(dp, strict=False):
+        if s not in verts or t not in verts:
+            continue
+        pairs += 1
+        fm = flag_model(k, s, t)
+        no = necklace_oracle(k, s, t)
+        if not fm.same_simplices(no):
+            mismatches.append(f"{digits(s)}-{digits(t)}")
+    cert = {"pairs": pairs, "mismatches": mismatches}
+    return (PASS if not mismatches else FAIL), cert
 
 
 @_suite("nerve-comparison")
@@ -372,64 +366,56 @@ def _nerve_cmp(params: dict) -> list[Check]:
         checks.append(Check(
             f"{name}/total-category",
             "family nerve matches the nerve of the total category",
-            _groth_thunk(sp)))
+            _groth_check, (sp,)))
         checks.append(Check(
             f"{name}/comparison-map",
             "comparison map is simplicial, marked, and injective low down",
-            _pi_star_thunk(sp, 3)))
+            _pi_star_check, (sp, 3)))
         checks.append(Check(
             f"{name}/horn-fillers",
             "inner horns of the functor-family nerve fill",
-            _horn_fill_thunk(sp)))
+            _horn_fill_check, (sp,)))
         if name == "point-arrow":
             checks.append(Check(
                 f"{name}/comparison-over-point",
                 "comparison map is bijective through dimension 2",
-                _pi_star_point_thunk(sp)))
+                _pi_star_point_check, (sp,)))
     return checks
 
 
-def _groth_thunk(sp):
-    def run():
-        rep = chi_groth_comparison(sp, 4)
-        ok = rep["bijective"] and rep["faces_commute"]
-        return (PASS if ok else FAIL), rep
-    return run
+def _groth_check(sp):
+    rep = chi_groth_comparison(sp, 4)
+    ok = rep["bijective"] and rep["faces_commute"]
+    return (PASS if ok else FAIL), rep
 
 
-def _pi_star_thunk(sp, dim):
-    def run():
-        rep = pi_star_check(sp, dim)
-        flags = (rep["well_defined"] and rep["faces_commute"]
-                 and rep["degeneracies_commute"] and rep["markings_match"]
-                 and rep["projection_commutes"])
-        inj = all(rep["injective"][k] for k in range(dim + 1))
-        bij = all(rep["bijective"][k] for k in range(min(1, dim) + 1))
-        return (PASS if flags and inj and bij else FAIL), rep
-    return run
+def _pi_star_check(sp, dim):
+    rep = pi_star_check(sp, dim)
+    flags = (rep["well_defined"] and rep["faces_commute"]
+             and rep["degeneracies_commute"] and rep["markings_match"]
+             and rep["projection_commutes"])
+    inj = all(rep["injective"][k] for k in range(dim + 1))
+    bij = all(rep["bijective"][k] for k in range(min(1, dim) + 1))
+    return (PASS if flags and inj and bij else FAIL), rep
 
 
-def _pi_star_point_thunk(sp):
-    def run():
-        rep = pi_star_check(sp, 2)
-        ok = all(rep["bijective"][k] for k in range(3))
-        return (PASS if ok else FAIL), rep
-    return run
+def _pi_star_point_check(sp):
+    rep = pi_star_check(sp, 2)
+    ok = all(rep["bijective"][k] for k in range(3))
+    return (PASS if ok else FAIL), rep
 
 
-def _horn_fill_thunk(sp):
-    def run():
-        table = relative_nerve_2(sp, 3)
-        cert = {}
-        ok = True
-        for n, i in ((2, 1), (3, 1), (3, 2)):
-            rep = horn_fill_check(table, n, i)
-            cert[f"horn-{n}-{i}"] = {"horns": rep["horns"],
-                                     "filled": rep["filled"],
-                                     "unfilled": rep["unfilled_examples"]}
-            ok = ok and rep["all_filled"]
-        return (PASS if ok else FAIL), cert
-    return run
+def _horn_fill_check(sp):
+    table = relative_nerve_2(sp, 3)
+    cert = {}
+    ok = True
+    for n, i in ((2, 1), (3, 1), (3, 2)):
+        rep = horn_fill_check(table, n, i)
+        cert[f"horn-{n}-{i}"] = {"horns": rep["horns"],
+                                 "filled": rep["filled"],
+                                 "unfilled": rep["unfilled_examples"]}
+        ok = ok and rep["all_filled"]
+    return (PASS if ok else FAIL), cert
 
 
 CLAIM_SQUARE = "chain-square map is monotone with the expected image"
@@ -443,37 +429,35 @@ def _straightening(params: dict) -> list[Check]:
             for j in range(i, n + 1):
                 checks.append(Check(
                     f"n{n}/i{i}/j{j}", CLAIM_SQUARE,
-                    _square_thunk(n, i, j)))
+                    _square_check, (n, i, j)))
         if n == 1:
             checks.append(Check(
                 "n1/horn-shape",
                 "one-level source is the right-horn wedge",
-                _square_shape_thunk))
+                _square_shape_check))
     return checks
 
 
-def _square_thunk(n, i, j):
-    def run():
-        poset, cmp_map, dposet = square_chain_poset(n, i, j)
-        window = interval_mask(i, j)
-        expected = {e for e in dposet.poset.elements if e & ~window == 0}
-        image = cmp_map.image()
-        ok_img = image == expected
-        vsrc = _poset_verdict(poset)
-        vtgt = _poset_verdict(dposet.poset)
-        ok = ok_img and vsrc.status == "Contractible" \
-            and vtgt.status == "Contractible"
-        worst = INCONCLUSIVE if "Inconclusive" in (vsrc.status, vtgt.status) \
-            else (PASS if ok else FAIL)
-        cert = {"chains": len(poset), "image": len(image),
-                "window": digits(window), "image_matches_window": ok_img,
-                "surjective_on_ground": j == n and ok_img,
-                "source": vsrc.status, "target": vtgt.status}
-        return worst, cert
-    return run
+def _square_check(n, i, j):
+    poset, cmp_map, dposet = square_chain_poset(n, i, j)
+    window = interval_mask(i, j)
+    expected = {e for e in dposet.poset.elements if e & ~window == 0}
+    image = cmp_map.image()
+    ok_img = image == expected
+    vsrc = _poset_verdict(poset)
+    vtgt = _poset_verdict(dposet.poset)
+    ok = ok_img and vsrc.status == "Contractible" \
+        and vtgt.status == "Contractible"
+    worst = INCONCLUSIVE if "Inconclusive" in (vsrc.status, vtgt.status) \
+        else (PASS if ok else FAIL)
+    cert = {"chains": len(poset), "image": len(image),
+            "window": digits(window), "image_matches_window": ok_img,
+            "surjective_on_ground": j == n and ok_img,
+            "source": vsrc.status, "target": vtgt.status}
+    return worst, cert
 
 
-def _square_shape_thunk():
+def _square_shape_check():
     poset, _, _ = square_chain_poset(1, 0, 1)
     cx = _poset_complex(poset)
     by_dim = cx.by_dim()
@@ -493,23 +477,21 @@ def _lifting(params: dict) -> list[Check]:
     for name, nat, level in lifting_battery():
         if params.get("n") is not None and level != params["n"]:
             continue
-        checks.append(Check(name, CLAIM_LIFTING, _lifting_thunk(nat, level)))
+        checks.append(Check(name, CLAIM_LIFTING, _lifting_check, (nat, level)))
     if not checks:
         raise UsageError("no battery entry at that level (use 2 or 3)")
     return checks
 
 
-def _lifting_thunk(nat, level):
-    def run():
-        res = reduced_lifting_check(nat, level)
-        cert = {"problems": res["problems"],
-                "original_total": res["original_total"],
-                "reduced_total": res["reduced_total"],
-                "solution_histogram": res["solution_histogram"],
-                "count_mismatches": res["count_mismatches"],
-                "broken_bijections": res["broken_bijections"]}
-        return (PASS if res["bijective"] else FAIL), cert
-    return run
+def _lifting_check(nat, level):
+    res = reduced_lifting_check(nat, level)
+    cert = {"problems": res["problems"],
+            "original_total": res["original_total"],
+            "reduced_total": res["reduced_total"],
+            "solution_histogram": res["solution_histogram"],
+            "count_mismatches": res["count_mismatches"],
+            "broken_bijections": res["broken_bijections"]}
+    return (PASS if res["bijective"] else FAIL), cert
 
 
 CLAIM_BASE_CHANGE = "restriction commutes with the family nerve"
@@ -524,29 +506,27 @@ def _base_change(params: dict) -> list[Check]:
                        {o: o for o in mixed.base.objects},
                        {m: m for m in mixed.base.morphisms})
     checks.append(Check("identity/two-chain-mixed", CLAIM_BASE_CHANGE,
-                        _base_change_thunk(ident, mixed)))
+                        _base_change_check, (ident, mixed)))
     fold = battery["arrow-fold"]
     pt = FiniteCategory.point()
     for o in fold.base.objects:
         bf = CatFunctor.constant(pt, fold.base, o)
         checks.append(Check(f"fiber/arrow-fold@{o}", CLAIM_BASE_CHANGE,
-                            _base_change_thunk(bf, fold)))
+                            _base_change_check, (bf, fold)))
     c1, c2 = chain_category(1), chain_category(2)
     faces = {"01": (0, 1), "12": (1, 2), "02": (0, 2)}
     for tag, (a, b) in sorted(faces.items()):
         bf = CatFunctor(c1, c2, {0: a, 1: b},
                         {(0, 0): (a, a), (1, 1): (b, b), (0, 1): (a, b)})
         checks.append(Check(f"face/two-chain-mixed@{tag}", CLAIM_BASE_CHANGE,
-                            _base_change_thunk(bf, mixed)))
+                            _base_change_check, (bf, mixed)))
     return checks
 
 
-def _base_change_thunk(bf, sp):
-    def run():
-        rep = base_change_check(bf, sp, 3)
-        ok = rep["isomorphism"] and rep["faces_commute"]
-        return (PASS if ok else FAIL), rep
-    return run
+def _base_change_check(bf, sp):
+    rep = base_change_check(bf, sp, 3)
+    ok = rep["isomorphism"] and rep["faces_commute"]
+    return (PASS if ok else FAIL), rep
 
 
 # ---------------------------------------------------------------- runner
@@ -589,7 +569,7 @@ def build_suite(suite: str, params: dict) -> list[Check]:
 def _execute(check: Check) -> CheckResult:
     start = time.perf_counter()
     try:
-        verdict, cert = check.run()
+        verdict, cert = check.fn(*check.args)
     except Exception as err:  # a crashed check fails; the sweep continues
         verdict = FAIL
         cert = {"error": f"{type(err).__name__}: {err}"}
@@ -600,8 +580,11 @@ def _execute(check: Check) -> CheckResult:
 def run_suite(suite: str, params: dict | None = None, jobs: int = 1) -> Report:
     eff = normalize_params(suite, params)
     checks = build_suite(suite, eff)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(checks), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: at the top it would add ~20 ms to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute, checks))
     else:
         results = [_execute(c) for c in checks]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nervecheck import cli
 from nervecheck.battery import functor_battery
 from nervecheck.category import chain_category, label_str
 from nervecheck.cli import main
@@ -149,15 +150,36 @@ def test_base_change_long_edge(tmp_path, capsys):
     ["dn", "--n", "2", "--deep"],
     ["horn", "--n", "3", "--i", "1", "--seed", "5"],
     ["homology", "--input", "X.json", "--deep"],
+    ["homology", "--input", "{dir}"],
+    ["homology", "--input", "{binary}"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
         "nerve2-dim-negative", "compare-dim-negative", "base-change-dim-negative",
-        "dn-seed-deep", "dn-deep", "horn-seed", "homology-deep"])
-def test_usage_errors_exit_64_with_one_line(argv, capsys):
-    assert main(argv) == 64
+        "dn-seed-deep", "dn-deep", "horn-seed", "homology-deep",
+        "homology-input-directory", "homology-input-not-utf8"])
+def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    assert main([a.format(dir=tmp_path, binary=binary) for a in argv]) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["horn", "--n", "8", "--i", "1"],
+    ["mapping-space", "--n", "8", "--from", "0", "--to", "08"],
+    ["mapping-space", "--n", "-1", "--from", "0", "--to", "0"],
+], ids=["horn-n8", "mapping-n8", "mapping-n-negative"])
+def test_size_ceiling_rejects_before_building(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built a D-poset outside the size ceiling")
+
+    monkeypatch.setattr(cli, "build_d", refuse)
+    monkeypatch.setattr(cli, "admissible_and_superior", refuse)
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err == "usage error: --n out of range (0..7)\n"
 
 
 def test_homology_rejects_malformed_json(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 A digest covers every check id, claim, verdict and certificate of a
 suite run.  A change that moves one of these must say which and why.
+Worker processes merge results back in construction order, so --jobs
+never moves a digest.
 """
 
 import pytest
@@ -40,4 +42,5 @@ def test_every_suite_is_pinned():
 
 @pytest.mark.parametrize("suite", sorted(DIGESTS))
 def test_default_digest(suite):
-    assert run_suite(suite).digest() == DIGESTS[suite]
+    for jobs in (1, 2):
+        assert run_suite(suite, jobs=jobs).digest() == DIGESTS[suite], jobs

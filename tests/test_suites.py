@@ -1,3 +1,6 @@
+import os
+import pickle
+
 import pytest
 
 from nervecheck.report import FAIL, PASS
@@ -86,11 +89,49 @@ def test_parallel_run_matches_serial_digest():
     assert [c.id for c in serial.checks] == [c.id for c in parallel.checks]
 
 
+@pytest.mark.parametrize("suite, params", [
+    *((name, {}) for name in sorted(SUITES)),
+    ("theorem-contractible", {"n": 5, "deep": True}),
+], ids=[*sorted(SUITES), "theorem-deep-n5"])
+def test_checks_pickle(suite, params):
+    # worker processes receive each check by pickle; no check runs here
+    checks = build_suite(suite, normalize_params(suite, params))
+    assert checks
+    assert len(pickle.loads(pickle.dumps(checks))) == len(checks)
+
+
+def test_worker_count_is_capped_at_the_cores(monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    rep = run_suite("lemma-distant", {"n": 2}, jobs=10**6)
+    assert len(rep.checks) == 3
+    cap = min(3, os.cpu_count() or 1)
+    assert asked == ([cap] if cap > 1 else [])
+    assert rep.digest() == run_suite("lemma-distant", {"n": 2}).digest()
+
+
 def test_execute_captures_exceptions_as_fail():
     def boom():
         raise RuntimeError("no such thing")
 
-    res = _execute(Check(id="x", claim="never", run=boom))
+    res = _execute(Check(id="x", claim="never", fn=boom))
     assert res.verdict == FAIL
     assert "RuntimeError" in res.certificate["error"]
     assert res.wall_ms >= 0.0
