@@ -17,7 +17,7 @@ from .battery import DEFAULT_SEED
 from .bits import digits, from_digits
 from .category import CatFunctor, FiniteCategory
 from .funcspec import FunctorSpec
-from .homotopy import complex_from_json, contractibility_verdict, homology
+from .homotopy import complex_from_json, contractibility_verdict
 from .horn import admissible_and_superior, l_complex
 from .lifting import collapse_nat, identity_nat, reduced_lifting_check
 from .mapping import flag_model, necklace_oracle
@@ -206,8 +206,8 @@ def cmd_mapping_space(args) -> int:
 
 def cmd_homology(args) -> int:
     cx = _parse(args.input, "a simplex list", complex_from_json)
-    h = homology(cx)
     v = contractibility_verdict(cx)
+    h = v.homology
     for k, (b, tor) in enumerate(zip(h.betti, h.torsion)):
         print(f"  H~_{k}: betti {b}, torsion {tor}")
     print(f"verdict: {v.status} ({v.method})")

@@ -3,21 +3,20 @@
 Complexes here are abstract: a simplex is a strictly increasing tuple
 of int vertex ids and the family is closed under nonempty subsets.
 Producers hand in families closed by construction; generate interns and
-closes outside input.  The verdict pipeline first removes dominated
-vertices from the facet list (strong collapse); if more than one vertex
-survives, greedy free-face collapse runs on the whole complex, and if
-that strands a core, integer homology and an edge-path-group triviality
-search run on the core.  Homology works over Python ints, so no overflow
-exists: unit pivots eliminated sparsely, Smith normal form on the
-residual, torsion as invariant factors; indexed Tietze search for the
-edge-path group.  Both kinds of collapse preserve homotopy type, which
-keeps the matrices small.
+closes outside input.  The verdict pipeline removes dominated vertices
+from the facet list (strong collapse); if more than one vertex survives,
+integer homology and an edge-path-group triviality search run on the
+strong core.  Homology works over Python ints, so no overflow exists:
+unit pivots eliminated sparsely, Smith normal form on the residual,
+torsion as invariant factors; indexed Tietze search for the edge-path
+group.  Strong collapse preserves homotopy type, which keeps the
+matrices small.
 
 Verdict semantics:
-  Contractible      strong collapse or greedy collapse reached a single
-                    vertex, or the stuck core has trivial fundamental
-                    group and zero reduced homology (simply connected +
-                    acyclic suffices for finite complexes by Whitehead's
+  Contractible      strong collapse reached a single vertex, or the
+                    strong core has trivial fundamental group and zero
+                    reduced homology (simply connected + acyclic
+                    suffices for finite complexes by Whitehead's
                     theorem)
   NotContractible   some reduced homology group is nonzero
   Inconclusive      everything else; never claimed from a failed search
@@ -26,7 +25,7 @@ Verdict semantics:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, repeat
 from math import gcd
@@ -281,11 +280,11 @@ class CollapseResult:
     critical: list[tuple[int, ...]]
 
 
-def collapse(cx: Complex, reverse: bool = False) -> CollapseResult:
+def collapse(cx: Complex) -> CollapseResult:
     """Greedy elementary collapse, deterministic lexicographic tie-break.
 
-    Free faces (exactly one remaining coface) are consumed smallest
-    first; the reverse flag flips the tie-break for the retry pass.
+    Free faces (exactly one remaining coface) are consumed smallest first.
+    No verdict uses it: it is the independent oracle of strong_collapse.
     """
     present = set(cx.simplices)
     cofaces: dict[tuple[int, ...], set[tuple[int, ...]]] = {s: set() for s in present}
@@ -297,14 +296,7 @@ def collapse(cx: Complex, reverse: bool = False) -> CollapseResult:
                 except KeyError:
                     raise ValueError(f"face {f} of {s} is missing") from None
 
-    if reverse:
-        def key(s):
-            return (-len(s), tuple(-v for v in s))
-    else:
-        def key(s):
-            return (len(s), s)
-
-    heap = [(key(s), s) for s in present if len(cofaces[s]) == 1]
+    heap = [(len(s), s) for s in present if len(cofaces[s]) == 1]
     heapq.heapify(heap)
     pairs = []
 
@@ -315,7 +307,7 @@ def collapse(cx: Complex, reverse: bool = False) -> CollapseResult:
                 links = cofaces[f]
                 links.discard(u)
                 if f in present and len(links) == 1:
-                    heapq.heappush(heap, (key(f), f))
+                    heapq.heappush(heap, (len(f), f))
 
     while heap:
         _, s = heapq.heappop(heap)
@@ -360,6 +352,7 @@ def facets(cx: Complex) -> list[tuple[int, ...]]:
 class StrongCollapseResult:
     removed: int  # dominated vertices removed
     core: list[tuple[int, ...]]  # facets of the strong core, sorted
+    dimension: int  # of the input, read off its facets
 
     @property
     def success(self) -> bool:
@@ -418,7 +411,7 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
                     queued[u] = True
                     heapq.heappush(heap, u)
     core = sorted(tuple(labels[i] for i in ids) for ids in members.values())
-    return StrongCollapseResult(removed, core)
+    return StrongCollapseResult(removed, core, max(map(len, tops), default=0) - 1)
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -543,48 +536,39 @@ class Verdict:
 
     status: str  # Contractible | NotContractible | Inconclusive
     method: str
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def contractible(self) -> bool | None:
-        if self.status == "Contractible":
-            return True
-        if self.status == "NotContractible":
-            return False
-        return None
+    detail: dict
+    homology: HomologySummary  # of the input, degrees 0..its dimension
 
 
 def contractibility_verdict(cx: Complex) -> Verdict:
-    """Strong-collapse; else collapse greedily, then homology and pi_1."""
+    """Strong collapse; else homology and pi_1 on the strong core.
+
+    The core is homotopy equivalent to cx, so its homology, padded with
+    zero groups up to the dimension of cx, is the homology of cx.
+    """
     if cx.is_empty():
         return Verdict("NotContractible", "empty",
-                       {"reason": "empty complex is not contractible"})
+                       {"reason": "empty complex is not contractible"},
+                       HomologySummary([], []))
     strong = strong_collapse(cx)
+    top = strong.dimension
+    zero = HomologySummary([0] * (top + 1), [[] for _ in range(top + 1)])
     if strong.success:
         return Verdict("Contractible", "strong-collapse",
-                       {"removed": strong.removed, "vertex": strong.core[0][0]})
-    first = collapse(cx)
-    if first.success:
-        return Verdict("Contractible", "collapse",
-                       {"pairs": len(first.pairs), "order": "lex"})
-    second = collapse(cx, reverse=True)
-    if second.success:
-        return Verdict("Contractible", "collapse",
-                       {"pairs": len(second.pairs), "order": "reverse-lex"})
-    core_cells = min((first.critical, second.critical), key=len)
-    core = Complex(core_cells)  # collapses leave a subcomplex
+                       {"removed": strong.removed, "vertex": strong.core[0][0]}, zero)
+    # the core keeps the input's labels: the Tietze search depends on them
+    core = _close(strong.core) if strong.removed else cx
     h = homology(core)
+    d = len(h.betti)
+    h = HomologySummary(h.betti + zero.betti[d:], h.torsion + zero.torsion[d:])
+    cells = {"core_cells": len(core)}
     if not h.trivial():
         k, b, t = h.top_nonzero()
         return Verdict("NotContractible", "homology",
-                       {"degree": k, "betti": b, "torsion": t,
-                        "core_cells": len(core_cells)})
-    p1 = pi1_trivial(core)
-    if p1:
-        return Verdict("Contractible", "acyclic-simply-connected",
-                       {"core_cells": len(core_cells)})
-    return Verdict("Inconclusive", "pi1-unresolved",
-                   {"core_cells": len(core_cells)})
+                       {"degree": k, "betti": b, "torsion": t, **cells}, h)
+    if pi1_trivial(core):
+        return Verdict("Contractible", "acyclic-simply-connected", cells, h)
+    return Verdict("Inconclusive", "pi1-unresolved", cells, h)
 
 
 def generate(simplices: Iterable[Sequence[Hashable]]) -> Complex:
@@ -597,6 +581,12 @@ def generate(simplices: Iterable[Sequence[Hashable]]) -> Complex:
             raise ValueError("repeated vertex in simplex")
         if t:
             family.add(t)
+    return _close(family)
+
+
+def _close(family: Iterable[tuple[int, ...]]) -> Complex:
+    """Complex of strictly increasing int tuples and all their nonempty faces."""
+    family = set(family)
     stack = list(family)
     while stack:
         s = stack.pop()
@@ -614,4 +604,9 @@ def complex_from_chains(chains: Iterable[int]) -> Complex:
 
 
 def complex_from_json(data: dict) -> Complex:
-    return generate(data["simplices"])
+    sims = data["simplices"]
+    if not isinstance(sims, list) or any(
+            not isinstance(s, list) or any(isinstance(v, (list, dict)) for v in s)
+            for s in sims):
+        raise ValueError('"simplices" must be an array of arrays of scalars')
+    return generate(sims)

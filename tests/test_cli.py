@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nervecheck import cli
+from nervecheck import cli, homotopy
 from nervecheck.battery import functor_battery
 from nervecheck.category import chain_category, label_str
 from nervecheck.cli import main
@@ -70,17 +70,43 @@ def test_homology_reports_a_hole(capsys, tmp_path):
     assert "betti" in out
 
 
+RP2 = [[0, 1, 2], [0, 2, 3], [0, 1, 5], [0, 3, 4], [0, 4, 5],
+       [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]]
+
+
 def test_homology_prints_torsion_of_the_projective_plane(capsys, tmp_path):
     src, out = tmp_path / "rp2.json", tmp_path / "rp2-out.json"
-    tris = [[0, 1, 2], [0, 2, 3], [0, 1, 5], [0, 3, 4], [0, 4, 5],
-            [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]]
-    src.write_text(json.dumps({"simplices": tris}))
+    src.write_text(json.dumps({"simplices": RP2}))
     assert main(["homology", "--input", str(src), "--json", str(out)]) == 0
     assert "  H~_1: betti 0, torsion [2]" in capsys.readouterr().out.splitlines()
     data = json.loads(out.read_text())
     assert data["torsion"] == [[], [2], []]
     assert data["verdict"]["method"] == "homology"
     assert data["verdict"]["status"] == "NotContractible"
+
+
+def test_homology_computes_homology_at_most_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    inner = homotopy.homology
+
+    def counted(cx):
+        calls.append(len(cx))
+        return inner(cx)
+
+    monkeypatch.setattr(homotopy, "homology", counted)
+    rp2 = tmp_path / "rp2.json"
+    rp2.write_text(json.dumps({"simplices": RP2}))
+    assert main(["homology", "--input", str(rp2)]) == 0
+    assert len(calls) <= 1
+    capsys.readouterr()
+    calls.clear()
+    tetrahedron = tmp_path / "tetrahedron.json"
+    tetrahedron.write_text(json.dumps({"simplices": [[0, 1, 2, 3]]}))
+    assert main(["homology", "--input", str(tetrahedron)]) == 0
+    assert calls == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"  H~_{k}: betti 0, torsion []" for k in range(4)] + [
+        "verdict: Contractible (strong-collapse)"]
 
 
 def test_nerve2_writes_table(tmp_path, capsys):
@@ -152,16 +178,23 @@ def test_base_change_long_edge(tmp_path, capsys):
     ["homology", "--input", "X.json", "--deep"],
     ["homology", "--input", "{dir}"],
     ["homology", "--input", "{binary}"],
+    ["homology", "--input", "{string_simplices}"],
+    ["homology", "--input", "{object_simplex}"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
         "nerve2-dim-negative", "compare-dim-negative", "base-change-dim-negative",
         "dn-seed-deep", "dn-deep", "horn-seed", "homology-deep",
-        "homology-input-directory", "homology-input-not-utf8"])
+        "homology-input-directory", "homology-input-not-utf8",
+        "homology-simplices-string", "homology-simplex-object"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
-    binary = tmp_path / "binary.json"
-    binary.write_bytes(b"\xff\xfe\x00bad")
-    assert main([a.format(dir=tmp_path, binary=binary) for a in argv]) == 64
+    paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
+             "string_simplices": tmp_path / "string.json",
+             "object_simplex": tmp_path / "object.json"}
+    paths["binary"].write_bytes(b"\xff\xfe\x00bad")
+    paths["string_simplices"].write_text(json.dumps({"simplices": "abc"}))
+    paths["object_simplex"].write_text(json.dumps({"simplices": [{"x": 1}]}))
+    assert main([a.format(**paths) for a in argv]) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
 

@@ -3,7 +3,8 @@
 A digest covers every check id, claim, verdict and certificate of a
 suite run.  A change that moves one of these must say which and why.
 Worker processes merge results back in construction order, so --jobs
-never moves a digest.
+never moves a digest.  The deep n=5 digest takes about 40 s at
+--jobs 2 and is marked slow: run it with `pytest -m slow`.
 """
 
 import pytest
@@ -44,3 +45,14 @@ def test_every_suite_is_pinned():
 def test_default_digest(suite):
     for jobs in (1, 2):
         assert run_suite(suite, jobs=jobs).digest() == DIGESTS[suite], jobs
+
+
+DEEP_N5 = "1d2de379eba2e5a7d6b2c0dfc165108c4644fe5104b9791f535a0e808c3c8018"
+
+
+@pytest.mark.slow
+def test_deep_n5_digest():
+    report = run_suite("theorem-contractible", {"n": 5, "deep": True}, jobs=2)
+    assert len(report.checks) == 24
+    assert all(c.certificate["method"] == "strong-collapse" for c in report.checks)
+    assert report.digest() == DEEP_N5

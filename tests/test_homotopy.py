@@ -4,10 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nervecheck.homotopy import (Complex, _cyclic_reduce, collapse,
-                                 complex_from_chains, contractibility_verdict,
-                                 facets, generate, homology, pi1_trivial,
-                                 smith_diagonal, strong_collapse)
+from nervecheck.homotopy import (Complex, HomologySummary, _cyclic_reduce,
+                                 collapse, complex_from_chains,
+                                 contractibility_verdict, facets, generate,
+                                 homology, pi1_trivial, smith_diagonal,
+                                 strong_collapse)
 from nervecheck.horn import l_complex
 from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, standard_interval
@@ -174,6 +175,33 @@ def test_dunce_hat_strong_core_is_the_whole_complex():
     assert res.removed == 0 and len(res.core) == 17
 
 
+# six triangles on five vertices, every edge of K5 in them: greedy
+# collapse reaches a point, but no vertex is dominated
+GREEDY_NOT_STRONG = [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 4), (2, 3, 4)]
+
+
+def test_greedy_collapsible_strong_core_is_settled_by_homology_and_pi1():
+    cx = generate(GREEDY_NOT_STRONG)
+    assert collapse(cx).success
+    res = strong_collapse(cx)
+    assert (res.removed, len(res.core)) == (0, 6)
+    v = contractibility_verdict(cx)
+    assert (v.status, v.method) == ("Contractible", "acyclic-simply-connected")
+    assert v.detail == {"core_cells": len(cx)} and len(cx) == 21
+    assert v.homology == homology(cx) == HomologySummary([0, 0, 0], [[], [], []])
+
+
+def test_verdict_homology_is_padded_to_the_input_dimension():
+    # a circle with a filled triangle hanging off a vertex: the strong
+    # core is the 1-dimensional circle, the input is 2-dimensional
+    cx = generate([(0, 1), (1, 2), (0, 2), (2, 3, 4)])
+    res = strong_collapse(cx)
+    assert res.removed and max(map(len, res.core)) == 2 and res.dimension == 2
+    v = contractibility_verdict(cx)
+    assert (v.status, v.method, v.detail["degree"]) == ("NotContractible", "homology", 1)
+    assert v.homology == homology(cx) == HomologySummary([0, 1, 0], [[], [], []])
+
+
 def presentation_complex(relators):
     """Triangulated presentation complex of a group with relators over 1, 2, ...
 
@@ -209,7 +237,7 @@ def test_presentation_complex_of_binary_icosahedral_group():
     assert cx.euler_characteristic() == 1
     assert homology(cx).trivial()
     assert not strong_collapse(cx).success
-    assert not collapse(cx).success and not collapse(cx, reverse=True).success
+    assert not collapse(cx).success
     v = contractibility_verdict(cx)
     assert (v.status, v.method) == ("Inconclusive", "pi1-unresolved")
 
@@ -336,18 +364,18 @@ def test_euler_equals_alternating_betti_when_torsion_free(cx):
 def test_collapse_success_implies_trivial_homology(cx):
     if collapse(cx).success:
         assert homology(cx).trivial()
+        assert contractibility_verdict(cx).status == "Contractible"
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_complexes(), st.booleans())
-def test_collapse_cores_are_closed(cx, reverse):
-    assert_closed(collapse(cx, reverse=reverse).critical)
+@given(small_complexes())
+def test_collapse_cores_are_closed(cx):
+    assert_closed(collapse(cx).critical)
 
 
 def test_stuck_cores_are_closed():
     for cx in (sphere(1), sphere(2), generate(DUNCE_HAT)):
-        for reverse in (False, True):
-            assert_closed(collapse(cx, reverse=reverse).critical)
+        assert_closed(collapse(cx).critical)
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,6 +387,12 @@ def test_verdict_never_lies_against_homology(cx):
         assert h.trivial()
     if v.status == "NotContractible" and not cx.is_empty():
         assert not h.trivial()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes())
+def test_verdict_carries_the_homology_of_the_input(cx):
+    assert contractibility_verdict(cx).homology == homology(cx)
 
 
 @settings(max_examples=60, deadline=None)
