@@ -259,8 +259,14 @@ def cmd_nerve2(args) -> int:
     return 0
 
 
+def _category_base(spec: FunctorSpec, path: str, command: str) -> FunctorSpec:
+    if spec.oriental_base:
+        raise CliUsage(f"{command} needs a category base; {path} has an oriental one")
+    return spec
+
+
 def cmd_compare_nerves(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _category_base(_load_spec(args.spec), args.spec, "compare-nerves")
     gro = chi_groth_comparison(spec, args.dim)
     pis = pi_star_check(spec, min(args.dim, 3))
     print("total-category comparison: bijective =", gro["bijective"],
@@ -294,7 +300,7 @@ def cmd_lift_check(args) -> int:
 
 def cmd_base_change(args) -> int:
     bf = _parse(args.f, "a base functor", _base_functor)
-    spec = _load_spec(args.spec)
+    spec = _category_base(_load_spec(args.spec), args.spec, "base-change")
     rep = base_change_check(bf, spec, args.dim)
     for k, row in rep["dims"].items():
         print(f"  dim {k}: nerve {row['nerve']} vs pullback {row['pullback']} "

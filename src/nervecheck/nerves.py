@@ -16,6 +16,7 @@ defining constraints on the result.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .bits import bit_list, interval_mask, mask_of, max_bit, min_bit, subsets_of
@@ -27,6 +28,7 @@ from .poset import Poset
 from .simplicial import (
     CategoryNerveBackend,
     SimplexTable,
+    closed_simplices,
     codegeneracy,
     delta,
     nerve_table,
@@ -430,9 +432,6 @@ class Rel1Backend:
         self.catnerve = CategoryNerveBackend(spec.base)
         self.valnb = {c: CategoryNerveBackend(e) for c, e in spec.values.items()}
 
-    def _value_nb(self, s, j: int) -> CategoryNerveBackend:
-        return self.valnb[s[0][j]]
-
     def simplices(self, k: int) -> list:
         spec = self.spec
         out = []
@@ -468,20 +467,31 @@ class Rel1Backend:
 
     def alpha_star(self, z, alpha):
         s, thetas = z
-        sp = self.catnerve.alpha_star(s, alpha)
-        kp = len(alpha) - 1
-        tp = []
-        for imask in range(1, 1 << (kp + 1)):
-            ps = bit_list(imask)
-            images = [alpha[t] for t in ps]
-            m = mask_of(images)
-            u = bit_list(m)
-            beta = tuple(u.index(im) for im in images)
-            tp.append(self._value_nb(s, u[0]).alpha_star(thetas[m - 1], beta))
-        return (sp, tuple(tp))
+        objs, valnb = s[0], self.valnb
+        tp = tuple(thetas[t] if beta is None
+                   else valnb[objs[first]].alpha_star(thetas[t], beta)
+                   for t, beta, first in _restriction_plan(alpha))
+        return (self.catnerve.alpha_star(s, alpha), tp)
 
     def dim_of(self, z) -> int:
         return len(z[0][0]) - 1
+
+
+@lru_cache(maxsize=None)
+def _restriction_plan(alpha) -> tuple:
+    """Per nonempty subset I of [k'], where its theta comes from under alpha.
+
+    Entries are (theta index of alpha(I), beta, min alpha(I)), with beta
+    the restriction of that theta to I, or None when beta is the identity.
+    """
+    plan = []
+    for imask in range(1, 1 << len(alpha)):
+        images = [alpha[t] for t in bit_list(imask)]
+        m = mask_of(images)
+        u = bit_list(m)
+        beta = tuple(u.index(im) for im in images)
+        plan.append((m - 1, None if beta == tuple(range(len(u))) else beta, u[0]))
+    return tuple(plan)
 
 
 def _rel1_marked(spec):
@@ -538,16 +548,16 @@ def pi_star_map(z):
 
 def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
     """Compare the two relative nerves along the projection-induced map."""
-    t1 = relative_nerve_1(spec, dim)
-    t2 = relative_nerve_2(spec, dim)
-    b1, b2 = t1.backend, t2.backend
+    b1, b2 = Rel1Backend(spec), Rel2Backend(spec)
+    sims1, sims2 = closed_simplices(b1, dim), closed_simplices(b2, dim)
+    marked1, marked2 = _rel1_marked(spec), _rel2_marked(spec)
     report = {"well_defined": True, "faces_commute": True,
               "degeneracies_commute": True, "markings_match": True,
               "projection_commutes": True,
               "injective": {}, "bijective": {}}
     for k in range(dim + 1):
-        src = b1.simplices(k)
-        tgt = set(b2.simplices(k))
+        src = sims1[k][0]
+        tgt = set(sims2[k][0])
         images = [pi_star_map(z) for z in src]
         if any(w not in tgt for w in images):
             report["well_defined"] = False
@@ -556,11 +566,8 @@ def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
         for z, w in zip(src, images):
             if z[0] != w[0]:
                 report["projection_commutes"] = False
-            if k == 1:
-                m1 = _rel1_marked(spec)(z)
-                m2 = _rel2_marked(spec)(w)
-                if m1 != m2:
-                    report["markings_match"] = False
+            if k == 1 and marked1(z) != marked2(w):
+                report["markings_match"] = False
             if k > 0:
                 for i in range(k + 1):
                     if pi_star_map(b1.alpha_star(z, delta(i, k))) != \
@@ -587,14 +594,15 @@ def chi_groth_map(z):
 
 def chi_groth_comparison(spec: FunctorSpec, dim: int) -> dict:
     """The family nerve against the nerve of the total category."""
-    t1 = relative_nerve_1(spec, dim)
-    g = grothendieck_classical(spec)
-    ng = nerve_table(g, dim)
+    b1 = Rel1Backend(spec)
+    sims1 = closed_simplices(b1, dim)
+    bg = CategoryNerveBackend(grothendieck_classical(spec))
+    simsg = closed_simplices(bg, dim)
     report = {"counts": [], "bijective": True, "faces_commute": True}
     for k in range(dim + 1):
-        src = t1.backend.simplices(k)
+        src = sims1[k][0]
         images = [chi_groth_map(z) for z in src]
-        tgt = set(ng.backend.simplices(k))
+        tgt = set(simsg[k][0])
         ok = len(set(images)) == len(src) and set(images) == tgt
         report["counts"].append((len(src), len(tgt)))
         if not ok:
@@ -602,8 +610,8 @@ def chi_groth_comparison(spec: FunctorSpec, dim: int) -> dict:
         if k > 0:
             for z, w in zip(src, images):
                 for i in range(k + 1):
-                    if chi_groth_map(t1.backend.alpha_star(z, delta(i, k))) != \
-                            ng.backend.alpha_star(w, delta(i, k)):
+                    if chi_groth_map(b1.alpha_star(z, delta(i, k))) != \
+                            bg.alpha_star(w, delta(i, k)):
                         report["faces_commute"] = False
     return report
 

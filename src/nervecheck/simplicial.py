@@ -6,10 +6,16 @@ only the nondegenerate cells; an arbitrary simplex is referenced by a
 pair (alpha, cell) where alpha is the monotone surjection of its
 Eilenberg-Zilber normal form.  Faces, degeneracies, horn enumeration
 and boundary-sphere enumeration all work on such references.
+
+Closure validation (no duplicates, every degeneracy and every face
+present) is the function closed_simplices; the table calls it, and a
+comparison that needs only the simplex lists of a backend calls it
+without building a table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 Alpha = tuple[int, ...]
@@ -20,11 +26,13 @@ def identity_alpha(n: int) -> Alpha:
     return tuple(range(n + 1))
 
 
+@lru_cache(maxsize=None)
 def delta(i: int, n: int) -> Alpha:
     """Coface [n-1] -> [n] skipping i."""
     return tuple(j for j in range(n + 1) if j != i)
 
 
+@lru_cache(maxsize=None)
 def codegeneracy(j: int, n: int) -> Alpha:
     """Codegeneracy [n+1] -> [n] repeating j."""
     return tuple(min(k, j) for k in range(j + 1)) + tuple(
@@ -58,6 +66,35 @@ def sort_key(x):
     return (0, repr(x))
 
 
+def closed_simplices(backend, dim: int) -> list[tuple[list, set]]:
+    """Each dimension's simplices and degenerate set, checked for closure.
+
+    Raises ValueError when a dimension lists a simplex twice, misses a
+    degeneracy of the dimension below, or has a face that is not listed.
+    """
+    out: list[tuple[list, set]] = []
+    below: set = set()
+    for k in range(dim + 1):
+        sims = list(backend.simplices(k))
+        sset = set(sims)
+        if len(sset) != len(sims):
+            raise ValueError(f"duplicate simplices in dimension {k}")
+        degenerate = set()
+        if k > 0:
+            for t in below:
+                for j in range(k):
+                    degenerate.add(backend.alpha_star(t, codegeneracy(j, k - 1)))
+            if not degenerate <= sset:
+                raise ValueError(f"degeneracies missing in dimension {k}")
+            for s in sims:
+                for i in range(k + 1):
+                    if backend.alpha_star(s, delta(i, k)) not in below:
+                        raise ValueError(f"face missing below dimension {k}")
+        out.append((sims, degenerate))
+        below = sset
+    return out
+
+
 class SimplexTable:
     """Simplicial set truncated at a dimension bound."""
 
@@ -66,24 +103,7 @@ class SimplexTable:
         self.dim = dim
         self.cells: list[list] = []
         self.index: dict = {}
-        all_sets: list[set] = []
-        for k in range(dim + 1):
-            sims = list(backend.simplices(k))
-            sset = set(sims)
-            if len(sset) != len(sims):
-                raise ValueError(f"duplicate simplices in dimension {k}")
-            degenerate = set()
-            if k > 0:
-                for t in all_sets[k - 1]:
-                    for j in range(k):
-                        degenerate.add(backend.alpha_star(t, codegeneracy(j, k - 1)))
-                if not degenerate <= sset:
-                    raise ValueError(f"degeneracies missing in dimension {k}")
-                for s in sims:
-                    for i in range(k + 1):
-                        if backend.alpha_star(s, delta(i, k)) not in all_sets[k - 1]:
-                            raise ValueError(f"face missing below dimension {k}")
-            all_sets.append(sset)
+        for k, (sims, degenerate) in enumerate(closed_simplices(backend, dim)):
             nondeg = sorted((s for s in sims if s not in degenerate), key=sort_key)
             self.cells.append(nondeg)
             for i, s in enumerate(nondeg):

@@ -6,6 +6,7 @@ from nervecheck import cli, homotopy
 from nervecheck.battery import functor_battery
 from nervecheck.category import chain_category, label_str
 from nervecheck.cli import main
+from test_funcspec import oriental2_spec
 
 
 def _spec_file(tmp_path, name):
@@ -180,18 +181,24 @@ def test_base_change_long_edge(tmp_path, capsys):
     ["homology", "--input", "{binary}"],
     ["homology", "--input", "{string_simplices}"],
     ["homology", "--input", "{object_simplex}"],
+    ["compare-nerves", "--spec", "{oriental}", "--dim", "2"],
+    ["base-change", "--f", "{edge}", "--spec", "{oriental}"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
         "nerve2-dim-negative", "compare-dim-negative", "base-change-dim-negative",
         "dn-seed-deep", "dn-deep", "horn-seed", "homology-deep",
         "homology-input-directory", "homology-input-not-utf8",
-        "homology-simplices-string", "homology-simplex-object"])
+        "homology-simplices-string", "homology-simplex-object",
+        "compare-nerves-oriental-base", "base-change-oriental-base"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",
-             "object_simplex": tmp_path / "object.json"}
+             "object_simplex": tmp_path / "object.json",
+             "oriental": tmp_path / "oriental.json",
+             "edge": _edge02_file(tmp_path)}
     paths["binary"].write_bytes(b"\xff\xfe\x00bad")
+    paths["oriental"].write_text(json.dumps(oriental2_spec().to_json()))
     paths["string_simplices"].write_text(json.dumps({"simplices": "abc"}))
     paths["object_simplex"].write_text(json.dumps({"simplices": [{"x": 1}]}))
     assert main([a.format(**paths) for a in argv]) == 64

@@ -2,10 +2,14 @@
 
 import pytest
 
+from nervecheck import suites
+from nervecheck.battery import functor_battery
+from nervecheck.bits import bit_list, mask_of
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from nervecheck.funcspec import FunctorSpec, constant_spec, pair_mask
 from nervecheck.nerves import (
     OrientalScaledBackend,
+    Rel1Backend,
     Rel2Backend,
     base_change_check,
     chi_groth_comparison,
@@ -19,7 +23,8 @@ from nervecheck.nerves import (
     relative_nerve_2,
     scaled_nerve,
 )
-from nervecheck.simplicial import horn_fill_check
+from nervecheck.report import FAIL
+from nervecheck.simplicial import codegeneracy, delta, horn_fill_check
 
 
 def oriental2_spec():
@@ -237,6 +242,72 @@ def test_projection_comparison_is_an_isomorphism_over_category_base():
         assert rep["markings_match"] and rep["projection_commutes"]
         assert all(rep["injective"].values())
         assert all(rep["bijective"].values())
+
+
+def alpha_star_oracle(backend: Rel1Backend, z, alpha):
+    """Rel1Backend.alpha_star restricting every subset's theta on its own."""
+    s, thetas = z
+    sp = backend.catnerve.alpha_star(s, alpha)
+    kp = len(alpha) - 1
+    tp = []
+    for imask in range(1, 1 << (kp + 1)):
+        ps = bit_list(imask)
+        images = [alpha[t] for t in ps]
+        m = mask_of(images)
+        u = bit_list(m)
+        beta = tuple(u.index(im) for im in images)
+        tp.append(backend.valnb[s[0][u[0]]].alpha_star(thetas[m - 1], beta))
+    return (sp, tuple(tp))
+
+
+def test_planned_alpha_star_matches_the_per_subset_oracle():
+    specs = [(name, sp) for name, sp in functor_battery() if not sp.oriental_base]
+    assert len(specs) == 10
+    for name, sp in specs:
+        b = Rel1Backend(sp)
+        for k in range(4):
+            maps = [delta(i, k) for i in range(k + 1)] if k else []
+            maps += [codegeneracy(j, k) for j in range(k + 1)]
+            if k:
+                # neither injective nor surjective: some subsets restrict
+                # a theta along a non-identity beta
+                maps += [(0, 0, k), (0, k, k), (k, k)]
+            for z in b.simplices(k):
+                for alpha in maps:
+                    assert b.alpha_star(z, alpha) == \
+                        alpha_star_oracle(b, z, alpha), (name, z, alpha)
+
+
+def _drop_a_nondegenerate_edge(monkeypatch):
+    inner = Rel1Backend.simplices
+
+    def simplices(self, k):
+        out = inner(self, k)
+        if k != 1:
+            return out
+        points = {self.alpha_star(v, codegeneracy(0, 0)) for v in inner(self, 0)}
+        edge = next(z for z in out if z not in points)
+        return [z for z in out if z != edge]
+
+    monkeypatch.setattr(Rel1Backend, "simplices", simplices)
+
+
+def test_comparisons_still_closure_check_the_family_nerve(monkeypatch):
+    name = "arrow-collapse"
+    sp = dict(functor_battery())[name]
+    _drop_a_nondegenerate_edge(monkeypatch)
+    msg = "^face missing below dimension 2$"
+    with pytest.raises(ValueError, match=msg):
+        chi_groth_comparison(sp, 4)
+    with pytest.raises(ValueError, match=msg):
+        pi_star_check(sp, 3)
+    check = next(c for c in suites.build_suite("nerve-comparison", {})
+                 if c.id == f"{name}/total-category")
+    assert check.fn is suites._groth_check
+    res = suites._execute(check)
+    assert res.verdict == FAIL
+    assert res.certificate == {
+        "error": "ValueError: face missing below dimension 2"}
 
 
 def test_marked_edges_are_value_isomorphisms():
