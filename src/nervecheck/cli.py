@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from .battery import DEFAULT_SEED
 from .bits import digits, from_digits
 from .category import CatFunctor, FiniteCategory
 from .funcspec import FunctorSpec
@@ -29,13 +28,9 @@ from .report import jsonable
 from .suites import SUITES, UsageError, run_suite
 
 
-class CliUsage(Exception):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliUsage(message)
+        raise UsageError(message)
 
 
 def _common(p: Parser) -> None:
@@ -66,18 +61,18 @@ def _digit_arg(flag: str, text: str) -> int:
     try:
         return from_digits(text)
     except ValueError:
-        raise CliUsage(f"{flag} {text!r} is not a digit string") from None
+        raise UsageError(f"{flag} {text!r} is not a digit string") from None
 
 
 def _read_json(path: str):
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
-        raise CliUsage(f"{path} is not valid JSON: {err}") from None
+        raise UsageError(f"{path} is not valid JSON: {err}") from None
     except UnicodeDecodeError as err:
-        raise CliUsage(f"{path} is not UTF-8 text: {err}") from None
+        raise UsageError(f"{path} is not UTF-8 text: {err}") from None
     except OSError as err:
-        raise CliUsage(f"cannot read {path}: {err.strerror}") from None
+        raise UsageError(f"cannot read {path}: {err.strerror}") from None
 
 
 def _parse(path: str, what: str, build):
@@ -86,7 +81,7 @@ def _parse(path: str, what: str, build):
     try:
         return build(data)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise CliUsage(f"{path} is not {what}: {err!r}") from None
+        raise UsageError(f"{path} is not {what}: {err!r}") from None
 
 
 # Largest --n per subcommand: build_d on [0, 11] takes ~15 s, and
@@ -97,14 +92,14 @@ MAX_N_HORN = 7
 
 def _check_n(n: int, top: int) -> None:
     if not 0 <= n <= top:
-        raise CliUsage(f"--n out of range (0..{top})")
+        raise UsageError(f"--n out of range (0..{top})")
 
 
 def _ground_of(args) -> int:
     if args.ground:
         return _digit_arg("--ground", args.ground)
     if args.n is None:
-        raise CliUsage("give --n or --ground")
+        raise UsageError("give --n or --ground")
     _check_n(args.n, MAX_N_DN)
     return standard_interval(args.n)
 
@@ -141,7 +136,7 @@ def cmd_dn(args) -> int:
 
 def _check_inner(args) -> None:
     if not 0 < args.i < args.n:
-        raise CliUsage(f"--i must lie in [1, {args.n - 1}] for an inner horn")
+        raise UsageError(f"--i must lie in [1, {args.n - 1}] for an inner horn")
 
 
 def cmd_horn(args) -> int:
@@ -178,7 +173,7 @@ def cmd_mapping_space(args) -> int:
         k = ChainSubcomplex(dp.poset, nerve_chains(dp.poset), validate=False)
     s, t = _digit_arg("--from", args.src), _digit_arg("--to", args.to)
     if s not in dp.poset or t not in dp.poset or not dp.poset.less_eq(s, t):
-        raise CliUsage(f"need --from <= --to in D^{args.n}, got {digits(s)}, {digits(t)}")
+        raise UsageError(f"need --from <= --to in D^{args.n}, got {digits(s)}, {digits(t)}")
     payload: dict = {"n": args.n, "i": args.i,
                      "from": digits(s), "to": digits(t)}
     dot = None
@@ -240,18 +235,12 @@ def cmd_nerve2(args) -> int:
     table = relative_nerve_2(spec, args.dim)
     counts = table.counts()
     print("nondegenerate simplices per dimension:", counts)
-    marked = sum(1 for i in range(counts[1])
-                 if table.edge_marked(table.ref_of_cell(1, i))) \
-        if args.dim >= 1 else 0
-    thin = sum(1 for i in range(counts[2])
-               if table.triangle_thin(table.ref_of_cell(2, i))) \
-        if args.dim >= 2 else 0
+    marked, thin = len(table.marked), len(table.thin)
     print(f"marked edges: {marked}; thin triangles: {thin}")
     out = {"dim": args.dim, "counts": counts,
            "marked_edges": marked, "thin_triangles": thin,
-           "simplices": {k: [repr(table.cells[k][i])
-                             for i in range(counts[k])]
-                         for k in range(min(args.dim, table.dim) + 1)}}
+           "simplices": {k: [repr(s) for s in cells]
+                         for k, cells in enumerate(table.cells)}}
     Path(args.out).write_text(json.dumps(jsonable(out), indent=2) + "\n")
     print("table written to", args.out)
     _emit(args, {"counts": counts, "marked_edges": marked,
@@ -261,7 +250,7 @@ def cmd_nerve2(args) -> int:
 
 def _category_base(spec: FunctorSpec, path: str, command: str) -> FunctorSpec:
     if spec.oriental_base:
-        raise CliUsage(f"{command} needs a category base; {path} has an oriental one")
+        raise UsageError(f"{command} needs a category base; {path} has an oriental one")
     return spec
 
 
@@ -288,7 +277,7 @@ def cmd_lift_check(args) -> int:
     elif target == "identity":
         nat = identity_nat(spec)
     else:
-        raise CliUsage(f"unknown target {target!r} (use collapse or identity)")
+        raise UsageError(f"unknown target {target!r} (use collapse or identity)")
     res = reduced_lifting_check(nat, args.n)
     print(f"problems: {res['problems']}  originals: {res['original_total']}  "
           f"reduced: {res['reduced_total']}")
@@ -403,13 +392,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliUsage as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 64
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 64
-    except FileNotFoundError as err:
+    except (UsageError, FileNotFoundError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 64
 

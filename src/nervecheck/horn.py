@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import (bit_list, interval_mask, mask_of, max_bit, min_bit,
-                   nonempty_subsets_of)
+from .bits import interval_mask, mask_of, min_bit, nonempty_subsets_of
 from .oriental import DPoset, build_d, rho_image, standard_interval
 from .poset import ChainSubcomplex, nerve_chains
 
@@ -77,19 +76,15 @@ def a_complex(dposet: DPoset, j_mask: int) -> ChainSubcomplex:
 
 
 def _union_over_faces(dposet: DPoset, faces: list[int]) -> ChainSubcomplex:
-    member_masks = []
-    for j in faces:
-        member_masks.append(
-            (j, mask_of(dposet.poset.index[e] for e in a_elements(dposet, j))))
+    member_masks = [mask_of(dposet.poset.index[e] for e in a_elements(dposet, j))
+                    for j in faces]
     chains: set[int] = set()
-    provenance: dict[int, int] = {}
     for c in nerve_chains(dposet.poset):
-        for j, mm in member_masks:
+        for mm in member_masks:
             if c & ~mm == 0:
                 chains.add(c)
-                provenance[c] = j
                 break
-    return ChainSubcomplex(dposet.poset, chains, validate=False, provenance=provenance)
+    return ChainSubcomplex(dposet.poset, chains, validate=False)
 
 
 def l_complex(n: int, i: int, dposet: DPoset | None = None,

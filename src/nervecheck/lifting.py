@@ -126,8 +126,12 @@ def apply_nat(nat: NatTrans, z):
     return (s, xi, di)
 
 
-def image_ref(nat: NatTrans, tf: SimplexTable, tg: SimplexTable, ref):
-    return tg.normalize(apply_nat(nat, tf.concrete(ref)))
+def image_simplex(nat: NatTrans, tg: SimplexTable, z):
+    """Image of a source simplex, which must be a simplex of the target table."""
+    w = apply_nat(nat, z)
+    if w not in tg:
+        raise ValueError(f"the image {w!r} of {z!r} is not a simplex of the target nerve")
+    return w
 
 
 def sn_cells(n: int) -> tuple[set[int], set[tuple[int, int]]]:
@@ -148,12 +152,12 @@ def sn_cells(n: int) -> tuple[set[int], set[tuple[int, int]]]:
     return verts, edges
 
 
-def _sphere_xf(table: SimplexTable, sphere: Mapping, n: int):
+def _sphere_xf(sphere: Mapping, n: int):
     """Vertex and pair data shared by the faces of a boundary sphere."""
     x: dict = {}
     f: dict = {}
     for t in range(n + 1):
-        zc = table.concrete(sphere[t])
+        zc = sphere[t]
         emb = [j for j in range(n + 1) if j != t]
         for q, j in enumerate(emb):
             if x.setdefault(j, zc[1][q]) != zc[1][q]:
@@ -247,17 +251,18 @@ def lifting_problem_report(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
     n = len(sphere) - 1
     full = (1 << (n + 1)) - 1
     backf, backg = tf.backend, tg.backend
+    if w not in tg:
+        raise ValueError(f"{w!r} is not a simplex of the target nerve")
     for i in range(n + 1):
-        if image_ref(nat, tf, tg, sphere[i]) != tg.face(w, i):
+        if image_simplex(nat, tg, sphere[i]) != tg.face(w, i):
             raise ValueError("the sphere does not lie over the simplex boundary")
-    wc = tg.concrete(w)
-    x, f = _sphere_xf(tf, sphere, n)
-    zv = (wc[0], x, tuple(f[pq] for pq in pair_order(n)))
-    red = reduced_solutions(nat, backf, zv, backg.theta_of(wc, full))
-    originals = [z for z in tf.all_refs(n)
-                 if all(tf.face(z, i) == sphere[i] for i in range(n + 1))
-                 and image_ref(nat, tf, tg, z) == w]
-    mapped = {_freeze(*backf.theta_of(tf.concrete(z), full)) for z in originals}
+    x, f = _sphere_xf(sphere, n)
+    zv = (w[0], x, tuple(f[pq] for pq in pair_order(n)))
+    red = reduced_solutions(nat, backf, zv, backg.theta_of(w, full))
+    key = tuple(sphere[i] for i in range(n + 1))
+    originals = [z for z in tf.simplices[n]
+                 if tf.boundary(z) == key and image_simplex(nat, tg, z) == w]
+    mapped = {_freeze(*backf.theta_of(z, full)) for z in originals}
     reduced_set = {_freeze(r["obj"], r["mor"]) for r in red}
     return {
         "original": len(originals),
@@ -284,16 +289,16 @@ def reduced_lifting_check(nat: NatTrans, n: int) -> dict:
     full = (1 << (n + 1)) - 1
     imgs: dict = {}
 
-    def img(r):
-        if r not in imgs:
-            imgs[r] = tg.normalize(apply_nat(nat, tf.concrete(r)))
-        return imgs[r]
+    def img(z):
+        if z not in imgs:
+            imgs[z] = image_simplex(nat, tg, z)
+        return imgs[z]
 
     fillers: dict[tuple, list] = {}
-    for z in tf.all_refs(n):
+    for z in tf.simplices[n]:
         fillers.setdefault(tf.boundary(z), []).append(z)
     under: dict[tuple, list] = {}
-    for y in tg.all_refs(n):
+    for y in tg.simplices[n]:
         under.setdefault(tg.boundary(y), []).append(y)
 
     problems = 0
@@ -306,20 +311,19 @@ def reduced_lifting_check(nat: NatTrans, n: int) -> dict:
         cands = under.get(tuple(img(r) for r in key), [])
         if not cands:
             continue
-        x, f = _sphere_xf(tf, sphere, n)
+        x, f = _sphere_xf(sphere, n)
         zs_all = fillers.get(key, [])
         for w in cands:
             problems += 1
-            wc = tg.concrete(w)
-            zv = (wc[0], x, tuple(f[pq] for pq in pair_order(n)))
-            red = reduced_solutions(nat, backf, zv, backg.theta_of(wc, full))
+            zv = (w[0], x, tuple(f[pq] for pq in pair_order(n)))
+            red = reduced_solutions(nat, backf, zv, backg.theta_of(w, full))
             reduced_total += len(red)
             zs = [z for z in zs_all if img(z) == w]
             hist[len(zs)] = hist.get(len(zs), 0) + 1
             if len(zs) != len(red):
                 mismatches += 1
                 continue
-            mapped = {_freeze(*backf.theta_of(tf.concrete(z), full)) for z in zs}
+            mapped = {_freeze(*backf.theta_of(z, full)) for z in zs}
             if len(mapped) != len(zs) or \
                     mapped != {_freeze(r["obj"], r["mor"]) for r in red}:
                 broken += 1

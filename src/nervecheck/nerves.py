@@ -434,6 +434,7 @@ class Rel1Backend:
 
     def simplices(self, k: int) -> list:
         spec = self.spec
+        subsets = [bit_list(imask) for imask in range(1, 1 << (k + 1))]
         out = []
         for s in self.catnerve.simplices(k):
             vals = [spec.values[c] for c in s[0]]
@@ -455,8 +456,7 @@ class Rel1Backend:
                                 g[(a, c - 1)],
                                 paths[(a, c - 1)].on_mor(g[(c - 1, c)]))
                     thetas = []
-                    for imask in range(1, 1 << (k + 1)):
-                        ps = bit_list(imask)
+                    for ps in subsets:
                         objs = tuple(paths[(ps[0], p)].obj[x[p]] for p in ps)
                         mors = tuple(
                             paths[(ps[0], ps[t])].on_mor(g[(ps[t], ps[t + 1])])
@@ -556,8 +556,7 @@ def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
               "projection_commutes": True,
               "injective": {}, "bijective": {}}
     for k in range(dim + 1):
-        src = sims1[k][0]
-        tgt = set(sims2[k][0])
+        src, tgt = sims1[k][0], sims2[k][1]
         images = [pi_star_map(z) for z in src]
         if any(w not in tgt for w in images):
             report["well_defined"] = False
@@ -600,9 +599,8 @@ def chi_groth_comparison(spec: FunctorSpec, dim: int) -> dict:
     simsg = closed_simplices(bg, dim)
     report = {"counts": [], "bijective": True, "faces_commute": True}
     for k in range(dim + 1):
-        src = sims1[k][0]
+        src, tgt = sims1[k][0], simsg[k][1]
         images = [chi_groth_map(z) for z in src]
-        tgt = set(simsg[k][0])
         ok = len(set(images)) == len(src) and set(images) == tgt
         report["counts"].append((len(src), len(tgt)))
         if not ok:

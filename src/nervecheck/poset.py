@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -253,11 +253,9 @@ class ChainSubcomplex:
     of dimension k are exactly the members with k + 1 bits.
     """
 
-    def __init__(self, ambient: Poset, chains: Iterable[int], validate: bool = True,
-                 provenance: dict[int, object] | None = None):
+    def __init__(self, ambient: Poset, chains: Iterable[int], validate: bool = True):
         self.ambient = ambient
         self.chains = set(chains)
-        self.provenance = provenance or {}
         if validate:
             self._validate()
 
@@ -275,7 +273,7 @@ class ChainSubcomplex:
                     raise ValueError("missing singleton")
 
     @classmethod
-    def closure(cls, ambient: Poset, generators: Iterable[int], **kw) -> "ChainSubcomplex":
+    def closure(cls, ambient: Poset, generators: Iterable[int]) -> "ChainSubcomplex":
         """Close a set of chains under nonempty subchains."""
         family: set[int] = set()
         stack = [g for g in generators if g]
@@ -288,7 +286,7 @@ class ChainSubcomplex:
                 sub = c & ~(1 << b)
                 if sub and sub not in family:
                     stack.append(sub)
-        return cls(ambient, family, validate=False, **kw)
+        return cls(ambient, family, validate=False)
 
     def vertices(self) -> list[int]:
         return sorted(c.bit_length() - 1 for c in self.chains if c.bit_count() == 1)
@@ -301,17 +299,6 @@ class ChainSubcomplex:
 
     def __contains__(self, chain_mask: int) -> bool:
         return chain_mask in self.chains
-
-    def __le__(self, other: "ChainSubcomplex") -> bool:
-        return self.ambient is other.ambient and self.chains <= other.chains
-
-    def union(self, other: "ChainSubcomplex") -> "ChainSubcomplex":
-        assert self.ambient is other.ambient
-        return ChainSubcomplex(self.ambient, self.chains | other.chains, validate=False)
-
-    def intersection(self, other: "ChainSubcomplex") -> "ChainSubcomplex":
-        assert self.ambient is other.ambient
-        return ChainSubcomplex(self.ambient, self.chains & other.chains, validate=False)
 
     def __repr__(self) -> str:
         return f"ChainSubcomplex({len(self.chains)} chains, dim {self.dimension()})"

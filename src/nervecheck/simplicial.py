@@ -1,11 +1,12 @@
-"""Truncated simplicial sets stored by nondegenerate cells.
+"""Truncated simplicial sets listed by their simplices.
 
 A backend supplies concrete hashable simplices per dimension together
-with precomposition along monotone maps (alpha_star).  The table keeps
-only the nondegenerate cells; an arbitrary simplex is referenced by a
-pair (alpha, cell) where alpha is the monotone surjection of its
-Eilenberg-Zilber normal form.  Faces, degeneracies, horn enumeration
-and boundary-sphere enumeration all work on such references.
+with precomposition along monotone maps (alpha_star).  A simplex is
+identified by itself: its faces are alpha_star along the cofaces, and
+it is degenerate when it is a degeneracy of a simplex one dimension
+down.  The table keeps every simplex of every dimension up to its
+bound, the degenerate ones as a set, and the nondegenerate cells in a
+fixed order; horn and boundary-sphere enumeration work on the lists.
 
 Closure validation (no duplicates, every degeneracy and every face
 present) is the function closed_simplices; the table calls it, and a
@@ -19,11 +20,6 @@ from functools import lru_cache
 from itertools import combinations
 
 Alpha = tuple[int, ...]
-Ref = tuple[Alpha, int, int]  # (surjection, core dimension, core index)
-
-
-def identity_alpha(n: int) -> Alpha:
-    return tuple(range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -37,10 +33,6 @@ def codegeneracy(j: int, n: int) -> Alpha:
     """Codegeneracy [n+1] -> [n] repeating j."""
     return tuple(min(k, j) for k in range(j + 1)) + tuple(
         k - 1 for k in range(j + 1, n + 2))
-
-
-def compose_alpha(outer: Alpha, inner: Alpha) -> Alpha:
-    return tuple(outer[v] for v in inner)
 
 
 def monotone_surjections(k: int, j: int) -> list[Alpha]:
@@ -66,13 +58,13 @@ def sort_key(x):
     return (0, repr(x))
 
 
-def closed_simplices(backend, dim: int) -> list[tuple[list, set]]:
-    """Each dimension's simplices and degenerate set, checked for closure.
+def closed_simplices(backend, dim: int) -> list[tuple[list, set, set]]:
+    """Each dimension's simplices, their set and the degenerate ones.
 
     Raises ValueError when a dimension lists a simplex twice, misses a
     degeneracy of the dimension below, or has a face that is not listed.
     """
-    out: list[tuple[list, set]] = []
+    out: list[tuple[list, set, set]] = []
     below: set = set()
     for k in range(dim + 1):
         sims = list(backend.simplices(k))
@@ -90,139 +82,77 @@ def closed_simplices(backend, dim: int) -> list[tuple[list, set]]:
                 for i in range(k + 1):
                     if backend.alpha_star(s, delta(i, k)) not in below:
                         raise ValueError(f"face missing below dimension {k}")
-        out.append((sims, degenerate))
+        out.append((sims, sset, degenerate))
         below = sset
     return out
 
 
 class SimplexTable:
-    """Simplicial set truncated at a dimension bound."""
+    """Simplicial set truncated at a dimension bound.
+
+    simplices[k] lists every k-simplex, simplex_set[k] holds the same
+    simplices and degenerate[k] the degenerate ones; cells[k] lists the
+    nondegenerate ones in sort_key order.  marked and thin hold the
+    nondegenerate edges and triangles the rules pick; a degenerate edge
+    or triangle counts as marked or thin.
+    """
 
     def __init__(self, backend, dim: int, marked_rule=None, thin_rule=None):
         self.backend = backend
         self.dim = dim
-        self.cells: list[list] = []
-        self.index: dict = {}
-        for k, (sims, degenerate) in enumerate(closed_simplices(backend, dim)):
-            nondeg = sorted((s for s in sims if s not in degenerate), key=sort_key)
-            self.cells.append(nondeg)
-            for i, s in enumerate(nondeg):
-                self.index[s] = (k, i)
-        self.faces: list[list[tuple[Ref, ...]]] = [[]]
-        for k in range(1, dim + 1):
-            self.faces.append([
-                tuple(self.normalize(backend.alpha_star(s, delta(i, k)), k - 1)
-                      for i in range(k + 1))
-                for s in self.cells[k]])
+        closed = closed_simplices(backend, dim)
+        self.simplices, self.simplex_set, self.degenerate = map(list, zip(*closed))
+        self.cells = [sorted((s for s in sims if s not in degenerate), key=sort_key)
+                      for sims, _, degenerate in closed]
         self.marked: frozenset = frozenset(
-            i for i, e in enumerate(self.cells[1]) if marked_rule(e)
+            e for e in self.cells[1] if marked_rule(e)
         ) if marked_rule and dim >= 1 else frozenset()
         self.thin: frozenset = frozenset(
-            i for i, t in enumerate(self.cells[2]) if thin_rule(t)
+            t for t in self.cells[2] if thin_rule(t)
         ) if thin_rule and dim >= 2 else frozenset()
 
-    # --- references ---------------------------------------------------
+    def __contains__(self, s) -> bool:
+        k = self.backend.dim_of(s)
+        return k <= self.dim and s in self.simplex_set[k]
 
-    def normalize(self, s, k: int | None = None) -> Ref:
-        """Eilenberg-Zilber normal form of a concrete simplex."""
-        if k is None:
-            k = self.backend.dim_of(s)
-        alpha = identity_alpha(k)
-        peeling = True
-        while peeling:
-            peeling = False
-            for j in range(k):
-                t = self.backend.alpha_star(s, delta(j, k))
-                if self.backend.alpha_star(t, codegeneracy(j, k - 1)) == s:
-                    alpha = compose_alpha(codegeneracy(j, k - 1), alpha)
-                    s, k = t, k - 1
-                    peeling = True
-                    break
-        kk, i = self.index[s]
-        assert kk == k
-        return (alpha, k, i)
+    def face(self, s, i: int):
+        return self.backend.alpha_star(s, delta(i, self.backend.dim_of(s)))
 
-    def concrete(self, ref: Ref):
-        alpha, k, i = ref
-        if alpha == identity_alpha(k):
-            return self.cells[k][i]
-        return self.backend.alpha_star(self.cells[k][i], alpha)
+    def boundary(self, s) -> tuple:
+        k = self.backend.dim_of(s)
+        return tuple(self.backend.alpha_star(s, delta(i, k)) for i in range(k + 1))
 
-    def ref_of_cell(self, k: int, i: int) -> Ref:
-        return (identity_alpha(k), k, i)
+    def edge_marked(self, e) -> bool:
+        return e in self.degenerate[1] or e in self.marked
 
-    def all_refs(self, k: int) -> list[Ref]:
-        """All k-simplices, degenerate ones included."""
-        out = []
-        for j in range(min(k, self.dim) + 1):
-            for alpha in monotone_surjections(k, j):
-                out.extend((alpha, j, i) for i in range(len(self.cells[j])))
-        return out
-
-    def face(self, ref: Ref, i: int) -> Ref:
-        alpha, j, idx = ref
-        k = len(alpha) - 1
-        if k == 0:
-            raise ValueError("vertices have no faces")
-        if k == j:
-            return self.faces[k][idx][i]
-        beta = compose_alpha(alpha, delta(i, k))
-        if len(set(beta)) == j + 1:
-            # still surjective onto the same nondegenerate core
-            return (beta, j, idx)
-        return self.normalize(self.backend.alpha_star(self.cells[j][idx], beta),
-                              k - 1)
-
-    def boundary(self, ref: Ref) -> tuple[Ref, ...]:
-        k = len(ref[0]) - 1
-        return tuple(self.face(ref, i) for i in range(k + 1))
-
-    def degeneracy(self, ref: Ref, j: int) -> Ref:
-        alpha, jj, idx = ref
-        k = len(alpha) - 1
-        return (compose_alpha(alpha, codegeneracy(j, k)), jj, idx)
-
-    def is_degenerate(self, ref: Ref) -> bool:
-        return len(ref[0]) - 1 != ref[1]
-
-    def edge_marked(self, ref: Ref) -> bool:
-        if self.is_degenerate(ref):
-            return True
-        return ref[2] in self.marked
-
-    def triangle_thin(self, ref: Ref) -> bool:
-        if self.is_degenerate(ref):
-            return True
-        return ref[2] in self.thin
+    def triangle_thin(self, t) -> bool:
+        return t in self.degenerate[2] or t in self.thin
 
     def counts(self) -> list[int]:
         return [len(c) for c in self.cells]
 
-    def total_counts(self) -> list[int]:
-        return [len(self.all_refs(k)) for k in range(self.dim + 1)]
-
 
 def _compatible_tuples(table: SimplexTable, n: int,
-                       positions: list[int]) -> list[dict[int, Ref]]:
-    """Assignments position -> (n-1)-ref with matching shared faces.
+                       positions: list[int]) -> list[dict]:
+    """Assignments position -> (n-1)-simplex with matching shared faces.
 
     For j < k in positions the faces must satisfy d_j(x_k) = d_{k-1}(x_j).
     """
-    refs = table.all_refs(n - 1)
-    fv = {r: tuple(table.face(r, m) for m in range(n)) for r in refs}
+    sims = table.simplices[n - 1]
+    fv = {r: table.boundary(r) for r in sims}
     p0 = positions[0]
-    by_first: dict[Ref, list[Ref]] = {}
-    for r in refs:
+    by_first: dict = {}
+    for r in sims:
         by_first.setdefault(fv[r][p0], []).append(r)
-    out: list[dict[int, Ref]] = []
-    partial: dict[int, Ref] = {}
+    out: list[dict] = []
+    partial: dict = {}
 
     def place(t: int) -> None:
         if t == len(positions):
             out.append(dict(partial))
             return
         k = positions[t]
-        cands = refs if t == 0 else by_first.get(fv[partial[p0]][k - 1], [])
+        cands = sims if t == 0 else by_first.get(fv[partial[p0]][k - 1], [])
         for r in cands:
             if all(fv[r][j] == fv[partial[j]][k - 1] for j in positions[1:t]):
                 partial[k] = r
@@ -241,9 +171,9 @@ def horn_fill_check(table: SimplexTable, n: int, i: int) -> dict:
         raise ValueError("table not built high enough")
     positions = [j for j in range(n + 1) if j != i]
     horns = _compatible_tuples(table, n, positions)
-    by_faces: dict[tuple, list[Ref]] = {}
-    for y in table.all_refs(n):
-        key = tuple(table.face(y, j) for j in positions)
+    by_faces: dict[tuple, list] = {}
+    for y in table.simplices[n]:
+        key = tuple(table.backend.alpha_star(y, delta(j, n)) for j in positions)
         by_faces.setdefault(key, []).append(y)
     filled = 0
     unfilled = []
@@ -266,7 +196,7 @@ def horn_fill_check(table: SimplexTable, n: int, i: int) -> dict:
     }
 
 
-def sphere_maps(table: SimplexTable, n: int) -> list[dict[int, Ref]]:
+def sphere_maps(table: SimplexTable, n: int) -> list[dict]:
     """Maps from the boundary of the n-simplex: n+1 compatible faces."""
     return _compatible_tuples(table, n, list(range(n + 1)))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,37 @@ def test_nerve2_writes_table(tmp_path, capsys):
     assert data["counts"][0] > 0
     assert 0 < data["marked_edges"] <= data["counts"][1]
     assert len(data["simplices"]["1"]) == data["counts"][1]
+
+
+def _oriental_spec_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(oriental2_spec().to_json()))
+    return path
+
+
+# sha256 of the whole --out file at --dim 3: the cell listing, its order,
+# the counts and the marked and thin tallies
+NERVE2_TABLES = {
+    "two-chain-mixed": (
+        _spec_file, [6, 10, 6, 1], 6, 6,
+        "441a91f7a6c18bc430e57909f34b1033e09209da9e91a77f5b2be5b25d23023a"),
+    "oriental2": (
+        _oriental_spec_file, [6, 13, 17, 20], 8, 9,
+        "793e48bc7702915683e43f70c9ba1cb61709323c11341b380c3c1cbe7ee1b529"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NERVE2_TABLES))
+def test_nerve2_table_is_pinned(tmp_path, capsys, name):
+    write, counts, marked, thin, sha = NERVE2_TABLES[name]
+    out = tmp_path / "table.json"
+    assert main(["nerve2", "--spec", str(write(tmp_path, name)), "--dim", "3",
+                 "--out", str(out)]) == 0
+    assert f"marked edges: {marked}; thin triangles: {thin}" in \
+        capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["counts"] == counts
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_compare_nerves_passes_on_battery_spec(tmp_path, capsys):

@@ -98,14 +98,6 @@ def test_l_contains_all_vertices_and_sits_in_s(n, i):
     assert k.chains <= s.chains
 
 
-def test_l_provenance_points_to_containing_face():
-    k = l_complex(3, 1)
-    d3 = k.ambient
-    for c, j in k.provenance.items():
-        members = set(a_elements(build_d(standard_interval(3)), j))
-        assert {d3.elements[v] for v in bit_list(c)} <= members
-
-
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 2)])
 def test_phi_objects_coincide_for_positive_j(n, i):
     for j in range(1, n + 1):

@@ -3,7 +3,7 @@ import pytest
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category
 from nervecheck.funcspec import FunctorSpec, pair_mask
 from nervecheck.lifting import (NatTrans, boundary_functor, collapse_nat,
-                                identity_nat, image_ref, lifting_problem_report,
+                                identity_nat, image_simplex, lifting_problem_report,
                                 point_spec, reduced_lifting_check, sn_cells)
 from nervecheck.nerves import relative_nerve_2
 from nervecheck.oriental import build_d
@@ -77,8 +77,7 @@ def test_boundary_functor_matches_filler_restriction():
     table = relative_nerve_2(sp, 2)
     back = table.backend
     verts, edges = sn_cells(2)
-    for i in range(len(table.cells[2])):
-        z = table.cells[2][i]
+    for z in table.cells[2]:
         obj, mor = boundary_functor(back, z, 2)
         th_obj, th_mor = back.theta_of(z, 0b111)
         assert set(obj) == verts
@@ -128,9 +127,9 @@ def test_single_problem_reports():
     nat = collapse_nat(parallel_spec())
     tf = relative_nerve_2(nat.source, 2)
     tg = relative_nerve_2(nat.target, 2)
-    ref = tf.ref_of_cell(2, 0)
-    sphere = dict(enumerate(tf.boundary(ref)))
-    rep = lifting_problem_report(nat, tf, tg, sphere, image_ref(nat, tf, tg, ref))
+    z = tf.cells[2][0]
+    sphere = dict(enumerate(tf.boundary(z)))
+    rep = lifting_problem_report(nat, tf, tg, sphere, image_simplex(nat, tg, z))
     assert rep == {"original": 1, "reduced": 1, "match": True, "bijection": True}
 
 
@@ -144,14 +143,14 @@ def test_single_problem_unfillable():
     found = None
     for sphere in sphere_maps(tf, 2):
         key = tuple(sphere[i] for i in range(3))
-        fillable = any(tf.boundary(z) == key for z in tf.all_refs(2))
+        fillable = any(tf.boundary(z) == key for z in tf.simplices[2])
         if not fillable:
             found = sphere
             break
     assert found is not None
     rep = None
-    for y in tg.all_refs(2):
-        if all(image_ref(nat, tf, tg, found[i]) == tg.face(y, i) for i in range(3)):
+    for y in tg.simplices[2]:
+        if all(image_simplex(nat, tg, found[i]) == tg.face(y, i) for i in range(3)):
             rep = lifting_problem_report(nat, tf, tg, found, y)
             break
     assert rep == {"original": 0, "reduced": 0, "match": True, "bijection": True}
@@ -161,11 +160,22 @@ def test_problem_rejects_mismatched_data():
     nat = collapse_nat(chain2_spec())
     tf = relative_nerve_2(nat.source, 2)
     tg = relative_nerve_2(nat.target, 2)
-    ref = tf.ref_of_cell(2, 0)
-    sphere = dict(enumerate(tf.boundary(ref)))
-    other = tg.degeneracy(tg.degeneracy(tg.ref_of_cell(0, len(tg.cells[0]) - 1), 0), 0)
+    sphere = dict(enumerate(tf.boundary(tf.cells[2][0])))
+    other = tg.backend.alpha_star(tg.cells[0][-1], (0, 0, 0))
     with pytest.raises(ValueError, match="lie over"):
         lifting_problem_report(nat, tf, tg, sphere, other)
+
+
+def test_image_outside_the_target_nerve_is_an_error():
+    # const0 at 0 breaks naturality along (0, 1), whose transport is the
+    # identity, so some images violate the target's transport squares
+    sp = chain2_spec()
+    const0 = CatFunctor.constant(C1, C1, 0)
+    nat = NatTrans(sp, sp, {0: const0, 1: CatFunctor.identity(C1),
+                            2: CatFunctor.identity(C1)}, validate=False)
+    with pytest.raises(ValueError,
+                       match=r"^the image \(.* is not a simplex of the target nerve$"):
+        reduced_lifting_check(nat, 2)
 
 
 def test_nat_validation_errors():

@@ -109,16 +109,6 @@ def test_chain_subcomplex_closure_and_validation():
     assert k.simplices_of_dim(2) == [gen]
 
 
-def test_chain_subcomplex_union_intersection():
-    p = chain_poset(4)
-    a = ChainSubcomplex.closure(p, [mask_of([0, 1, 2])])
-    b = ChainSubcomplex.closure(p, [mask_of([1, 2, 3])])
-    u = a.union(b)
-    i = a.intersection(b)
-    assert mask_of([0, 1, 2]) in u and mask_of([1, 2, 3]) in u
-    assert i.chains == {mask_of([1]), mask_of([2]), mask_of([1, 2])}
-
-
 @st.composite
 def random_posets(draw):
     n = draw(st.integers(min_value=1, max_value=7))

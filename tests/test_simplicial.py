@@ -5,10 +5,8 @@ from nervecheck.simplicial import (
     ComplexBackend,
     SimplexTable,
     codegeneracy,
-    compose_alpha,
     delta,
     horn_fill_check,
-    identity_alpha,
     monotone_surjections,
     nerve_table,
     sphere_maps,
@@ -26,6 +24,14 @@ def closure(*tops):
 
 def simplex_table(dim=2):
     return SimplexTable(ComplexBackend(closure((0, 1, 2))), dim)
+
+
+def compose_alpha(outer, inner):
+    return tuple(outer[v] for v in inner)
+
+
+def identity_alpha(n):
+    return tuple(range(n + 1))
 
 
 def test_cosimplicial_identities():
@@ -59,33 +65,32 @@ def test_full_triangle_counts():
     t = simplex_table()
     assert t.counts() == [3, 3, 1]
     # all simplices, degenerate included: monotone maps into the triangle
-    assert t.total_counts() == [3, 6, 10]
-
-
-def test_normalize_roundtrip():
-    t = simplex_table()
-    for k in range(3):
-        for ref in t.all_refs(k):
-            assert t.normalize(t.concrete(ref), k) == ref
+    assert [len(s) for s in t.simplices] == [3, 6, 10]
+    assert [len(d) for d in t.degenerate] == [0, 3, 9]
 
 
 def test_face_identities_on_table():
     t = simplex_table(2)
-    for ref in t.all_refs(2):
+    for s in t.simplices[2]:
         for i in range(2):
             for j in range(i + 1, 3):
-                assert t.face(t.face(ref, j), i) == t.face(t.face(ref, i), j - 1)
+                assert t.face(t.face(s, j), i) == t.face(t.face(s, i), j - 1)
 
 
 def test_degeneracy_identities_on_table():
     t = simplex_table(2)
-    for ref in t.all_refs(1):
+
+    def degeneracy(s, j):
+        return t.backend.alpha_star(s, codegeneracy(j, t.backend.dim_of(s)))
+
+    for e in t.simplices[1]:
         for j in range(2):
-            s = t.degeneracy(ref, j)
-            assert t.face(s, j) == ref
-            assert t.face(s, j + 1) == ref
-        s0 = t.degeneracy(ref, 0)
-        assert t.face(s0, 2) == t.degeneracy(t.face(ref, 1), 0)
+            s = degeneracy(e, j)
+            assert s in t.degenerate[2]
+            assert t.face(s, j) == e
+            assert t.face(s, j + 1) == e
+        s0 = degeneracy(e, 0)
+        assert t.face(s0, 2) == degeneracy(t.face(e, 1), 0)
 
 
 def test_hollow_triangle_horn_unfilled():
@@ -94,9 +99,7 @@ def test_hollow_triangle_horn_unfilled():
     report = horn_fill_check(hollow, 2, 1)
     assert not report["all_filled"]
     assert report["horns"] - report["filled"] == 1
-    missing = report["unfilled_examples"][0]
-    assert hollow.concrete(missing[0]) == (1, 2)
-    assert hollow.concrete(missing[1]) == (0, 1)
+    assert report["unfilled_examples"] == [((1, 2), (0, 1))]
     full = simplex_table(2)
     assert horn_fill_check(full, 2, 1)["all_filled"]
 
@@ -113,18 +116,17 @@ def test_category_nerve_counts_and_horns():
 
 def test_walking_iso_nerve_faces_renormalize():
     # composing u;v yields an identity, so inner faces of the alternating
-    # chains land on degenerate simplices and must renormalize
+    # chains land on degenerate simplices, which the table lists as such
     t = nerve_table(walking_iso(), 3)
     assert t.counts() == [2, 2, 2, 2]
     chain = next(s for s in t.cells[2] if s[1] == ("u", "v"))
-    k, idx = t.index[chain]
-    d1 = t.face(t.ref_of_cell(k, idx), 1)
-    assert t.is_degenerate(d1)
-    assert t.concrete(d1) == (("a", "a"), ("ida",))
-    for ref in t.all_refs(3):
+    d1 = t.face(chain, 1)
+    assert d1 == (("a", "a"), ("ida",))
+    assert d1 in t.degenerate[1]
+    for s in t.simplices[3]:
         for i in range(3):
             for j in range(i + 1, 4):
-                assert t.face(t.face(ref, j), i) == t.face(t.face(ref, i), j - 1)
+                assert t.face(t.face(s, j), i) == t.face(t.face(s, i), j - 1)
 
 
 def test_marked_edges():
@@ -132,8 +134,10 @@ def test_marked_edges():
     assert len(iso_t.marked) == 2
     plain = nerve_table(chain_category(2), 2)
     assert len(plain.marked) == 0
-    v = plain.ref_of_cell(0, 0)
-    assert plain.edge_marked(plain.degeneracy(v, 0))
+    v = plain.cells[0][0]
+    assert plain.edge_marked(plain.backend.alpha_star(v, codegeneracy(0, 0)))
+    assert not plain.edge_marked(plain.cells[1][0])
+    assert all(plain.triangle_thin(s) for s in plain.simplices[2])
 
 
 def test_inner_horns_of_walking_iso():
@@ -149,8 +153,8 @@ def test_sphere_maps_triangle():
     spheres = sphere_maps(t, 2)
     assert len(spheres) == 10
     by_boundary = {}
-    for ref in t.all_refs(2):
-        by_boundary.setdefault(t.boundary(ref), []).append(ref)
+    for s in t.simplices[2]:
+        by_boundary.setdefault(t.boundary(s), []).append(s)
     for sph in spheres:
         key = (sph[0], sph[1], sph[2])
         assert len(by_boundary.get(key, [])) == 1
@@ -160,8 +164,8 @@ def test_sphere_maps_hollow_triangle_has_extra():
     hollow = SimplexTable(ComplexBackend(closure((0, 1), (1, 2), (0, 2))), 2)
     spheres = sphere_maps(hollow, 2)
     filled = set()
-    for ref in hollow.all_refs(2):
-        filled.add(hollow.boundary(ref))
+    for s in hollow.simplices[2]:
+        filled.add(hollow.boundary(s))
     unfilled = [s for s in spheres if (s[0], s[1], s[2]) not in filled]
     assert len(unfilled) == 1
 
