@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
 from math import gcd
 from operator import and_
 from typing import Hashable, Iterable, Sequence
@@ -387,7 +386,8 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
         v = heapq.heappop(heap)
         queued[v] = False
         mine, bit = star[v], 1 << v
-        if reduce(and_, mine) == bit:
+        # the running AND of v's facets only shrinks; stop once it is v alone
+        if bit in accumulate(mine, and_):
             continue
         star[v] = set()
         removed += 1

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .bits import bit_list, bits, mask_of, max_bit, min_bit, subsets_of
+from .bits import bit_list, bits, max_bit, min_bit, subsets_of
 from .horn import a_elements
-from .oriental import DPoset, build_d, interval_mask, standard_interval
-from .poset import ChainSubcomplex, MonotoneMap, Poset, nerve_chains
+from .oriental import DPoset, build_d, interval_mask
+from .poset import ChainSubcomplex, MonotoneMap, Poset
 
 Flag = tuple[int, ...]
 
@@ -109,23 +109,6 @@ def restricted_refinement(dposet: DPoset, s: int, t: int, faces: list[int],
     return Poset.from_relation(chains, lambda a, b: a | b == b)
 
 
-class _SegmentTable:
-    """K-chains grouped by (bottom, top) pair of ambient indices."""
-
-    def __init__(self, k: ChainSubcomplex):
-        self.k = k
-        self.by_ends: dict[tuple[int, int], list[int]] = {}
-        p = k.ambient
-        for c in k.chains:
-            tup = p.chain_tuple(c)
-            self.by_ends.setdefault((tup[0], tup[-1]), []).append(c)
-        for v in self.by_ends.values():
-            v.sort()
-
-    def segments(self, a: int, b: int) -> list[int]:
-        return self.by_ends.get((a, b), [])
-
-
 def _flags_above(bottom: int, admissible: list[int],
                  max_dim: int | None) -> list[Flag]:
     """Strict inclusion flags in the admissible family starting at bottom."""
@@ -176,7 +159,6 @@ def flag_model(k: ChainSubcomplex, s: int, t: int, max_dim: int | None = None,
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.leq[s_idx, t_idx]:
         raise ValueError("source must be below target")
-    table = _SegmentTable(k)
     interval = set(_interval_indices(p, s_idx, t_idx))
 
     if exclusive:
@@ -187,7 +169,9 @@ def flag_model(k: ChainSubcomplex, s: int, t: int, max_dim: int | None = None,
 
         bottoms = _chains_between(p, s_idx, t_idx, interval)
     else:
-        seg_choices = table.segments
+        def seg_choices(a: int, b: int) -> tuple[int, ...]:
+            return k.segments.get((a, b), ())
+
         bottoms = _edge_paths(k, s_idx, t_idx, interval)
 
     simplices: dict[int, list[Flag]] = {}
@@ -217,7 +201,7 @@ def _union_all(masks: tuple[int, ...]) -> int:
 
 
 def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
-                    max_dim: int | None = None, vertex_limit: int = 12) -> FlagModel:
+                    max_dim: int | None = None, vertex_limit: int = 16) -> FlagModel:
     """Mapping space recomputed from bead sequences.
 
     A necklace is a sequence of K-chains with two or more elements whose
@@ -235,8 +219,7 @@ def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
     interval = set(_interval_indices(p, s_idx, t_idx))
 
     beads_from: dict[int, list[tuple[int, int]]] = {}
-    table = _SegmentTable(k)
-    for (a, b), chains_ab in table.by_ends.items():
+    for (a, b), chains_ab in k.segments.items():
         if a == b or a not in interval or b not in interval:
             continue
         for c in chains_ab:

@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .bits import (bit_list, bits, interval_mask, mask_of, max_bit, min_bit,
-                   nonempty_subsets_of, subsets_with_min_max)
+from .bits import (bit_list, interval_mask, max_bit, min_bit,
+                   subsets_with_min_max)
 from .poset import Poset
 
 

@@ -288,6 +288,16 @@ class ChainSubcomplex:
                     stack.append(sub)
         return cls(ambient, family, validate=False)
 
+    @cached_property
+    def segments(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Member chains by (bottom, top) ambient index, as sorted tuples
+        so that no reader can alter this index shared by all of them."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for c in self.chains:
+            tup = self.ambient.chain_tuple(c)
+            groups.setdefault((tup[0], tup[-1]), []).append(c)
+        return {ends: tuple(sorted(cs)) for ends, cs in groups.items()}
+
     def vertices(self) -> list[int]:
         return sorted(c.bit_length() - 1 for c in self.chains if c.bit_count() == 1)
 

@@ -257,12 +257,18 @@ class CategoryNerveBackend:
 
     def alpha_star(self, s, alpha: Alpha):
         objs, mors = s
-        new_objs = tuple(objs[a] for a in alpha)
+        cat = self.cat
         new_mors = []
-        for t in range(len(alpha) - 1):
-            seg = mors[alpha[t]:alpha[t + 1]]
-            new_mors.append(self.cat.compose_path(seg, at=objs[alpha[t]]))
-        return (new_objs, tuple(new_mors))
+        a = alpha[0]
+        for b in alpha[1:]:
+            if b == a:
+                new_mors.append(cat.ident[objs[a]])
+            elif b == a + 1:
+                new_mors.append(mors[a])
+            else:
+                new_mors.append(cat.compose_path(mors[a:b], at=objs[a]))
+            a = b
+        return (tuple([objs[a] for a in alpha]), tuple(new_mors))
 
     def dim_of(self, s) -> int:
         return len(s[0]) - 1

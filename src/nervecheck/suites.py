@@ -322,7 +322,7 @@ CLAIM_ORACLE = "flag model agrees with the necklace oracle on every pair"
 @_suite("oracle-flag-necklace")
 def _oracle(params: dict) -> list[Check]:
     checks = []
-    ns = _ns(params, 2, 3)
+    ns = _ns(params, 2, 3, deep_hi=4)
     for n in ns:
         for i in range(1, n):
             checks.append(Check(f"d{n}/horn-{i}", CLAIM_ORACLE,
@@ -541,12 +541,15 @@ _PARAM_KEYS = {
     "lemma-admissible": ("n",),
     "lemma-colimit": ("count", "seed"),
     "adjoint-lambda": ("n",),
-    "oracle-flag-necklace": ("n", "count", "seed"),
+    "oracle-flag-necklace": ("n", "count", "seed", "deep"),
     "nerve-comparison": (),
     "straightening-fragment": ("n",),
     "reduced-lifting": ("n",),
     "base-change": (),
 }
+# Keys a report names only when set: the suite took them after its
+# default digest was fixed, and an unset key keeps that digest.
+_SHOWN_WHEN_SET = {"oracle-flag-necklace": ("deep",)}
 
 
 def normalize_params(suite: str, params: dict | None) -> dict:
@@ -588,5 +591,7 @@ def run_suite(suite: str, params: dict | None = None, jobs: int = 1) -> Report:
             results = list(pool.map(_execute, checks))
     else:
         results = [_execute(c) for c in checks]
-    shown = {k: eff[k] for k in _PARAM_KEYS[suite] if eff[k] is not None}
+    quiet = _SHOWN_WHEN_SET.get(suite, ())
+    shown = {k: eff[k] for k in _PARAM_KEYS[suite]
+             if eff[k] is not None and (eff[k] or k not in quiet)}
     return Report(suite, shown, results)

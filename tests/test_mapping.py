@@ -8,7 +8,7 @@ from nervecheck.horn import l_complex
 from nervecheck.mapping import (flag_model, necklace_oracle, refinement_poset,
                                 restricted_refinement, square_chain_poset)
 from nervecheck.oriental import build_d, standard_interval
-from nervecheck.poset import ChainSubcomplex, nerve_chains
+from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 
 D = from_digits
 
@@ -140,6 +140,43 @@ def test_necklace_agrees_on_d2_and_d3():
                     fm = flag_model(k, s, t)
                     no = necklace_oracle(k, s, t)
                     assert fm.same_simplices(no), (n, s, t)
+
+
+def _segments_by_brute_force(k):
+    groups = {}
+    for c in k.chains:
+        tup = k.ambient.chain_tuple(c)
+        groups.setdefault((tup[0], tup[-1]), set()).add(c)
+    return {ends: sorted(cs) for ends, cs in groups.items()}
+
+
+def test_segment_index_groups_chains_by_ends():
+    horns = [(n, i) for n in range(2, 5) for i in range(1, n)]
+    complexes = [l_complex(n, i, dposet=d_poset(n)) for n, i in horns]
+    complexes.append(full_nerve(d_poset(3)))
+    for k in complexes:
+        segs = k.segments
+        assert all(type(v) is tuple for v in segs.values())
+        assert {e: list(v) for e, v in segs.items()} == _segments_by_brute_force(k)
+
+
+def test_segment_index_is_built_once_per_complex(monkeypatch):
+    k = l_complex(3, 1, dposet=d_poset(3))
+    calls = []
+    real = Poset.chain_tuple
+
+    def counting(self, mask):
+        calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(Poset, "chain_tuple", counting)
+    flag_model(k, D("0"), D("03"))
+    first = len(calls)
+    assert first >= len(k.chains)
+    flag_model(k, D("0"), D("03"))
+    # the second call only sorts its own edge paths, not every chain of K
+    assert len(calls) - first < len(k.chains)
+    assert k.segments is k.segments
 
 
 def test_necklace_vertex_limit():

@@ -1,7 +1,11 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
+from nervecheck.battery import functor_battery
 from nervecheck.category import chain_category, walking_iso
 from nervecheck.simplicial import (
+    CategoryNerveBackend,
     ComplexBackend,
     SimplexTable,
     codegeneracy,
@@ -127,6 +131,28 @@ def test_walking_iso_nerve_faces_renormalize():
         for i in range(3):
             for j in range(i + 1, 4):
                 assert t.face(t.face(s, j), i) == t.face(t.face(s, i), j - 1)
+
+
+def _alpha_star_by_composition(cat, s, alpha):
+    objs, mors = s
+    return (tuple(objs[a] for a in alpha),
+            tuple(cat.compose_path(mors[a:b], at=objs[a])
+                  for a, b in zip(alpha, alpha[1:])))
+
+
+def test_category_alpha_star_matches_composition():
+    lengths = set()
+    for _, sp in functor_battery():
+        for cat in [sp.base, *sp.values.values()]:
+            nb = CategoryNerveBackend(cat)
+            for k in range(4):
+                for s in nb.simplices(k):
+                    for m in range(4):
+                        for alpha in combinations_with_replacement(range(k + 1), m + 1):
+                            lengths.update(b - a for a, b in zip(alpha, alpha[1:]))
+                            assert (nb.alpha_star(s, alpha)
+                                    == _alpha_star_by_composition(cat, s, alpha))
+    assert {0, 1, 2, 3} <= lengths
 
 
 def test_marked_edges():

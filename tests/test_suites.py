@@ -64,6 +64,15 @@ def test_oracle_suite_at_n2():
     assert rep.exit_code() == 0
 
 
+def test_oracle_suite_deep_covers_n4():
+    rep = run_suite("oracle-flag-necklace", {"n": 4, "deep": True})
+    assert [c.id for c in rep.checks] == ["d4/horn-1", "d4/horn-2", "d4/horn-3", "d4/full"]
+    assert all(c.verdict == PASS and c.certificate["pairs"] > 0 for c in rep.checks)
+    assert rep.parameters["deep"] is True
+    with pytest.raises(UsageError):
+        run_suite("oracle-flag-necklace", {"n": 4})
+
+
 def test_straightening_includes_horn_shape():
     rep = run_suite("straightening-fragment", {"n": 1})
     by_id = {c.id: c for c in rep.checks}
