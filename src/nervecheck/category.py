@@ -252,6 +252,32 @@ def compose_nat(e: FiniteCategory, eta: Mapping, zeta: Mapping) -> dict:
     return {x: e.then(eta[x], zeta[x]) for x in eta}
 
 
+def extend_covers(p: Poset, e: FiniteCategory, obj: Mapping,
+                  cov: Mapping) -> dict | None:
+    """Extend cover values of a functor p -> e to every comparable pair.
+
+    obj maps each label of p to an object of e, cov each cover (a, b) of
+    labels to a morphism obj[a] -> obj[b].  Pairs are derived shortest
+    interval first from their first cover steps.  Returns the morphisms
+    on every comparable pair, or None when a cover value has the wrong
+    endpoints or two first steps disagree (no functor extends cov).
+    """
+    els = p.elements
+    steps = [(ia, ib, cov[(els[ia], els[ib])]) for ia, ib in p.covers]
+    for ia, ib, m in steps:
+        if e.src[m] != obj[els[ia]] or e.tgt[m] != obj[els[ib]]:
+            return None
+    mor = {(a, a): e.ident[obj[a]] for a in els}
+    for ia, ib in p.strict_pairs:
+        b, down = els[ib], p.down_masks[ib]
+        vals = {e.then(m, mor[(els[d], b)])
+                for c, d, m in steps if c == ia and down >> d & 1}
+        if len(vals) != 1:
+            return None
+        mor[(els[ia], b)] = vals.pop()
+    return mor
+
+
 def poset_functors(p: Poset, e: FiniteCategory,
                    obj_pin: Mapping | None = None,
                    edge_pin: Mapping | None = None) -> list[dict]:
@@ -310,27 +336,10 @@ def poset_functors(p: Poset, e: FiniteCategory,
 
         pick(0, {})
 
-    def interval_size(a, b):
-        ia, ib = p.index[a], p.index[b]
-        return (p.up_masks[ia] & p.down_masks[ib]).bit_count()
-
-    strict_pairs = sorted(
-        ((a, b) for a in labels for b in labels if a != b and p.less_eq(a, b)),
-        key=lambda ab: interval_size(*ab))
-
     def finish(obj: dict, cov: dict) -> None:
-        # derive each pair from its first cover steps, shortest intervals
-        # first; disagreement means the cover choice is not a functor
-        mor: dict = {(a, a): e.ident[obj[a]] for a in labels}
-        for a, b in strict_pairs:
-            vals = {e.then(m, mor[(d, b)])
-                    for (c, d), m in cov.items() if c == a and p.less_eq(d, b)}
-            if len(vals) != 1:
-                return
-            mor[(a, b)] = vals.pop()
-        for pair, m in edge_pin.items():
-            if mor.get(pair) != m:
-                return
+        mor = extend_covers(p, e, obj, cov)
+        if mor is None or any(mor.get(pair) != m for pair, m in edge_pin.items()):
+            return
         results.append({"obj": dict(obj), "mor": mor})
 
     assign_objects(0, {})

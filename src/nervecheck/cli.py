@@ -146,11 +146,7 @@ def cmd_horn(args) -> int:
     dp = build_d(standard_interval(args.n))
     sub = l_complex(args.n, args.i, dp)
     hist = _dim_histogram(sub.chains)
-    verts = 0
-    for c in sub.chains:
-        verts |= c
-    members = [dp.poset.elements[b] for b in range(len(dp.poset))
-               if (verts >> b) & 1]
+    members = [dp.poset.elements[b] for b in sub.vertices()]
     print(f"horn subcomplex at n={args.n}, i={args.i}")
     print("  superior faces:", " ".join(digits(j) for j in fam.superior))
     print("  chains by dimension:", hist)
@@ -359,7 +355,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_compare_nerves)
 
     p = sub.add_parser("lift-check", help="original vs reduced lifting sweep")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(2), required=True)
     p.add_argument("--spec", required=True, metavar="P.json")
     _common(p)
     p.set_defaults(func=cmd_lift_check)

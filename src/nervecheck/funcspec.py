@@ -12,16 +12,22 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .bits import bit_list, digits, from_digits, interval_mask, subsets_of
+from .bits import (bit_list, digits, from_digits, interval_mask, max_bit,
+                   min_bit, subsets_with_min_max)
 from .category import CatFunctor, FiniteCategory, is_natural, label_str
 
 
 def one_cells(i: int, j: int) -> list[int]:
     """1-cells i -> j of an oriental: subsets of [i..j] with both ends."""
-    if i == j:
-        return [1 << i]
-    ends = (1 << i) | (1 << j)
-    return sorted(ends | s for s in subsets_of(interval_mask(i + 1, j - 1)))
+    return list(subsets_with_min_max(interval_mask(i, j), i, j))
+
+
+def strict_cell_pairs(m: int) -> list[tuple[int, int]]:
+    """Pairs (small, big) of distinct parallel 1-cells of the oriental on
+    0..m with small inside big, by endpoints, then small, then big."""
+    return [(s, sp) for i in range(m + 1) for j in range(i + 1, m + 1)
+            for s in one_cells(i, j) for sp in one_cells(i, j)
+            if s != sp and s & sp == s]
 
 
 def pair_mask(a: int, b: int) -> int:
@@ -126,13 +132,7 @@ class FunctorSpec:
             f = self.action[pm]
             if f.source is not self.values[b] or f.target is not self.values[a]:
                 raise ValueError(f"action endpoints wrong at {digits(pm)}")
-        expected = set()
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                cells = one_cells(i, j)
-                expected.update((s, sp) for s in cells for sp in cells
-                                if s != sp and s & sp == s)
-        if set(self.two_cells) != expected:
+        if set(self.two_cells) != set(strict_cell_pairs(m)):
             raise ValueError("two_cells must cover exactly the strict cell pairs")
         for (s, sp), comp in self.two_cells.items():
             if not is_natural(self.functor(sp), self.functor(s), comp):
@@ -141,23 +141,18 @@ class FunctorSpec:
         self._check_interchange(m)
 
     def _check_vertical(self, m: int) -> None:
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                cells = one_cells(i, j)
-                e = self.values[i]
-                for s in cells:
-                    for sp in cells:
-                        if s == sp or s & sp != s:
-                            continue
-                        for spp in cells:
-                            if sp == spp or sp & spp != sp:
-                                continue
-                            lo, hi = self.tau(s, sp), self.tau(sp, spp)
-                            want = {x: e.then(hi[x], lo[x]) for x in hi}
-                            if self.tau(s, spp) != want:
-                                raise ValueError(
-                                    f"vertical composition fails "
-                                    f"{digits(s)}<{digits(sp)}<{digits(spp)}")
+        for s, sp in strict_cell_pairs(m):
+            i, j = min_bit(s), max_bit(s)
+            e = self.values[i]
+            for spp in one_cells(i, j):
+                if sp == spp or sp & spp != sp:
+                    continue
+                lo, hi = self.tau(s, sp), self.tau(sp, spp)
+                want = {x: e.then(hi[x], lo[x]) for x in hi}
+                if self.tau(s, spp) != want:
+                    raise ValueError(
+                        f"vertical composition fails "
+                        f"{digits(s)}<{digits(sp)}<{digits(spp)}")
 
     def _check_interchange(self, m: int) -> None:
         for i in range(m + 1):
@@ -249,19 +244,9 @@ def identity_two_cells(m: int, values: Mapping, action: Mapping) -> dict:
     whose pair actions commute on the nose.
     """
     probe = FunctorSpec(m, values, action, validate=False)
-    out = {}
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            cells = one_cells(i, j)
-            e = values[i]
-            for s in cells:
-                for sp in cells:
-                    if s == sp or s & sp != s:
-                        continue
-                    big = probe.functor(sp)
-                    out[(s, sp)] = {x: e.ident[big.obj[x]]
-                                    for x in values[j].objects}
-    return out
+    return {(s, sp): {x: values[min_bit(s)].ident[probe.functor(sp).obj[x]]
+                      for x in values[max_bit(s)].objects}
+            for s, sp in strict_cell_pairs(m)}
 
 
 def constant_spec(base, e: FiniteCategory) -> FunctorSpec:

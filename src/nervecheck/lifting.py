@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .bits import digits
+from .bits import digits, max_bit, min_bit
 from .category import CatFunctor, FiniteCategory, poset_functors
-from .funcspec import FunctorSpec, one_cells, pair_mask
+from .funcspec import FunctorSpec, constant_spec, pair_mask
 from .nerves import Rel2Backend, pair_order, relative_nerve_2
 from .oriental import d_leq, rho_image, rho_preimage
 from .simplicial import SimplexTable, sphere_maps
@@ -64,9 +64,7 @@ class NatTrans:
                             self.components[b].then(tgt.functor(cell))):
                         raise ValueError(f"not natural at cell {digits(cell)}")
             for (small, big), comp in src.two_cells.items():
-                cell_src = min(b for b in range(src.base + 1) if big >> b & 1)
-                cell_tgt = max(b for b in range(src.base + 1) if big >> b & 1)
-                pi, pj = self.components[cell_src], self.components[cell_tgt]
+                pi, pj = self.components[min_bit(big)], self.components[max_bit(big)]
                 gtau = tgt.tau(small, big)
                 for x in src.functor(big).source.objects:
                     if pi.on_mor(comp[x]) != gtau[pj.obj[x]]:
@@ -90,22 +88,7 @@ def identity_nat(spec: FunctorSpec) -> NatTrans:
 
 def point_spec(base) -> FunctorSpec:
     """Diagram constant at the point category, with identity transports."""
-    pt = FiniteCategory.point()
-    if isinstance(base, int):
-        values = {c: pt for c in range(base + 1)}
-        action = {pair_mask(a, b): CatFunctor.identity(pt)
-                  for a in range(base + 1) for b in range(a + 1, base + 1)}
-        two = {}
-        for i in range(base + 1):
-            for j in range(i + 1, base + 1):
-                cells = one_cells(i, j)
-                two.update({(s, sp): {"*": "id"} for s in cells for sp in cells
-                            if s != sp and s & sp == s})
-        return FunctorSpec(base, values, action, two)
-    values = {c: pt for c in base.objects}
-    action = {f: CatFunctor.identity(pt) for f in base.morphisms
-              if not base.is_identity(f)}
-    return FunctorSpec(base, values, action)
+    return constant_spec(base, FiniteCategory.point())
 
 
 def collapse_nat(spec: FunctorSpec) -> NatTrans:
@@ -245,32 +228,43 @@ def _freeze(obj: Mapping, mor: Mapping) -> tuple:
     return (frozenset(obj.items()), frozenset(mor.items()))
 
 
-def lifting_problem_report(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
-                           sphere: Mapping, w) -> dict:
-    """Solve one lifting problem both ways and compare the solution sets."""
-    n = len(sphere) - 1
+def _solve(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
+           sphere_xf: tuple, w, originals: list) -> dict:
+    """Reduce one lifting problem and compare its solutions with the fillers.
+
+    sphere_xf is the vertex and pair data of the boundary sphere, w the
+    prescribed simplex of the target nerve and originals the fillers of
+    the sphere lying over w.
+    """
+    n = len(w[1]) - 1
     full = (1 << (n + 1)) - 1
-    backf, backg = tf.backend, tg.backend
-    if w not in tg:
-        raise ValueError(f"{w!r} is not a simplex of the target nerve")
-    for i in range(n + 1):
-        if image_simplex(nat, tg, sphere[i]) != tg.face(w, i):
-            raise ValueError("the sphere does not lie over the simplex boundary")
-    x, f = _sphere_xf(sphere, n)
+    x, f = sphere_xf
     zv = (w[0], x, tuple(f[pq] for pq in pair_order(n)))
-    red = reduced_solutions(nat, backf, zv, backg.theta_of(w, full))
-    key = tuple(sphere[i] for i in range(n + 1))
-    originals = [z for z in tf.simplices[n]
-                 if tf.boundary(z) == key and image_simplex(nat, tg, z) == w]
+    backf = tf.backend
+    red = reduced_solutions(nat, backf, zv, tg.backend.theta_of(w, full))
     mapped = {_freeze(*backf.theta_of(z, full)) for z in originals}
-    reduced_set = {_freeze(r["obj"], r["mor"]) for r in red}
     return {
         "original": len(originals),
         "reduced": len(red),
         "match": len(originals) == len(red),
         "bijection": len(mapped) == len(originals) == len(red)
-        and mapped == reduced_set,
+        and mapped == {_freeze(r["obj"], r["mor"]) for r in red},
     }
+
+
+def lifting_problem_report(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
+                           sphere: Mapping, w) -> dict:
+    """Solve one lifting problem both ways and compare the solution sets."""
+    n = len(sphere) - 1
+    if w not in tg:
+        raise ValueError(f"{w!r} is not a simplex of the target nerve")
+    for i in range(n + 1):
+        if image_simplex(nat, tg, sphere[i]) != tg.face(w, i):
+            raise ValueError("the sphere does not lie over the simplex boundary")
+    key = tuple(sphere[i] for i in range(n + 1))
+    originals = [z for z in tf.simplices[n]
+                 if tf.boundary(z) == key and image_simplex(nat, tg, z) == w]
+    return _solve(nat, tf, tg, _sphere_xf(sphere, n), w, originals)
 
 
 def reduced_lifting_check(nat: NatTrans, n: int) -> dict:
@@ -285,8 +279,6 @@ def reduced_lifting_check(nat: NatTrans, n: int) -> dict:
         raise ValueError("the boundary pins every vertex and pair only from n = 2 up")
     tf = relative_nerve_2(nat.source, n)
     tg = relative_nerve_2(nat.target, n)
-    backf, backg = tf.backend, tg.backend
-    full = (1 << (n + 1)) - 1
     imgs: dict = {}
 
     def img(z):
@@ -311,21 +303,16 @@ def reduced_lifting_check(nat: NatTrans, n: int) -> dict:
         cands = under.get(tuple(img(r) for r in key), [])
         if not cands:
             continue
-        x, f = _sphere_xf(sphere, n)
+        xf = _sphere_xf(sphere, n)
         zs_all = fillers.get(key, [])
         for w in cands:
             problems += 1
-            zv = (w[0], x, tuple(f[pq] for pq in pair_order(n)))
-            red = reduced_solutions(nat, backf, zv, backg.theta_of(w, full))
-            reduced_total += len(red)
-            zs = [z for z in zs_all if img(z) == w]
-            hist[len(zs)] = hist.get(len(zs), 0) + 1
-            if len(zs) != len(red):
+            res = _solve(nat, tf, tg, xf, w, [z for z in zs_all if img(z) == w])
+            reduced_total += res["reduced"]
+            hist[res["original"]] = hist.get(res["original"], 0) + 1
+            if not res["match"]:
                 mismatches += 1
-                continue
-            mapped = {_freeze(*backf.theta_of(z, full)) for z in zs}
-            if len(mapped) != len(zs) or \
-                    mapped != {_freeze(r["obj"], r["mor"]) for r in red}:
+            elif not res["bijection"]:
                 broken += 1
     return {
         "n": n,

@@ -16,7 +16,9 @@ vertex set of the necklace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from .bits import bit_list, bits, max_bit, min_bit, subsets_of
 from .horn import a_elements
@@ -57,11 +59,6 @@ class FlagModel:
                    sorted(other.simplices.get(k, [])) for k in keys)
 
 
-def _interval_indices(poset: Poset, s_idx: int, t_idx: int) -> list[int]:
-    return [k for k in range(len(poset))
-            if poset.leq[s_idx, k] and poset.leq[k, t_idx]]
-
-
 def _chains_between(poset: Poset, s_idx: int, t_idx: int,
                     members: list[int] | None = None) -> list[int]:
     """Masks of chains with bottom s and top t inside the member set."""
@@ -69,7 +66,7 @@ def _chains_between(poset: Poset, s_idx: int, t_idx: int,
         return []
     if s_idx == t_idx:
         return [1 << s_idx]
-    allowed = set(members if members is not None else _interval_indices(poset, s_idx, t_idx))
+    allowed = set(bits(poset.between(s_idx, t_idx)) if members is None else members)
     out: list[int] = []
 
     def extend(mask: int, last: int) -> None:
@@ -103,7 +100,7 @@ def restricted_refinement(dposet: DPoset, s: int, t: int, faces: list[int],
     s_idx, t_idx = p.index[s], p.index[t]
     if s_idx not in allowed or t_idx not in allowed:
         return Poset.from_relation([], lambda a, b: True)
-    members = [k for k in _interval_indices(p, s_idx, t_idx) if k in allowed]
+    members = [k for k in bits(p.between(s_idx, t_idx)) if k in allowed]
     chains = [c for c in _chains_between(p, s_idx, t_idx, members)
               if c.bit_count() >= min_len]
     return Poset.from_relation(chains, lambda a, b: a | b == b)
@@ -159,7 +156,7 @@ def flag_model(k: ChainSubcomplex, s: int, t: int, max_dim: int | None = None,
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.leq[s_idx, t_idx]:
         raise ValueError("source must be below target")
-    interval = set(_interval_indices(p, s_idx, t_idx))
+    interval = set(bits(p.between(s_idx, t_idx)))
 
     if exclusive:
         def seg_choices(a: int, b: int) -> list[int]:
@@ -182,7 +179,7 @@ def flag_model(k: ChainSubcomplex, s: int, t: int, max_dim: int | None = None,
             continue
         if per_segment:
             admissible = sorted(set(
-                _union_all(choice) for choice in product(*per_segment)))
+                reduce(or_, choice) for choice in product(*per_segment)))
         else:
             admissible = [bottom]
         for flag in _flags_above(bottom, admissible, max_dim):
@@ -191,13 +188,6 @@ def flag_model(k: ChainSubcomplex, s: int, t: int, max_dim: int | None = None,
         v.sort()
     return FlagModel(p, s, t, simplices,
                      method="flag-exclusive" if exclusive else "flag")
-
-
-def _union_all(masks: tuple[int, ...]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
@@ -216,7 +206,7 @@ def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.leq[s_idx, t_idx]:
         raise ValueError("source must be below target")
-    interval = set(_interval_indices(p, s_idx, t_idx))
+    interval = set(bits(p.between(s_idx, t_idx)))
 
     beads_from: dict[int, list[tuple[int, int]]] = {}
     for (a, b), chains_ab in k.segments.items():

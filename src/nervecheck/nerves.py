@@ -19,8 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .bits import bit_list, interval_mask, mask_of, max_bit, min_bit, subsets_of
-from .category import CatFunctor, FiniteCategory
+from .bits import (bit_list, mask_of, max_bit, min_bit, subsets_of,
+                   subsets_with_min_max)
+from .category import CatFunctor, FiniteCategory, extend_covers, poset_functors
 from .funcspec import FunctorSpec, one_cells, pair_mask
 from .groth import grothendieck_classical
 from .oriental import build_d
@@ -139,40 +140,6 @@ class _BaseView:
         return out
 
 
-def derive_pairs(p: Poset, e: FiniteCategory, obj: dict, cov: dict):
-    """Extend cover values to all comparable pairs; None if path dependent."""
-    for (ia, ib) in p.covers:
-        s, t = p.elements[ia], p.elements[ib]
-        m = cov[(s, t)]
-        if e.src[m] != obj[s] or e.tgt[m] != obj[t]:
-            return None
-    mor = {(a, a): e.ident[obj[a]] for a in p.elements}
-
-    def interval_size(a, b):
-        ia, ib = p.index[a], p.index[b]
-        return (p.up_masks[ia] & p.down_masks[ib]).bit_count()
-
-    strict = sorted(((a, b) for a in p.elements for b in p.elements
-                     if a != b and p.less_eq(a, b)),
-                    key=lambda ab: interval_size(*ab))
-    for a, b in strict:
-        vals = {e.then(m, mor[(d, b)]) for (c, d), m in cov.items()
-                if c == a and p.less_eq(d, b)}
-        if len(vals) != 1:
-            return None
-        mor[(a, b)] = vals.pop()
-    return mor
-
-
-def _connectors(imask: int, i0: int, j0: int) -> list[int]:
-    """Position sets from min(I) to min(J) inside I, endpoints included."""
-    if j0 == i0:
-        return [1 << i0]
-    ends = (1 << i0) | (1 << j0)
-    inner = imask & interval_mask(i0 + 1, j0 - 1)
-    return [ends | sub for sub in subsets_of(inner)]
-
-
 class Rel2Backend:
     """Simplices of the functor-family nerve, enumerated by free data.
 
@@ -248,7 +215,7 @@ class Rel2Backend:
         for (ia, ib) in p.covers:
             sm, tm = p.elements[ia], p.elements[ib]
             cov[(sm, tm)] = self._cover_value(s, x, f, sm, tm)
-        mor = derive_pairs(p, e, obj, cov)
+        mor = extend_covers(p, e, obj, cov)
         if mor is None:
             return None
         return (obj, mor)
@@ -289,8 +256,8 @@ class Rel2Backend:
             for jmask in subsets_of(imask):
                 if jmask == 0 or jmask == imask:
                     continue
-                if not square_holds(self.spec, self.view, s, imask, jmask,
-                                    th_i, thetas[jmask], full):
+                if not square_holds(self, s, imask, jmask, th_i,
+                                    thetas[jmask], full):
                     return False
         return True
 
@@ -315,7 +282,7 @@ class Rel2Backend:
         return len(z[1]) - 1
 
 
-def square_holds(spec, view, s, imask, jmask, th_i, th_j, full=False) -> bool:
+def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
     """Transport square of the union map for J inside I.
 
     Families built from free data satisfy the object components
@@ -326,12 +293,13 @@ def square_holds(spec, view, s, imask, jmask, th_i, th_j, full=False) -> bool:
     of the two-cell data (validated on the diagram) extend them to
     every comparable pair, which full mode checks outright.
     """
+    spec, view = back.spec, back.view
     i0, j0 = min_bit(imask), min_bit(jmask)
-    e = spec.values[view.vertex(s, i0)]
+    e = back.value_at(s, i0)
     obj_j, mor_j = th_j
     obj_i, mor_i = th_i
-    p_j = build_d(jmask).poset
-    connectors = _connectors(imask, i0, j0)
+    p_j = back.dpos(jmask)
+    connectors = list(subsets_with_min_max(imask, i0, j0))
     if full:
         j_pairs = [(a, b) for a in p_j.elements for b in p_j.elements
                    if p_j.less_eq(a, b)]
@@ -388,14 +356,12 @@ def relative2_simplices_literal(spec: FunctorSpec, s, k: int) -> list:
     keeps the families passing every transport square at every pair.
     Exponentially slower than fill(); used to certify it.
     """
-    from .category import poset_functors
-
-    view = _BaseView(spec)
+    back = Rel2Backend(spec)
     imasks = sorted(range(1, 1 << (k + 1)), key=lambda m: (m.bit_count(), m))
     per_i = {}
     for imask in imasks:
-        p = build_d(imask).poset
-        e = spec.values[view.vertex(s, min_bit(imask))]
+        p = back.dpos(imask)
+        e = back.value_at(s, min_bit(imask))
         per_i[imask] = [({sm: f["obj"][sm] for sm in p.elements}, f["mor"])
                         for f in poset_functors(p, e)]
     out = []
@@ -409,7 +375,7 @@ def relative2_simplices_literal(spec: FunctorSpec, s, k: int) -> list:
             return
         imask = imasks[t]
         for cand in per_i[imask]:
-            ok = all(square_holds(spec, view, s, imask, jmask, cand,
+            ok = all(square_holds(back, s, imask, jmask, cand,
                                   chosen[jmask], full=True)
                      for jmask in subsets_of(imask)
                      if jmask not in (0, imask))

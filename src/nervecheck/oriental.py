@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .bits import (bit_list, interval_mask, max_bit, min_bit,
+from .bits import (bit_list, interval_mask, max_bit, min_bit, subsets_of,
                    subsets_with_min_max)
 from .poset import Poset
 
@@ -58,10 +58,7 @@ class DPoset:
     def build(cls, ground: int) -> "DPoset":
         if ground == 0:
             raise ValueError("empty ground set")
-        lo = min_bit(ground)
-        els = sorted((1 << lo) | rest for rest in
-                     _submasks_sorted(ground & ~(1 << lo)))
-        return cls(ground, Poset.from_relation(els, d_leq))
+        return cls(ground, Poset.from_relation(d_elements(ground), d_leq))
 
     @property
     def n(self) -> int:
@@ -75,14 +72,10 @@ class DPoset:
         return Geometry(self)
 
 
-def _submasks_sorted(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return sorted(out)
-        sub = (sub - 1) & mask
+def d_elements(ground: int) -> list[int]:
+    """The subsets of a nonempty ground mask that contain its minimum, sorted."""
+    lo_bit = 1 << min_bit(ground)
+    return [lo_bit | rest for rest in sorted(subsets_of(ground & ~lo_bit))]
 
 
 def build_d(ground: int) -> DPoset:
@@ -126,8 +119,7 @@ def d_via_under_category(ground: int) -> Poset:
     zigzag component), otherwise the homotopy category would retain
     parallel arrows and the construction would not be a poset.
     """
-    lo = min_bit(ground)
-    els = sorted((1 << lo) | rest for rest in _submasks_sorted(ground & ~(1 << lo)))
+    els = d_elements(ground)
     n = len(els)
     m = np.zeros((n, n), dtype=bool)
     for a, s in enumerate(els):
@@ -209,7 +201,7 @@ def rho(ground: int, sub: int, s1: int, s2: int) -> int:
 def rho_image(ground: int, sub: int) -> list[int]:
     """Elements of D^ground of the form s1 | s2 as above, sorted."""
     lo, sub_lo = min_bit(ground), min_bit(sub)
-    d_sub = [(1 << sub_lo) | rest for rest in _submasks_sorted(sub & ~(1 << sub_lo))]
+    d_sub = d_elements(sub)
     out = set()
     for s1 in subsets_with_min_max(ground, lo, sub_lo):
         for s2 in d_sub:
@@ -237,9 +229,7 @@ def rho_fully_faithful(ground: int, sub: int) -> bool:
     """
     lo, sub_lo = min_bit(ground), min_bit(sub)
     hom = list(subsets_with_min_max(ground, lo, sub_lo))
-    sub_lo_bit = 1 << sub_lo
-    d_sub = [sub_lo_bit | rest for rest in _submasks_sorted(sub & ~sub_lo_bit)]
-    pairs = list(product(hom, d_sub))
+    pairs = list(product(hom, d_elements(sub)))
     seen: dict[int, tuple[int, int]] = {}
     for s1, s2 in pairs:
         el = s1 | s2

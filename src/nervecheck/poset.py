@@ -77,6 +77,19 @@ class Poset:
     def down_masks(self) -> list[int]:
         return [mask_of(np.nonzero(self.leq[:, j])[0].tolist()) for j in range(len(self))]
 
+    def between(self, i: int, j: int) -> int:
+        """Mask of the closed interval {k : i <= k <= j}; 0 unless i <= j."""
+        return self.up_masks[i] & self.down_masks[j]
+
+    @cached_property
+    def strict_pairs(self) -> list[tuple[int, int]]:
+        """Index pairs (i, j), element i strictly below element j, shortest
+        interval first."""
+        n = len(self)
+        return sorted(((i, j) for i in range(n) for j in range(n)
+                       if i != j and self.leq[i, j]),
+                      key=lambda ij: self.between(*ij).bit_count())
+
     @cached_property
     def covers(self) -> list[tuple[int, int]]:
         """Hasse diagram as index pairs (i, j) with i covered by j."""
@@ -218,9 +231,8 @@ def nerve_chains(poset: Poset, max_len: int | None = None) -> list[int]:
 def strict_interval(poset: Poset, a: Label, b: Label) -> Poset:
     """Full subposet of elements strictly between a and b."""
     ia, ib = poset.index[a], poset.index[b]
-    keep = [poset.elements[k] for k in range(len(poset))
-            if k != ia and k != ib and poset.leq[ia, k] and poset.leq[k, ib]]
-    return poset.full_subposet(keep)
+    inner = poset.between(ia, ib) & ~(1 << ia) & ~(1 << ib)
+    return poset.full_subposet(poset.elements[k] for k in bits(inner))
 
 
 class MonotoneMap:

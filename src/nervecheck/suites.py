@@ -19,7 +19,7 @@ from typing import Callable
 
 from .battery import (DEFAULT_SEED, functor_battery, lifting_battery,
                       seeded_diagrams, seeded_pairs, seeded_subcomplexes)
-from .bits import digits, interval_mask, max_bit
+from .bits import bits, digits, interval_mask, max_bit
 from .category import CatFunctor, FiniteCategory, chain_category
 from .groth import grothendieck_poset
 from .homotopy import (Verdict, complex_from_chains, contractibility_verdict)
@@ -29,7 +29,7 @@ from .lifting import reduced_lifting_check
 from .mapping import flag_model, necklace_oracle, square_chain_poset
 from .nerves import (base_change_check, chi_groth_comparison, pi_star_check,
                      relative_nerve_2)
-from .oriental import DPoset, Geometry, build_d, standard_interval
+from .oriental import DPoset, build_d, standard_interval
 from .poset import ChainSubcomplex, Poset, nerve_chains, strict_interval
 from .report import FAIL, INCONCLUSIVE, PASS, CheckResult, Report
 from .simplicial import horn_fill_check
@@ -93,7 +93,7 @@ def _pairs(dp: DPoset, strict: bool = True) -> list[tuple[int, int]]:
 
 def _interval(dp: DPoset, s: int, t: int) -> list[int]:
     p = dp.poset
-    return [m for m in p.elements if p.less_eq(s, m) and p.less_eq(m, t)]
+    return [p.elements[k] for k in bits(p.between(p.index[s], p.index[t]))]
 
 
 def _ns(params: dict, lo: int, hi: int, deep_hi: int | None = None) -> list[int]:
@@ -145,8 +145,8 @@ CLAIM_DISTANT = "open interval between a distant pair is contractible"
 def _distant(params: dict) -> list[Check]:
     checks = []
     for n in _ns(params, 2, 4):
-        dp, geom = _dp(n), Geometry(_dp(n))
-        found = [(s, t) for s, t in _pairs(dp) if not geom.close(s, t)]
+        dp = _dp(n)
+        found = [(s, t) for s, t in _pairs(dp) if not dp.geometry.close(s, t)]
         if not found:
             checks.append(Check(
                 f"n{n}", "no distant comparable pairs at this size",
@@ -170,9 +170,9 @@ CLAIM_CLOSE = "a candidate admissible face covers the closed interval"
 def _close(params: dict) -> list[Check]:
     checks = []
     for n in _ns(params, 2, 4):
-        dp, geom = _dp(n), Geometry(_dp(n))
+        dp = _dp(n)
         for s, t in _pairs(dp):
-            if geom.close(s, t):
+            if dp.geometry.close(s, t):
                 checks.append(Check(
                     f"n{n}/{digits(s)}-{digits(t)}", CLAIM_CLOSE,
                     _close_check, (n, s, t)))
@@ -340,11 +340,7 @@ def _oracle(params: dict) -> list[Check]:
 
 def _oracle_check(n, k):
     dp = _dp(n)
-    present = 0
-    for c in k.chains:
-        present |= c
-    verts = {dp.poset.elements[b] for b in range(len(dp.poset))
-             if (present >> b) & 1}
+    verts = {dp.poset.elements[b] for b in k.vertices()}
     mismatches = []
     pairs = 0
     for s, t in _pairs(dp, strict=False):

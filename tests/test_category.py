@@ -1,8 +1,12 @@
+from itertools import product
+
 import pytest
 
+from nervecheck.battery import parallel_pair
 from nervecheck.category import (CatFunctor, FiniteCategory, chain_category,
-                                 compose_nat, is_natural, poset_functors,
-                                 walking_iso)
+                                 compose_nat, extend_covers, is_natural,
+                                 poset_functors, walking_iso)
+from nervecheck.oriental import build_d
 from nervecheck.poset import Poset
 
 
@@ -143,6 +147,53 @@ def test_poset_functors_path_independence():
         assert m1 == m2 == f["mor"][((0, 0), (1, 1))]
     # object assignments are unconstrained (every hom is a singleton)
     assert len(fs) == 16
+
+
+def _brute_functors(p, e):
+    """Every functor p -> e by definition: all typed assignments of morphisms
+    to comparable pairs, kept when identities sit on the diagonal and
+    every a <= b <= c composes."""
+    els = p.elements
+    pairs = [(a, b) for a in els for b in els if p.less_eq(a, b)]
+    out = []
+    for objs in product(e.objects, repeat=len(els)):
+        obj = dict(zip(els, objs))
+        for ms in product(*(e.hom(obj[a], obj[b]) for a, b in pairs)):
+            mor = dict(zip(pairs, ms))
+            if all(mor[(a, a)] == e.ident[obj[a]] for a in els) and all(
+                    e.then(mor[(a, b)], mor[(b, c)]) == mor[(a, c)]
+                    for a, b in pairs for c in els if p.less_eq(b, c)):
+                out.append((obj, mor))
+    return out
+
+
+@pytest.mark.parametrize("pname", ["chain1", "chain2", "square", "d012"])
+@pytest.mark.parametrize("cname", ["C1", "parallel-pair", "walking-iso"])
+def test_extend_covers_matches_brute_force(pname, cname):
+    p = {"chain1": Poset.from_relation([0, 1], lambda a, b: a <= b),
+         "chain2": Poset.from_relation([0, 1, 2], lambda a, b: a <= b),
+         "square": Poset.from_relation(
+             [(0, 0), (0, 1), (1, 0), (1, 1)],
+             lambda a, b: a[0] <= b[0] and a[1] <= b[1]),
+         "d012": build_d(0b111).poset}[pname]
+    e = {"C1": chain_category(1), "parallel-pair": parallel_pair(),
+         "walking-iso": walking_iso()}[cname]
+    els = p.elements
+    covers = [(els[i], els[j]) for i, j in p.covers]
+    functors = {}
+    for obj, mor in _brute_functors(p, e):
+        key = (tuple(obj[a] for a in els), tuple(mor[c] for c in covers))
+        assert key not in functors  # a functor is fixed by its cover values
+        functors[key] = mor
+    extended = 0
+    # every cover assignment, endpoints right or not
+    for objs in product(e.objects, repeat=len(els)):
+        for ms in product(e.morphisms, repeat=len(covers)):
+            want = functors.get((objs, ms))
+            got = extend_covers(p, e, dict(zip(els, objs)), dict(zip(covers, ms)))
+            assert got == want, (objs, ms)
+            extended += want is not None
+    assert extended == len(functors) > 0
 
 
 def test_category_json_roundtrip():

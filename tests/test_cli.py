@@ -215,6 +215,7 @@ def test_base_change_long_edge(tmp_path, capsys):
     ["homology", "--input", "{object_simplex}"],
     ["compare-nerves", "--spec", "{oriental}", "--dim", "2"],
     ["base-change", "--f", "{edge}", "--spec", "{oriental}"],
+    ["lift-check", "--n", "1", "--spec", "F.json"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -222,7 +223,8 @@ def test_base_change_long_edge(tmp_path, capsys):
         "dn-seed-deep", "dn-deep", "horn-seed", "homology-deep",
         "homology-input-directory", "homology-input-not-utf8",
         "homology-simplices-string", "homology-simplex-object",
-        "compare-nerves-oriental-base", "base-change-oriental-base"])
+        "compare-nerves-oriental-base", "base-change-oriental-base",
+        "lift-check-n-1"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",

@@ -6,7 +6,8 @@ from pathlib import Path
 
 from setuptools import find_packages
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_find_packages_ships_nervecheck():
@@ -41,3 +42,29 @@ def test_no_unused_imports_in_package():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _is_suite_builder(node):
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "_suite" for d in node.decorator_list)
+
+
+def test_no_dead_helpers_in_package():
+    # a module-level function or class named nowhere in src/ or tests/
+    # besides its own def is dead; suite builders register by decorator
+    named = set()
+    for path in sorted(SRC.glob("**/*.py")) + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    dead = []
+    for path in sorted((SRC / "nervecheck").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not _is_suite_builder(node) and node.name not in named:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert dead == []

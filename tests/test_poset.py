@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervecheck.bits import mask_of
+from nervecheck.bits import bit_list, mask_of
+from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import (ChainSubcomplex, MonotoneMap, Poset,
                               nerve_chains, strict_interval)
 
@@ -57,6 +58,21 @@ def test_nerve_chains_are_chains_and_sorted():
     assert cs == sorted(cs)
     assert all(p.is_chain(c) for c in cs)
     assert len(set(cs)) == len(cs)
+
+
+def test_between_and_strict_pairs_on_d_posets():
+    for n in range(5):
+        p = build_d(standard_interval(n)).poset
+        size = len(p)
+        for i in range(size):
+            for j in range(size):
+                want = [k for k in range(size) if p.leq[i, k] and p.leq[k, j]]
+                assert bit_list(p.between(i, j)) == want
+        assert sorted(p.strict_pairs) == [
+            (i, j) for i in range(size) for j in range(size)
+            if i != j and p.leq[i, j]]
+        sizes = [p.between(i, j).bit_count() for i, j in p.strict_pairs]
+        assert sizes == sorted(sizes)
 
 
 def test_strict_interval():
