@@ -247,11 +247,6 @@ def is_natural(f: CatFunctor, g: CatFunctor, eta: Mapping[Label, Label]) -> bool
     return True
 
 
-def compose_nat(e: FiniteCategory, eta: Mapping, zeta: Mapping) -> dict:
-    """Vertical composite of component families valued in e."""
-    return {x: e.then(eta[x], zeta[x]) for x in eta}
-
-
 def extend_covers(p: Poset, e: FiniteCategory, obj: Mapping,
                   cov: Mapping) -> dict | None:
     """Extend cover values of a functor p -> e to every comparable pair.

@@ -88,9 +88,11 @@ def _validate_poset_transport(base: Poset, values: Mapping,
 
 
 def grothendieck_poset(base: Poset, values: Mapping[object, Poset],
-                       transport: Mapping[tuple, Mapping],
-                       cross_check: bool = True) -> Poset:
-    """Total poset: (p, x) <= (q, y) iff p <= q and x <= transport (p,q) y."""
+                       transport: Mapping[tuple, Mapping]) -> Poset:
+    """Total poset: (p, x) <= (q, y) iff p <= q and x <= transport (p,q) y.
+
+    The order is cross-checked against grothendieck_classical.
+    """
     _validate_poset_transport(base, values, transport)
     elements = [(p, x) for p in base.elements for x in values[p].elements]
 
@@ -99,26 +101,25 @@ def grothendieck_poset(base: Poset, values: Mapping[object, Poset],
         return base.less_eq(p, q) and values[p].less_eq(x, transport[(p, q)][y])
 
     total = Poset.from_relation(elements, leq)
-    if cross_check:
-        cats = {p: FiniteCategory.from_poset(values[p]) for p in base.elements}
-        base_cat = FiniteCategory.from_poset(base)
-        action = {}
-        for (a, b) in base_cat.morphisms:
-            if a == b:
-                continue
-            t = transport[(a, b)]
-            action[(a, b)] = CatFunctor(
-                cats[b], cats[a], dict(t),
-                {(y, z): (t[y], t[z]) for (y, z) in cats[b].morphisms})
-        spec = FunctorSpec(base_cat, cats, action)
-        g = grothendieck_classical(spec)
-        if sorted(g.objects) != sorted(elements):
-            raise AssertionError("total category objects disagree with total poset")
-        if not g.is_thin():
-            raise AssertionError("total category of poset diagram is not thin")
-        for px in elements:
-            for qy in elements:
-                if bool(g.hom(px, qy)) != leq(px, qy):
-                    raise AssertionError(
-                        f"order disagreement between constructions at {px!r}, {qy!r}")
+    cats = {p: FiniteCategory.from_poset(values[p]) for p in base.elements}
+    base_cat = FiniteCategory.from_poset(base)
+    action = {}
+    for (a, b) in base_cat.morphisms:
+        if a == b:
+            continue
+        t = transport[(a, b)]
+        action[(a, b)] = CatFunctor(
+            cats[b], cats[a], dict(t),
+            {(y, z): (t[y], t[z]) for (y, z) in cats[b].morphisms})
+    spec = FunctorSpec(base_cat, cats, action)
+    g = grothendieck_classical(spec)
+    if sorted(g.objects) != sorted(elements):
+        raise AssertionError("total category objects disagree with total poset")
+    if not g.is_thin():
+        raise AssertionError("total category of poset diagram is not thin")
+    for px in elements:
+        for qy in elements:
+            if bool(g.hom(px, qy)) != leq(px, qy):
+                raise AssertionError(
+                    f"order disagreement between constructions at {px!r}, {qy!r}")
     return total

@@ -68,13 +68,6 @@ def a_elements(dposet: DPoset, j_mask: int) -> list[int]:
     return rho_image(dposet.ground, j_mask)
 
 
-def a_complex(dposet: DPoset, j_mask: int) -> ChainSubcomplex:
-    """Nerve of the full subposet A(J), as a chain family in the ambient nerve."""
-    members = mask_of(dposet.poset.index[e] for e in a_elements(dposet, j_mask))
-    chains = [c for c in nerve_chains(dposet.poset) if c & ~members == 0]
-    return ChainSubcomplex(dposet.poset, chains, validate=False)
-
-
 def _union_over_faces(dposet: DPoset, faces: list[int]) -> ChainSubcomplex:
     member_masks = [mask_of(dposet.poset.index[e] for e in a_elements(dposet, j))
                     for j in faces]
@@ -97,14 +90,6 @@ def l_complex(n: int, i: int, dposet: DPoset | None = None,
     dposet = dposet or build_d(standard_interval(n))
     fam = admissible_and_superior(n, i)
     faces = fam.superior if use_superior else fam.admissible
-    return _union_over_faces(dposet, faces)
-
-
-def s_complex(n: int, dposet: DPoset | None = None) -> ChainSubcomplex:
-    """Boundary analogue: union of A(J) nerves over all proper faces J."""
-    dposet = dposet or build_d(standard_interval(n))
-    full = standard_interval(n)
-    faces = sorted(j for j in nonempty_subsets_of(full) if j != full)
     return _union_over_faces(dposet, faces)
 
 

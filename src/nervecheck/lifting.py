@@ -252,21 +252,6 @@ def _solve(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
     }
 
 
-def lifting_problem_report(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
-                           sphere: Mapping, w) -> dict:
-    """Solve one lifting problem both ways and compare the solution sets."""
-    n = len(sphere) - 1
-    if w not in tg:
-        raise ValueError(f"{w!r} is not a simplex of the target nerve")
-    for i in range(n + 1):
-        if image_simplex(nat, tg, sphere[i]) != tg.face(w, i):
-            raise ValueError("the sphere does not lie over the simplex boundary")
-    key = tuple(sphere[i] for i in range(n + 1))
-    originals = [z for z in tf.simplices[n]
-                 if tf.boundary(z) == key and image_simplex(nat, tg, z) == w]
-    return _solve(nat, tf, tg, _sphere_xf(sphere, n), w, originals)
-
-
 def reduced_lifting_check(nat: NatTrans, n: int) -> dict:
     """Sweep every lifting problem at one level and compare both sides.
 

@@ -21,8 +21,7 @@ from itertools import product
 from operator import or_
 
 from .bits import bit_list, bits, max_bit, min_bit, subsets_of
-from .horn import a_elements
-from .oriental import DPoset, build_d, interval_mask
+from .oriental import build_d, interval_mask
 from .poset import ChainSubcomplex, MonotoneMap, Poset
 
 Flag = tuple[int, ...]
@@ -36,7 +35,6 @@ class FlagModel:
     source: int
     target: int
     simplices: dict[int, list[Flag]]
-    method: str = "flag"
 
     def counts(self) -> list[int]:
         top = max(self.simplices, default=-1)
@@ -57,53 +55,6 @@ class FlagModel:
         keys = set(self.simplices) | set(other.simplices)
         return all(sorted(self.simplices.get(k, [])) ==
                    sorted(other.simplices.get(k, [])) for k in keys)
-
-
-def _chains_between(poset: Poset, s_idx: int, t_idx: int,
-                    members: list[int] | None = None) -> list[int]:
-    """Masks of chains with bottom s and top t inside the member set."""
-    if not poset.leq[s_idx, t_idx]:
-        return []
-    if s_idx == t_idx:
-        return [1 << s_idx]
-    allowed = set(bits(poset.between(s_idx, t_idx)) if members is None else members)
-    out: list[int] = []
-
-    def extend(mask: int, last: int) -> None:
-        if last == t_idx:
-            out.append(mask)
-            return
-        for nxt in bits(poset.up_masks[last] & ~(1 << last)):
-            if nxt in allowed and poset.leq[nxt, t_idx]:
-                extend(mask | (1 << nxt), nxt)
-
-    extend(1 << s_idx, s_idx)
-    return sorted(out)
-
-
-def refinement_poset(dposet: DPoset, s: int, t: int, min_len: int = 1) -> Poset:
-    """Chains from S to T with at least min_len elements, under refinement."""
-    p = dposet.poset
-    s_idx, t_idx = p.index[s], p.index[t]
-    chains = [c for c in _chains_between(p, s_idx, t_idx)
-              if c.bit_count() >= min_len]
-    return Poset.from_relation(chains, lambda a, b: a | b == b)
-
-
-def restricted_refinement(dposet: DPoset, s: int, t: int, faces: list[int],
-                          min_len: int = 1) -> Poset:
-    """Refinement poset of chains through the intersection of the A(J)."""
-    p = dposet.poset
-    allowed = set(range(len(p)))
-    for j_mask in faces:
-        allowed &= {p.index[e] for e in a_elements(dposet, j_mask)}
-    s_idx, t_idx = p.index[s], p.index[t]
-    if s_idx not in allowed or t_idx not in allowed:
-        return Poset.from_relation([], lambda a, b: True)
-    members = [k for k in bits(p.between(s_idx, t_idx)) if k in allowed]
-    chains = [c for c in _chains_between(p, s_idx, t_idx, members)
-              if c.bit_count() >= min_len]
-    return Poset.from_relation(chains, lambda a, b: a | b == b)
 
 
 def _flags_above(bottom: int, admissible: list[int],
@@ -144,37 +95,19 @@ def _edge_paths(k: ChainSubcomplex, s_idx: int, t_idx: int,
     return sorted(found)
 
 
-def flag_model(k: ChainSubcomplex, s: int, t: int, max_dim: int | None = None,
-               exclusive: bool = False) -> FlagModel:
-    """Mapping-space model between comparable vertices S and T of K.
-
-    exclusive=True reads the segment condition without its endpoints
-    (each strictly-between part of Mk must be empty or a chain of K);
-    the default includes them.
-    """
+def flag_model(k: ChainSubcomplex, s: int, t: int,
+               max_dim: int | None = None) -> FlagModel:
+    """Mapping-space model between comparable vertices S and T of K."""
     p = k.ambient
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.leq[s_idx, t_idx]:
         raise ValueError("source must be below target")
     interval = set(bits(p.between(s_idx, t_idx)))
 
-    if exclusive:
-        def seg_choices(a: int, b: int) -> list[int]:
-            ends = (1 << a) | (1 << b)
-            return sorted(m for m in _chains_between(p, a, b, interval)
-                          if m == ends or (m & ~ends) in k.chains)
-
-        bottoms = _chains_between(p, s_idx, t_idx, interval)
-    else:
-        def seg_choices(a: int, b: int) -> tuple[int, ...]:
-            return k.segments.get((a, b), ())
-
-        bottoms = _edge_paths(k, s_idx, t_idx, interval)
-
     simplices: dict[int, list[Flag]] = {}
-    for bottom in bottoms:
+    for bottom in _edge_paths(k, s_idx, t_idx, interval):
         tup = p.chain_tuple(bottom)
-        per_segment = [seg_choices(a, b) for a, b in zip(tup, tup[1:])]
+        per_segment = [k.segments.get((a, b), ()) for a, b in zip(tup, tup[1:])]
         if any(not ch for ch in per_segment):
             continue
         if per_segment:
@@ -186,12 +119,16 @@ def flag_model(k: ChainSubcomplex, s: int, t: int, max_dim: int | None = None,
             simplices.setdefault(len(flag) - 1, []).append(flag)
     for v in simplices.values():
         v.sort()
-    return FlagModel(p, s, t, simplices,
-                     method="flag-exclusive" if exclusive else "flag")
+    return FlagModel(p, s, t, simplices)
+
+
+# The oracle enumerates every bead sequence; D^4's full nerve (16
+# vertices) is the largest complex it is run on.
+NECKLACE_MAX_VERTICES = 16
 
 
 def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
-                    max_dim: int | None = None, vertex_limit: int = 16) -> FlagModel:
+                    max_dim: int | None = None) -> FlagModel:
     """Mapping space recomputed from bead sequences.
 
     A necklace is a sequence of K-chains with two or more elements whose
@@ -201,8 +138,9 @@ def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
     """
     p = k.ambient
     n_vertices = sum(1 for c in k.chains if c.bit_count() == 1)
-    if n_vertices > vertex_limit:
-        raise ValueError(f"necklace oracle limited to {vertex_limit} vertices")
+    if n_vertices > NECKLACE_MAX_VERTICES:
+        raise ValueError(
+            f"necklace oracle limited to {NECKLACE_MAX_VERTICES} vertices")
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.leq[s_idx, t_idx]:
         raise ValueError("source must be below target")
@@ -245,7 +183,7 @@ def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
             simplices.setdefault(len(flag) - 1, []).append(flag)
     for v in simplices.values():
         v.sort()
-    return FlagModel(p, s, t, simplices, method="necklace")
+    return FlagModel(p, s, t, simplices)
 
 
 def _interior_flags(bottom: int, free: int, max_dim: int | None) -> list[Flag]:

@@ -26,19 +26,6 @@ def standard_interval(n: int) -> int:
     return interval_mask(0, n)
 
 
-def oriental_hom(ground: int, i: int, j: int) -> Poset:
-    """Poset of subsets of ground with min i and max j, under inclusion."""
-    els = list(subsets_with_min_max(ground, i, j))
-    return Poset.from_relation(els, lambda a, b: a | b == b)
-
-
-def oriental_compose(s: int, t: int) -> int:
-    """Compose hom elements; defined when max(s) == min(t)."""
-    if max_bit(s) != min_bit(t):
-        raise ValueError("endpoints do not match")
-    return s | t
-
-
 def d_leq(s: int, t: int) -> bool:
     """The two-condition order on subsets sharing their minimum."""
     ms, mt = max_bit(s), max_bit(t)
@@ -135,11 +122,6 @@ def d_via_under_category(ground: int) -> Poset:
     return Poset(els, m)
 
 
-def maximal_witness(s: int, t: int) -> int:
-    """The interval witness [max(s), max(t)], maximal when s <= t."""
-    return interval_mask(max_bit(s), max_bit(t))
-
-
 class Geometry:
     """Coordinate embedding of D^n into Z^(n-1) and the derived metric.
 
@@ -185,17 +167,6 @@ class Geometry:
         if self.n <= 1:
             return True
         return abs(self.coords[t][-1] - self.coords[s][-1]) <= 1
-
-
-def rho(ground: int, sub: int, s1: int, s2: int) -> int:
-    """Pullback pairing: a hom element into min(sub) joined with an element of D^sub."""
-    if max_bit(s1) != min_bit(s2):
-        raise ValueError("not composable")
-    if s2 & ~sub:
-        raise ValueError("second component must lie in the sub ground set")
-    if s1 & ~ground:
-        raise ValueError("first component must lie in the ground set")
-    return s1 | s2
 
 
 def rho_image(ground: int, sub: int) -> list[int]:

@@ -8,7 +8,6 @@ ints and subchain tests are single & operations.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -148,29 +147,11 @@ class Poset:
     def opposite(self) -> "Poset":
         return Poset(self.elements, self.leq.T.copy(), validate=False)
 
-    def to_json(self, label_to_json: Callable[[Label], object] | None = None) -> str:
-        enc = label_to_json or default_label_json
-        pairs = [[i, j] for i in range(len(self)) for j in range(len(self))
-                 if i != j and self.leq[i, j]]
-        return json.dumps({"elements": [enc(e) for e in self.elements], "leq": pairs})
-
-    @classmethod
-    def from_json(cls, text: str, label_from_json: Callable[[object], Label] | None = None) -> "Poset":
-        dec = label_from_json or default_label_unjson
-        data = json.loads(text)
-        els = [dec(e) for e in data["elements"]]
-        n = len(els)
-        m = np.eye(n, dtype=bool)
-        for i, j in data["leq"]:
-            m[i, j] = True
-        return cls(els, m)
-
-    def to_dot(self, label_str: Callable[[Label], str] | None = None) -> str:
+    def to_dot(self, label_str: Callable[[Label], str]) -> str:
         """Hasse diagram in DOT format, edges pointing from smaller to larger."""
-        fmt = label_str or default_label_str
         lines = ["digraph poset {", "  rankdir=BT;"]
         for i, e in enumerate(self.elements):
-            lines.append(f'  n{i} [label="{fmt(e)}"];')
+            lines.append(f'  n{i} [label="{label_str(e)}"];')
         for i, j in self.covers:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
@@ -180,51 +161,18 @@ class Poset:
         return f"Poset({len(self)} elements)"
 
 
-def default_label_json(label: Label) -> object:
-    if isinstance(label, int):
-        return bit_list(label)
-    if isinstance(label, frozenset):
-        return sorted(list(p) for p in label)
-    return label
-
-
-def default_label_unjson(obj: object) -> Label:
-    if isinstance(obj, list):
-        if obj and isinstance(obj[0], list):
-            return frozenset(tuple(p) for p in obj)
-        return mask_of(obj)
-    return obj
-
-
-def default_label_str(label: Label) -> str:
-    if isinstance(label, int):
-        return "".join(str(b) for b in bit_list(label)) or "()"
-    if isinstance(label, frozenset):
-        return "{" + ",".join(repr(tuple(p)) for p in sorted(label)) + "}"
-    return str(label)
-
-
-def nerve_chains(poset: Poset, max_len: int | None = None) -> list[int]:
-    """All nonempty chains of the poset as index masks.
-
-    max_len bounds the number of elements per chain (max_len = d + 1 for
-    the d-skeleton of the nerve).  Output is sorted for determinism.
-    """
+def nerve_chains(poset: Poset) -> list[int]:
+    """All nonempty chains of the poset as index masks, sorted for determinism."""
     ups = poset.up_masks
     out: list[int] = []
-    limit = len(poset) if max_len is None else max_len
 
-    def extend(mask: int, top: int, size: int) -> None:
+    def extend(mask: int, top: int) -> None:
         out.append(mask)
-        if size == limit:
-            return
-        above = ups[top] & ~(1 << top)
-        for j in bits(above):
-            extend(mask | (1 << j), j, size + 1)
+        for j in bits(ups[top] & ~(1 << top)):
+            extend(mask | (1 << j), j)
 
-    if limit >= 1:
-        for i in range(len(poset)):
-            extend(1 << i, i, 1)
+    for i in range(len(poset)):
+        extend(1 << i, i)
     return sorted(out)
 
 
@@ -312,9 +260,6 @@ class ChainSubcomplex:
 
     def vertices(self) -> list[int]:
         return sorted(c.bit_length() - 1 for c in self.chains if c.bit_count() == 1)
-
-    def simplices_of_dim(self, k: int) -> list[int]:
-        return sorted(c for c in self.chains if c.bit_count() == k + 1)
 
     def dimension(self) -> int:
         return max((c.bit_count() - 1 for c in self.chains), default=-1)

@@ -362,7 +362,7 @@ def _nerve_cmp(params: dict) -> list[Check]:
         checks.append(Check(
             f"{name}/total-category",
             "family nerve matches the nerve of the total category",
-            _groth_check, (sp,)))
+            _groth_check, (sp, 4)))
         checks.append(Check(
             f"{name}/comparison-map",
             "comparison map is simplicial, marked, and injective low down",
@@ -379,8 +379,8 @@ def _nerve_cmp(params: dict) -> list[Check]:
     return checks
 
 
-def _groth_check(sp):
-    rep = chi_groth_comparison(sp, 4)
+def _groth_check(sp, dim):
+    rep = chi_groth_comparison(sp, dim)
     ok = rep["bijective"] and rep["faces_commute"]
     return (PASS if ok else FAIL), rep
 

@@ -4,7 +4,7 @@ import pytest
 
 from nervecheck.battery import parallel_pair
 from nervecheck.category import (CatFunctor, FiniteCategory, chain_category,
-                                 compose_nat, extend_covers, is_natural,
+                                 extend_covers, is_natural,
                                  poset_functors, walking_iso)
 from nervecheck.oriental import build_d
 from nervecheck.poset import Poset
@@ -107,7 +107,6 @@ def test_is_natural():
     eta = {0: (0, 1), 1: (1, 1)}
     assert is_natural(f, g, eta)
     assert not is_natural(g, f, eta)
-    assert compose_nat(c, {0: (0, 0), 1: (1, 1)}, eta) == eta
 
 
 def test_poset_functors_monotone_maps():

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from nervecheck import cli, homotopy
+from nervecheck import cli, homotopy, suites
 from nervecheck.battery import functor_battery
 from nervecheck.category import chain_category, label_str
 from nervecheck.cli import main
+from nervecheck.report import PASS
 from test_funcspec import oriental2_spec
 
 
@@ -160,6 +161,31 @@ def test_compare_nerves_passes_on_battery_spec(tmp_path, capsys):
     assert "bijective = True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("broken", [False, True], ids=["as-built", "onto-lost"])
+def test_compare_nerves_follows_the_suite_rule(broken, tmp_path, capsys,
+                                               monkeypatch):
+    # --dim 4 runs both comparisons at the dimensions nerve-comparison
+    # uses; the broken case keeps injectivity but loses bijectivity on edges
+    name = "two-chain-mixed"
+    if broken:
+        real = suites.pi_star_check
+
+        def onto_lost(sp, dim):
+            rep = real(sp, dim)
+            rep["bijective"][1] = False
+            return rep
+
+        monkeypatch.setattr(suites, "pi_star_check", onto_lost)
+    ids = {f"{name}/total-category", f"{name}/comparison-map"}
+    verdicts = [c.fn(*c.args)[0] for c in suites.SUITES["nerve-comparison"]({})
+                if c.id in ids]
+    rc = main(["compare-nerves", "--spec", str(_spec_file(tmp_path, name)),
+               "--dim", "4"])
+    capsys.readouterr()
+    assert len(verdicts) == 2
+    assert rc == (0 if verdicts == [PASS, PASS] else 1) == (1 if broken else 0)
+
+
 def test_lift_check_collapse_target(tmp_path, capsys):
     spec = dict(functor_battery())["two-chain-parallel"]
     path = tmp_path / "lift.json"
@@ -216,6 +242,10 @@ def test_base_change_long_edge(tmp_path, capsys):
     ["compare-nerves", "--spec", "{oriental}", "--dim", "2"],
     ["base-change", "--f", "{edge}", "--spec", "{oriental}"],
     ["lift-check", "--n", "1", "--spec", "F.json"],
+    ["mapping-space", "--n", "5", "--i", "1", "--from", "0", "--to", "01",
+     "--model", "necklace"],
+    ["mapping-space", "--n", "7", "--i", "3", "--from", "0", "--to", "07",
+     "--model", "both"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -224,7 +254,7 @@ def test_base_change_long_edge(tmp_path, capsys):
         "homology-input-directory", "homology-input-not-utf8",
         "homology-simplices-string", "homology-simplex-object",
         "compare-nerves-oriental-base", "base-change-oriental-base",
-        "lift-check-n-1"])
+        "lift-check-n-1", "mapping-necklace-n5", "mapping-both-n7"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",
@@ -240,12 +270,21 @@ def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["horn", "--n", "8", "--i", "1"],
-    ["mapping-space", "--n", "8", "--from", "0", "--to", "08"],
-    ["mapping-space", "--n", "-1", "--from", "0", "--to", "0"],
-], ids=["horn-n8", "mapping-n8", "mapping-n-negative"])
-def test_size_ceiling_rejects_before_building(argv, monkeypatch, capsys):
+OUT_OF_RANGE = "--n out of range (0..7)"
+NECKLACE_N5 = "D^5 has 32 vertices, the necklace oracle takes at most 16"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["horn", "--n", "8", "--i", "1"], OUT_OF_RANGE),
+    (["mapping-space", "--n", "8", "--from", "0", "--to", "08"], OUT_OF_RANGE),
+    (["mapping-space", "--n", "-1", "--from", "0", "--to", "0"], OUT_OF_RANGE),
+    (["mapping-space", "--n", "5", "--from", "0", "--to", "05"],
+     "--model both: " + NECKLACE_N5),
+    (["mapping-space", "--n", "5", "--from", "0", "--to", "05",
+      "--model", "necklace"], "--model necklace: " + NECKLACE_N5),
+], ids=["horn-n8", "mapping-n8", "mapping-n-negative", "mapping-both-n5",
+        "mapping-necklace-n5"])
+def test_size_ceiling_rejects_before_building(argv, message, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("built a D-poset outside the size ceiling")
 
@@ -253,7 +292,13 @@ def test_size_ceiling_rejects_before_building(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "admissible_and_superior", refuse)
     assert main(argv) == 64
     err = capsys.readouterr().err
-    assert err == "usage error: --n out of range (0..7)\n"
+    assert err == f"usage error: {message}\n"
+
+
+def test_flag_model_alone_runs_above_the_necklace_bound(capsys):
+    assert main(["mapping-space", "--n", "5", "--i", "1", "--from", "0",
+                 "--to", "01", "--model", "flag"]) == 0
+    assert capsys.readouterr().out == "flag model counts: [1]\n"
 
 
 def test_homology_rejects_malformed_json(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category
 from nervecheck.funcspec import FunctorSpec, pair_mask
 from nervecheck.lifting import (NatTrans, boundary_functor, collapse_nat,
-                                identity_nat, image_simplex, lifting_problem_report,
-                                point_spec, reduced_lifting_check, sn_cells)
+                                identity_nat, point_spec, reduced_lifting_check,
+                                sn_cells)
 from nervecheck.nerves import relative_nerve_2
 from nervecheck.oriental import build_d
 
@@ -121,49 +121,6 @@ def test_three_chain_level_three():
         assert rep["bijective"]
         assert rep["problems"] == 125
         assert rep["solution_histogram"] == {1: 125}
-
-
-def test_single_problem_reports():
-    nat = collapse_nat(parallel_spec())
-    tf = relative_nerve_2(nat.source, 2)
-    tg = relative_nerve_2(nat.target, 2)
-    z = tf.cells[2][0]
-    sphere = dict(enumerate(tf.boundary(z)))
-    rep = lifting_problem_report(nat, tf, tg, sphere, image_simplex(nat, tg, z))
-    assert rep == {"original": 1, "reduced": 1, "match": True, "bijection": True}
-
-
-def test_single_problem_unfillable():
-    # two parallel edges u, v never compose, so the triangle with an
-    # identity side and mismatched long side has no filler
-    nat = collapse_nat(parallel_spec())
-    tf = relative_nerve_2(nat.source, 2)
-    tg = relative_nerve_2(nat.target, 2)
-    from nervecheck.simplicial import sphere_maps
-    found = None
-    for sphere in sphere_maps(tf, 2):
-        key = tuple(sphere[i] for i in range(3))
-        fillable = any(tf.boundary(z) == key for z in tf.simplices[2])
-        if not fillable:
-            found = sphere
-            break
-    assert found is not None
-    rep = None
-    for y in tg.simplices[2]:
-        if all(image_simplex(nat, tg, found[i]) == tg.face(y, i) for i in range(3)):
-            rep = lifting_problem_report(nat, tf, tg, found, y)
-            break
-    assert rep == {"original": 0, "reduced": 0, "match": True, "bijection": True}
-
-
-def test_problem_rejects_mismatched_data():
-    nat = collapse_nat(chain2_spec())
-    tf = relative_nerve_2(nat.source, 2)
-    tg = relative_nerve_2(nat.target, 2)
-    sphere = dict(enumerate(tf.boundary(tf.cells[2][0])))
-    other = tg.backend.alpha_star(tg.cells[0][-1], (0, 0, 0))
-    with pytest.raises(ValueError, match="lie over"):
-        lifting_problem_report(nat, tf, tg, sphere, other)
 
 
 def test_image_outside_the_target_nerve_is_an_error():

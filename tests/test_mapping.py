@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervecheck.bits import bit_list, from_digits, mask_of
+from nervecheck.bits import bit_list, from_digits
 from nervecheck.homotopy import contractibility_verdict
 from nervecheck.horn import l_complex
-from nervecheck.mapping import (flag_model, necklace_oracle, refinement_poset,
-                                restricted_refinement, square_chain_poset)
+from nervecheck.mapping import (NECKLACE_MAX_VERTICES, flag_model,
+                                necklace_oracle, square_chain_poset)
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 
@@ -27,45 +27,6 @@ def tuples_of(model):
     for k, flags in model.simplices.items():
         out[k] = sorted(tuple(p.chain_tuple(m) for m in f) for f in flags)
     return out
-
-
-def test_refinement_poset_d2_frozen():
-    d2 = d_poset(2)
-    rp = refinement_poset(d2, D("0"), D("02"))
-    chains = {tuple(d2.poset.elements[i] for i in d2.poset.chain_tuple(c))
-              for c in rp.elements}
-    assert chains == {
-        (D("0"), D("02")),
-        (D("0"), D("01"), D("02")),
-        (D("0"), D("012"), D("02")),
-        (D("0"), D("01"), D("012"), D("02")),
-    }
-    # refinement adds elements, so the coarse chain is the minimum
-    assert rp.minimum() is not None
-    assert rp.maximum() is not None
-
-
-def test_refinement_poset_min_len_filter():
-    d2 = d_poset(2)
-    rp = refinement_poset(d2, D("0"), D("02"), min_len=3)
-    assert len(rp) == 3  # drops the bare two-element chain
-
-
-def test_restricted_refinement_through_face():
-    d3 = d_poset(3)
-    # chains from 0 to 03 through elements avoiding digit 1
-    rp = restricted_refinement(d3, D("0"), D("03"), [D("023")])
-    for c in rp.elements:
-        for i in d3.poset.chain_tuple(c):
-            assert not d3.poset.elements[i] & (1 << 1)
-    assert len(rp) >= 2
-
-
-def test_restricted_refinement_empty_when_endpoint_excluded():
-    d3 = d_poset(3)
-    # A({3}) consists of elements containing 3, which excludes the source
-    rp = restricted_refinement(d3, D("0"), D("03"), [D("3")])
-    assert len(rp) == 0
 
 
 def test_flag_model_full_d2_counts():
@@ -180,9 +141,16 @@ def test_segment_index_is_built_once_per_complex(monkeypatch):
 
 
 def test_necklace_vertex_limit():
+    top = NECKLACE_MAX_VERTICES
+    line = Poset.from_relation(list(range(top + 1)), lambda a, b: a <= b)
+    points = ChainSubcomplex(line, [1 << v for v in range(top + 1)])
+    with pytest.raises(ValueError, match="limited to"):
+        necklace_oracle(points, 0, top)
+    # D^4's full nerve has exactly the limit of vertices
     d4 = d_poset(4)
-    with pytest.raises(ValueError):
-        necklace_oracle(full_nerve(d4), D("0"), D("04"), vertex_limit=12)
+    k = full_nerve(d4)
+    assert len(k.vertices()) == top
+    assert not necklace_oracle(k, D("0"), D("04"), max_dim=0).is_empty()
 
 
 def test_max_dim_truncates():
@@ -193,25 +161,6 @@ def test_max_dim_truncates():
     assert set(cut.simplices) <= {0, 1}
     for d in (0, 1):
         assert cut.simplices.get(d, []) == full.simplices.get(d, [])
-
-
-def test_exclusive_reading_differs():
-    # with endpoints excluded the one-step flag {S < T} never sees K,
-    # so the model gains vertices the inclusive reading rules out
-    d2 = d_poset(2)
-    k = l_complex(2, 1)
-    inclusive = flag_model(k, D("0"), D("02"))
-    exclusive = flag_model(k, D("0"), D("02"), exclusive=True)
-    assert len(inclusive.vertices()) == 1
-    assert len(exclusive.vertices()) == 4
-    assert not inclusive.same_simplices(exclusive)
-
-
-def test_exclusive_matches_inclusive_on_full_nerve():
-    d2 = d_poset(2)
-    k = full_nerve(d2)
-    assert flag_model(k, D("0"), D("02")).same_simplices(
-        flag_model(k, D("0"), D("02"), exclusive=True))
 
 
 def test_square_chain_poset_n1_frozen():

@@ -2,34 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervecheck.bits import bit_list, digits, from_digits, mask_of
-from nervecheck.oriental import (Geometry, build_d, d_leq, d_via_under_category,
-                                 maximal_witness, oriental_compose, oriental_hom,
-                                 rho, rho_fully_faithful, rho_image,
-                                 rho_preimage, standard_interval, witness_set)
+from nervecheck.bits import digits, from_digits, mask_of
+from nervecheck.oriental import (build_d, d_leq, d_via_under_category,
+                                 rho_fully_faithful, rho_image, rho_preimage,
+                                 standard_interval, witness_set)
 
 D = from_digits
-
-
-def test_oriental_hom_boolean_lattice():
-    # subsets of [0,4] with min 0 and max 3: a boolean lattice on {1, 2}
-    h = oriental_hom(standard_interval(4), 0, 3)
-    assert set(h.elements) == {D("03"), D("013"), D("023"), D("0123")}
-    assert h.minimum() == D("03")
-    assert h.maximum() == D("0123")
-    assert len(h.covers) == 4
-
-
-def test_oriental_hom_identity_and_empty():
-    h = oriental_hom(standard_interval(3), 2, 2)
-    assert h.elements == (D("2"),)
-    assert len(oriental_hom(standard_interval(3), 2, 1)) == 0
-
-
-def test_oriental_compose():
-    assert oriental_compose(D("01"), D("13")) == D("013")
-    with pytest.raises(ValueError):
-        oriental_compose(D("01"), D("23"))
 
 
 def test_d_poset_sizes():
@@ -98,7 +76,6 @@ def test_witnesses_and_maximal_witness():
     g = standard_interval(3)
     s, t = D("0"), D("03")
     ws = witness_set(g, s, t)
-    assert maximal_witness(s, t) == D("0123")
     assert D("0123") in ws and D("03") in ws
     assert all(w | D("0123") == D("0123") for w in ws)
     assert witness_set(g, D("02"), D("01")) == []
@@ -177,9 +154,7 @@ def test_embedding_injective(n):
 
 def test_rho_basic():
     g = standard_interval(3)
-    assert rho(g, D("23"), D("012"), D("23")) == D("0123")
-    with pytest.raises(ValueError):
-        rho(g, D("23"), D("01"), D("23"))
+    assert D("0123") in rho_image(g, D("23"))
     s1, s2 = rho_preimage(D("23"), D("0123"))
     assert (s1, s2) == (D("012"), D("23"))
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,12 +42,12 @@ def test_minimum_maximum():
 
 
 def test_nerve_chains_count_on_total_order():
-    # chains with at most k+1 elements in a linear order: sum of binomials
+    # chains with k elements in a linear order of 5: binomial(5, k)
     p = chain_poset(5)
     allc = nerve_chains(p)
     assert len(allc) == 2 ** 5 - 1
-    two = nerve_chains(p, max_len=2)
-    assert len(two) == 5 + 10
+    sizes = [sum(c.bit_count() == k for c in allc) for k in range(1, 6)]
+    assert sizes == [5, 10, 10, 5, 1]
 
 
 def test_nerve_chains_are_chains_and_sorted():
@@ -88,20 +86,11 @@ def test_chain_tuple_respects_order():
     assert [p.elements[i] for i in p.chain_tuple(c)] == [1, 2, 6]
 
 
-def test_json_roundtrip_subset_labels():
-    p = Poset.from_relation([0b1, 0b11], lambda a, b: a | b == b)
-    q = Poset.from_json(p.to_json())
-    assert q.elements == p.elements
-    assert (q.leq == p.leq).all()
-    data = json.loads(p.to_json())
-    assert data["elements"] == [[0], [0, 1]]
-    assert data["leq"] == [[0, 1]]
-
-
 def test_dot_output_has_cover_edges():
     p = chain_poset(3)
-    dot = p.to_dot()
+    dot = p.to_dot(lambda e: f"x{e}")
     assert dot.count("->") == 2
+    assert 'n2 [label="x2"]' in dot
     assert "digraph" in dot
 
 
@@ -122,7 +111,7 @@ def test_chain_subcomplex_closure_and_validation():
     with pytest.raises(ValueError):
         ChainSubcomplex(p, [gen])
     assert k.dimension() == 2
-    assert k.simplices_of_dim(2) == [gen]
+    assert [c for c in k.chains if c.bit_count() == 3] == [gen]
 
 
 @st.composite
@@ -139,14 +128,6 @@ def random_posets(draw):
             if m[i, k]:
                 m[i] |= m[k]
     return Poset(list(range(n)), m)
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_posets(), st.integers(min_value=1, max_value=3))
-def test_nerve_truncation_coherent(p, k):
-    small = set(nerve_chains(p, max_len=k))
-    full = set(nerve_chains(p))
-    assert small == {c for c in full if c.bit_count() <= k}
 
 
 @settings(max_examples=40, deadline=None)
