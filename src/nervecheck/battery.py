@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .bits import bit_list
 from .category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from .funcspec import FunctorSpec, pair_mask
 from .lifting import NatTrans, collapse_nat, identity_nat
@@ -117,8 +118,7 @@ def _random_chain(rng: random.Random, poset: Poset) -> int:
     at = rng.randrange(len(poset))
     mask = 1 << at
     while True:
-        ups = [b for b in range(len(poset))
-               if poset.leq[at, b] and b != at]
+        ups = bit_list(poset.up_masks[at] & ~(1 << at))
         if not ups or rng.random() < 0.3:
             return mask
         at = rng.choice(ups)

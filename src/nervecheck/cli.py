@@ -20,11 +20,12 @@ from .homotopy import complex_from_json, contractibility_verdict
 from .horn import admissible_and_superior, l_complex
 from .lifting import collapse_nat, identity_nat, reduced_lifting_check
 from .mapping import NECKLACE_MAX_VERTICES, flag_model, necklace_oracle
-from .nerves import base_change_check, relative_nerve_2
+from .nerves import relative_nerve_2
 from .oriental import build_d, standard_interval
 from .poset import ChainSubcomplex, Poset, nerve_chains
 from .report import PASS, jsonable
-from .suites import SUITES, UsageError, _groth_check, _pi_star_check, run_suite
+from .suites import (SUITES, UsageError, _base_change_check, _groth_check,
+                     _pi_star_check, run_suite)
 
 
 class Parser(argparse.ArgumentParser):
@@ -83,8 +84,9 @@ def _parse(path: str, what: str, build):
         raise UsageError(f"{path} is not {what}: {err!r}") from None
 
 
-# Largest --n per subcommand: build_d on [0, 11] takes ~15 s, and
-# horn --i 2 at n=7 ~76 s and 1.6 GB (2.4 s and 93 MB at n=6).
+# Largest --n per subcommand: dn --n 12 takes ~12 s and 33 MB (~3 s and
+# 26 MB at n=11), almost all of it the O(N^2) D-order relation; horn --i 2
+# at n=7 takes ~76 s and 1.6 GB (2.4 s and 93 MB at n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7
 
@@ -285,13 +287,13 @@ def cmd_lift_check(args) -> int:
 def cmd_base_change(args) -> int:
     bf = _parse(args.f, "a base functor", _base_functor)
     spec = _category_base(_load_spec(args.spec), args.spec, "base-change")
-    rep = base_change_check(bf, spec, args.dim)
+    verdict, rep = _base_change_check(bf, spec, args.dim)
     for k, row in rep["dims"].items():
         print(f"  dim {k}: nerve {row['nerve']} vs pullback {row['pullback']} "
               f"-> {'ok' if row['match'] else 'MISMATCH'}")
     print("isomorphism:", rep["isomorphism"], " faces commute:", rep["faces_commute"])
     _emit(args, rep)
-    return 0 if rep["isomorphism"] and rep["faces_commute"] else 1
+    return 0 if verdict == PASS else 1
 
 
 def cmd_verify(args) -> int:

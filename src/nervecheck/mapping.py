@@ -100,7 +100,7 @@ def flag_model(k: ChainSubcomplex, s: int, t: int,
     """Mapping-space model between comparable vertices S and T of K."""
     p = k.ambient
     s_idx, t_idx = p.index[s], p.index[t]
-    if not p.leq[s_idx, t_idx]:
+    if not p.up_masks[s_idx] >> t_idx & 1:
         raise ValueError("source must be below target")
     interval = set(bits(p.between(s_idx, t_idx)))
 
@@ -142,7 +142,7 @@ def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
         raise ValueError(
             f"necklace oracle limited to {NECKLACE_MAX_VERTICES} vertices")
     s_idx, t_idx = p.index[s], p.index[t]
-    if not p.leq[s_idx, t_idx]:
+    if not p.up_masks[s_idx] >> t_idx & 1:
         raise ValueError("source must be below target")
     interval = set(bits(p.between(s_idx, t_idx)))
 

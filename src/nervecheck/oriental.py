@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-import numpy as np
-
 from .bits import (bit_list, interval_mask, max_bit, min_bit, subsets_of,
                    subsets_with_min_max)
 from .poset import Poset
@@ -107,8 +105,7 @@ def d_via_under_category(ground: int) -> Poset:
     parallel arrows and the construction would not be a poset.
     """
     els = d_elements(ground)
-    n = len(els)
-    m = np.zeros((n, n), dtype=bool)
+    ups = [0] * len(els)
     for a, s in enumerate(els):
         for b, t in enumerate(els):
             ws = witness_set(ground, s, t)
@@ -118,8 +115,8 @@ def d_via_under_category(ground: int) -> Poset:
             if comps != 1:
                 raise ValueError(
                     f"hom from {bit_list(s)} to {bit_list(t)} has {comps} components")
-            m[a, b] = True
-    return Poset(els, m)
+            ups[a] |= 1 << b
+    return Poset(els, ups)
 
 
 class Geometry:

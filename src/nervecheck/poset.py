@@ -1,62 +1,68 @@
 """Finite posets, their chains, and chain subcomplexes.
 
-A Poset holds a tuple of hashable labels and a dense boolean matrix for
-the order relation.  Chains (totally ordered subsets) are stored as int
-bitmasks over element indices, so families of chains are plain sets of
-ints and subchain tests are single & operations.
+A Poset holds a tuple of hashable labels and, per element i, the int
+bitmask of the elements above it.  Chains (totally ordered subsets) are
+stored as int bitmasks over element indices too, so families of chains
+are plain sets of ints and subchain tests are single & operations.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Sequence
-
-import numpy as np
 
 from .bits import bit_list, bits, mask_of
 
 Label = Hashable
 
 
+class LeqView:
+    """Read-only view of up-mask rows: view[i, j] is True iff i <= j."""
+
+    def __init__(self, up_masks: Sequence[int]):
+        self._ups = up_masks
+
+    def __getitem__(self, ij: tuple[int, int]) -> bool:
+        return bool(self._ups[ij[0]] >> ij[1] & 1)
+
+
 class Poset:
     """Finite poset on an explicit element list.
 
-    leq[i, j] is True iff element i <= element j.  The relation is
-    validated (reflexive, antisymmetric, transitive) at construction.
+    up_masks[i] is the bitmask of {j : element i <= element j}.  The
+    relation is validated (reflexive, antisymmetric, transitive) at
+    construction.
     """
 
-    def __init__(self, elements: Sequence[Label], leq: np.ndarray, validate: bool = True):
+    def __init__(self, elements: Sequence[Label], up_masks: Sequence[int],
+                 validate: bool = True):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate labels")
-        self.leq = np.asarray(leq, dtype=bool)
+        self.up_masks = list(up_masks)
         n = len(self.elements)
-        if self.leq.shape != (n, n):
-            raise ValueError("leq shape mismatch")
+        if len(self.up_masks) != n or any(up >> n for up in self.up_masks):
+            raise ValueError("up_masks do not fit the elements")
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        m = self.leq
-        n = len(self.elements)
-        if not m.diagonal().all():
-            raise ValueError("relation not reflexive")
-        if (m & m.T & ~np.eye(n, dtype=bool)).any():
-            raise ValueError("relation not antisymmetric")
-        closure = m @ m
-        if (closure & ~m).any():
-            raise ValueError("relation not transitive")
+        ups = self.up_masks
+        for i, up in enumerate(ups):
+            if not up >> i & 1:
+                raise ValueError("relation not reflexive")
+            for j in bits(up & ~(1 << i)):
+                if ups[j] >> i & 1:
+                    raise ValueError("relation not antisymmetric")
+                if ups[j] & ~up:
+                    raise ValueError("relation not transitive")
 
     @classmethod
     def from_relation(cls, elements: Sequence[Label], related: Callable[[Label, Label], bool]) -> "Poset":
         els = list(elements)
-        n = len(els)
-        m = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                m[i, j] = related(a, b)
-        return cls(els, m)
+        return cls(els, [mask_of(j for j, b in enumerate(els) if related(a, b)) for a in els])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -65,16 +71,21 @@ class Poset:
         return label in self.index
 
     def less_eq(self, a: Label, b: Label) -> bool:
-        return bool(self.leq[self.index[a], self.index[b]])
+        return bool(self.up_masks[self.index[a]] >> self.index[b] & 1)
 
     @cached_property
-    def up_masks(self) -> list[int]:
-        """up_masks[i] = bitmask of {j : i <= j}."""
-        return [mask_of(np.nonzero(self.leq[i])[0].tolist()) for i in range(len(self))]
+    def leq(self) -> "LeqView":
+        """Read-only view: leq[i, j] is True iff element i <= element j."""
+        return LeqView(self.up_masks)
 
     @cached_property
     def down_masks(self) -> list[int]:
-        return [mask_of(np.nonzero(self.leq[:, j])[0].tolist()) for j in range(len(self))]
+        """down_masks[j] = bitmask of {i : i <= j}."""
+        downs = [0] * len(self)
+        for i, up in enumerate(self.up_masks):
+            for j in bits(up):
+                downs[j] |= 1 << i
+        return downs
 
     def between(self, i: int, j: int) -> int:
         """Mask of the closed interval {k : i <= k <= j}; 0 unless i <= j."""
@@ -84,39 +95,30 @@ class Poset:
     def strict_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j), element i strictly below element j, shortest
         interval first."""
-        n = len(self)
-        return sorted(((i, j) for i in range(n) for j in range(n)
-                       if i != j and self.leq[i, j]),
+        return sorted(((i, j) for i, up in enumerate(self.up_masks)
+                       for j in bits(up & ~(1 << i))),
                       key=lambda ij: self.between(*ij).bit_count())
 
     @cached_property
     def covers(self) -> list[tuple[int, int]]:
-        """Hasse diagram as index pairs (i, j) with i covered by j."""
-        lt = self.leq & ~np.eye(len(self), dtype=bool)
-        cov = lt & ~(lt @ lt)
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(cov))]
+        """Hasse diagram as index pairs (i, j) with i covered by j, ascending."""
+        above = [up & ~(1 << i) for i, up in enumerate(self.up_masks)]
+        out = []
+        for i, up in enumerate(above):
+            reach = reduce(or_, (above[j] for j in bits(up)), 0)
+            out.extend((i, j) for j in bits(up & ~reach))
+        return out
 
     @cached_property
     def topo_rank(self) -> list[int]:
-        """Ranks of a linear extension; within a chain, rank order = poset order."""
-        lt = self.leq & ~np.eye(len(self), dtype=bool)
-        indeg = lt.sum(axis=0)
+        """Ranks of a linear extension; within a chain, rank order = poset order.
+
+        Elements are ranked by the size of their down-set: i < j strictly
+        implies that the down-set of i is strictly smaller."""
+        sizes = [down.bit_count() for down in self.down_masks]
         rank = [0] * len(self)
-        placed = 0
-        ready = sorted(int(i) for i in np.nonzero(indeg == 0)[0])
-        indeg = indeg.astype(int)
-        while ready:
-            nxt: list[int] = []
-            for i in ready:
-                rank[i] = placed
-                placed += 1
-                for j in np.nonzero(lt[i])[0]:
-                    indeg[j] -= 1
-                    if indeg[j] == 0:
-                        nxt.append(int(j))
-            ready = sorted(nxt)
-        if placed != len(self):
-            raise ValueError("cycle detected")  # unreachable after validation
+        for r, i in enumerate(sorted(range(len(self)), key=sizes.__getitem__)):
+            rank[i] = r
         return rank
 
     def chain_tuple(self, chain_mask: int) -> tuple[int, ...]:
@@ -124,28 +126,25 @@ class Poset:
         return tuple(sorted(bits(chain_mask), key=lambda i: self.topo_rank[i]))
 
     def is_chain(self, chain_mask: int) -> bool:
-        idx = bit_list(chain_mask)
-        return all(self.leq[i, j] or self.leq[j, i] for k, i in enumerate(idx) for j in idx[k + 1:])
+        ups, downs = self.up_masks, self.down_masks
+        return all(chain_mask & ~(ups[i] | downs[i]) == 0 for i in bits(chain_mask))
 
     def minimum(self) -> Label | None:
-        for i in range(len(self)):
-            if self.leq[i].all():
-                return self.elements[i]
-        return None
+        full = (1 << len(self)) - 1
+        return next((e for e, up in zip(self.elements, self.up_masks) if up == full), None)
 
     def maximum(self) -> Label | None:
-        for j in range(len(self)):
-            if self.leq[:, j].all():
-                return self.elements[j]
-        return None
+        above_all = reduce(and_, self.up_masks, (1 << len(self)) - 1)
+        return self.elements[above_all.bit_length() - 1] if above_all else None
 
     def full_subposet(self, labels: Iterable[Label]) -> "Poset":
         keep = [self.index[l] for l in labels]
-        sub = self.leq[np.ix_(keep, keep)]
-        return Poset([self.elements[i] for i in keep], sub, validate=False)
+        kept, pos = mask_of(keep), {j: k for k, j in enumerate(keep)}
+        rows = [mask_of(pos[j] for j in bits(self.up_masks[i] & kept)) for i in keep]
+        return Poset([self.elements[i] for i in keep], rows, validate=False)
 
     def opposite(self) -> "Poset":
-        return Poset(self.elements, self.leq.T.copy(), validate=False)
+        return Poset(self.elements, self.down_masks, validate=False)
 
     def to_dot(self, label_str: Callable[[Label], str]) -> str:
         """Hasse diagram in DOT format, edges pointing from smaller to larger."""

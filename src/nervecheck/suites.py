@@ -86,9 +86,9 @@ def _no_instances() -> tuple[str, dict]:
 
 
 def _pairs(dp: DPoset, strict: bool = True) -> list[tuple[int, int]]:
-    p = dp.poset
-    return sorted((s, t) for s in p.elements for t in p.elements
-                  if p.less_eq(s, t) and not (strict and s == t))
+    els = dp.poset.elements
+    return sorted((els[i], els[j]) for i, up in enumerate(dp.poset.up_masks)
+                  for j in bits(up & ~(1 << i) if strict else up))
 
 
 def _interval(dp: DPoset, s: int, t: int) -> list[int]:
@@ -502,25 +502,25 @@ def _base_change(params: dict) -> list[Check]:
                        {o: o for o in mixed.base.objects},
                        {m: m for m in mixed.base.morphisms})
     checks.append(Check("identity/two-chain-mixed", CLAIM_BASE_CHANGE,
-                        _base_change_check, (ident, mixed)))
+                        _base_change_check, (ident, mixed, 3)))
     fold = battery["arrow-fold"]
     pt = FiniteCategory.point()
     for o in fold.base.objects:
         bf = CatFunctor.constant(pt, fold.base, o)
         checks.append(Check(f"fiber/arrow-fold@{o}", CLAIM_BASE_CHANGE,
-                            _base_change_check, (bf, fold)))
+                            _base_change_check, (bf, fold, 3)))
     c1, c2 = chain_category(1), chain_category(2)
     faces = {"01": (0, 1), "12": (1, 2), "02": (0, 2)}
     for tag, (a, b) in sorted(faces.items()):
         bf = CatFunctor(c1, c2, {0: a, 1: b},
                         {(0, 0): (a, a), (1, 1): (b, b), (0, 1): (a, b)})
         checks.append(Check(f"face/two-chain-mixed@{tag}", CLAIM_BASE_CHANGE,
-                            _base_change_check, (bf, mixed)))
+                            _base_change_check, (bf, mixed, 3)))
     return checks
 
 
-def _base_change_check(bf, sp):
-    rep = base_change_check(bf, sp, 3)
+def _base_change_check(bf, sp, dim):
+    rep = base_change_check(bf, sp, dim)
     ok = rep["isomorphism"] and rep["faces_commute"]
     return (PASS if ok else FAIL), rep
 

@@ -217,6 +217,28 @@ def test_base_change_long_edge(tmp_path, capsys):
     assert "isomorphism: True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("broken", [False, True], ids=["as-built", "faces-broken"])
+def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatch):
+    # the broken case keeps the isomorphism but loses the face maps
+    if broken:
+        real = suites.base_change_check
+
+        def faces_lost(bf, sp, dim):
+            rep = real(bf, sp, dim)
+            rep["faces_commute"] = False
+            return rep
+
+        monkeypatch.setattr(suites, "base_change_check", faces_lost)
+    verdicts = [c.fn(*c.args)[0] for c in suites.SUITES["base-change"]({})
+                if c.id == "face/two-chain-mixed@02"]
+    rc = main(["base-change", "--f", str(_edge02_file(tmp_path)),
+               "--spec", str(_spec_file(tmp_path, "two-chain-mixed")), "--dim", "3"])
+    out = capsys.readouterr().out
+    assert len(verdicts) == 1
+    assert f"isomorphism: True  faces commute: {not broken}" in out
+    assert rc == (0 if verdicts == [PASS] else 1) == (1 if broken else 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["horn", "--n", "3", "--i", "3"],
     ["mapping-space", "--n", "3", "--from", "0", "--to", "9"],

@@ -69,7 +69,7 @@ def test_under_category_oracle_agrees(n):
     d = build_d(standard_interval(n))
     o = d_via_under_category(standard_interval(n))
     assert o.elements == d.poset.elements
-    assert (o.leq == d.poset.leq).all()
+    assert o.up_masks == d.poset.up_masks
 
 
 def test_witnesses_and_maximal_witness():

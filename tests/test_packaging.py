@@ -118,3 +118,27 @@ def test_scan_flags_a_helper_only_a_test_names(tmp_path):
         "from pkg.mod import helper\n\n\ndef test_helper():\n"
         "    assert helper() == 3\n")
     assert _unused_in_src(tmp_path / "src", tests) == ({"helper"}, {"orphan"})
+
+
+# numpy is blocked in the child: any import of it raises ImportError.
+_WITHOUT_NUMPY = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "sys.argv = ['nervecheck'] + sys.argv[1:]\n"
+    "runpy.run_module('nervecheck.cli', run_name='__main__')\n")
+
+
+def test_cli_runs_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for args in (["dn", "--n", "4"], ["verify", "lemma-close"]):
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (args, proc.stderr)
+
+
+def test_numpy_is_named_nowhere_else():
+    paths = [*sorted(SRC.glob("**/*.py")), *sorted(TESTS.glob("*.py")),
+             TESTS.parent / "pyproject.toml"]
+    named = [str(p) for p in paths
+             if p != Path(__file__).resolve() and "numpy" in p.read_text()]
+    assert named == []

@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervecheck.bits import bit_list, mask_of
+from nervecheck.bits import bit_list, bits, mask_of
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import (ChainSubcomplex, MonotoneMap, Poset,
                               nerve_chains, strict_interval)
@@ -19,12 +18,27 @@ def divisor_poset(top):
 
 
 def test_validation_rejects_broken_relations():
-    m = np.array([[True, True], [True, True]])
     with pytest.raises(ValueError):
-        Poset(["a", "b"], m)
-    m = np.array([[False, False], [False, True]])
+        Poset(["a", "b"], [0b11, 0b11])
     with pytest.raises(ValueError):
-        Poset(["a", "b"], m)
+        Poset(["a", "b"], [0b00, 0b10])
+
+
+@pytest.mark.parametrize("ups, axiom", [
+    ([0b01, 0b00], "reflexive"),         # b is not below itself
+    ([0b11, 0b11], "antisymmetric"),     # a <= b and b <= a
+    ([0b011, 0b110, 0b100], "transitive"),  # a <= b <= c, not a <= c
+])
+def test_validation_names_each_broken_axiom(ups, axiom):
+    with pytest.raises(ValueError, match=f"not {axiom}"):
+        Poset(["a", "b", "c"][:len(ups)], ups)
+
+
+def test_rows_must_fit_the_elements():
+    with pytest.raises(ValueError):
+        Poset(["a", "b"], [0b01])
+    with pytest.raises(ValueError):
+        Poset(["a"], [0b11])
 
 
 def test_covers_of_divisor_poset():
@@ -116,22 +130,64 @@ def test_chain_subcomplex_closure_and_validation():
 
 @st.composite
 def random_posets(draw):
+    """Transitive closure of a random upward relation, with the elements
+    shuffled so that index order need not be a linear extension."""
     n = draw(st.integers(min_value=1, max_value=7))
-    m = np.eye(n, dtype=bool)
+    ups = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
-                m[i, j] = True
-    # transitive closure keeps i<j orientation, so the result is a poset
-    for k in range(n):
-        for i in range(n):
-            if m[i, k]:
-                m[i] |= m[k]
-    return Poset(list(range(n)), m)
+                ups[i] |= 1 << j
+    for i in reversed(range(n)):
+        for j in bits(ups[i] & ~(1 << i)):
+            ups[i] |= ups[j]
+    perm = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for i, up in enumerate(ups):
+        rows[perm[i]] = mask_of(perm[j] for j in bits(up))
+    return Poset(list(range(n)), rows)
+
+
+def strictly_below(p, i, j):
+    return i != j and p.less_eq(p.elements[i], p.elements[j])
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_posets())
 def test_opposite_involution(p):
     q = p.opposite().opposite()
-    assert (q.leq == p.leq).all()
+    assert q.up_masks == p.up_masks
+    assert p.opposite().up_masks == p.down_masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_posets())
+def test_covers_match_the_definition(p):
+    n = len(p)
+    want = [(i, j) for i in range(n) for j in range(n)
+            if strictly_below(p, i, j)
+            and not any(strictly_below(p, i, k) and strictly_below(p, k, j)
+                        for k in range(n))]
+    assert p.covers == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_posets())
+def test_topo_rank_is_a_linear_extension(p):
+    rank = p.topo_rank
+    assert sorted(rank) == list(range(len(p)))
+    n = len(p)
+    assert all(rank[i] < rank[j] for i in range(n) for j in range(n)
+               if strictly_below(p, i, j))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_d_poset_cover_count(n):
+    assert len(build_d(standard_interval(n)).poset.covers) == (n - 1) * 2 ** (n - 1) + 1
+
+
+def test_leq_view_less_eq_and_rows_agree():
+    p = build_d(standard_interval(3)).poset
+    for i, a in enumerate(p.elements):
+        for j, b in enumerate(p.elements):
+            assert p.leq[i, j] == p.less_eq(a, b) == bool(p.up_masks[i] >> j & 1)
