@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .bits import digits, from_digits
 from .category import CatFunctor, FiniteCategory
@@ -38,7 +40,8 @@ def _common(p: Parser) -> None:
     p.add_argument("--dot", metavar="FILE", help="write a DOT Hasse diagram")
 
 
-def _emit(args, payload: dict, dot: str | None = None) -> None:
+def _emit(args, payload: dict, dot: Callable[[], str] | None = None) -> None:
+    """Write --json and --dot; dot builds the picture, only when asked for."""
     if args.json:
         text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
         Path(args.json).write_text(text + "\n")
@@ -46,7 +49,7 @@ def _emit(args, payload: dict, dot: str | None = None) -> None:
         if dot is None:
             print("note: --dot has no picture for this subcommand", file=sys.stderr)
         else:
-            Path(args.dot).write_text(dot)
+            Path(args.dot).write_text(dot())
 
 
 def _at_least(lo: int):
@@ -84,9 +87,10 @@ def _parse(path: str, what: str, build):
         raise UsageError(f"{path} is not {what}: {err!r}") from None
 
 
-# Largest --n per subcommand: dn --n 12 takes ~12 s and 33 MB (~3 s and
-# 26 MB at n=11), almost all of it the O(N^2) D-order relation; horn --i 2
-# at n=7 takes ~76 s and 1.6 GB (2.4 s and 93 MB at n=6).
+# Largest --n per subcommand: dn --n 12 takes ~3.3 s and 30 MB (~1 s and
+# 25 MB at n=11), most of it walking the 4096-bit rows in Poset validation
+# and covers; horn --i 2 at n=7 takes ~76 s and 1.6 GB (2.4 s and 93 MB at
+# n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7
 
@@ -131,7 +135,7 @@ def cmd_dn(args) -> int:
                           for a, b in p.covers],
                "minimum": digits(p.minimum()) if p.minimum() is not None else None,
                "maximum": digits(p.maximum()) if p.maximum() is not None else None}
-    _emit(args, payload, p.to_dot(digits))
+    _emit(args, payload, lambda: p.to_dot(digits))
     return 0
 
 
@@ -156,8 +160,14 @@ def cmd_horn(args) -> int:
                "superior": [digits(j) for j in fam.superior],
                "chains_by_dim": hist,
                "vertices": [digits(e) for e in members]}
-    _emit(args, payload, dp.poset.full_subposet(members).to_dot(digits))
+    _emit(args, payload, lambda: dp.poset.full_subposet(members).to_dot(digits))
     return 0
+
+
+def _refinement_dot(p: Poset, vs: list[int]) -> str:
+    """Hasse diagram of the flag model's vertex chains under inclusion."""
+    refine = Poset.from_relation(vs, lambda a, b: a & ~b == 0)
+    return refine.to_dot(lambda m: "<".join(_chain_labels(p, m)))
 
 
 def cmd_mapping_space(args) -> int:
@@ -184,9 +194,7 @@ def cmd_mapping_space(args) -> int:
         fm = flag_model(k, s, t, max_dim=args.dim)
         payload["flag"] = {"counts": fm.counts()}
         print("flag model counts:", fm.counts())
-        vs = fm.vertices()
-        refine = Poset.from_relation(vs, lambda a, b: a & ~b == 0)
-        dot = refine.to_dot(lambda m: "<".join(_chain_labels(dp.poset, m)))
+        dot = partial(_refinement_dot, dp.poset, fm.vertices())
     if args.model in ("necklace", "both"):
         no = necklace_oracle(k, s, t, max_dim=args.dim)
         payload["necklace"] = {"counts": no.counts()}

@@ -59,19 +59,18 @@ class FlagModel:
 
 def _flags_above(bottom: int, admissible: list[int],
                  max_dim: int | None) -> list[Flag]:
-    """Strict inclusion flags in the admissible family starting at bottom."""
-    sups: dict[int, list[int]] = {
-        m: [b for b in admissible if b != m and m & ~b == 0] for m in admissible}
+    """Strict inclusion flags in the sorted admissible family starting at
+    bottom, built one level (flag length) at a time."""
+    # a strict superset is the larger int, so only later masks can be one
+    sups = {m: [b for b in admissible[i + 1:] if m & ~b == 0]
+            for i, m in enumerate(admissible)}
+    level: list[Flag] = [(bottom,)]
     out: list[Flag] = []
-
-    def extend(flag: tuple[int, ...]) -> None:
-        out.append(flag)
-        if max_dim is not None and len(flag) - 1 >= max_dim:
-            return
-        for nxt in sups[flag[-1]]:
-            extend(flag + (nxt,))
-
-    extend((bottom,))
+    while level:
+        out += level
+        if max_dim is not None and len(level[0]) - 1 >= max_dim:
+            break
+        level = [f + (b,) for f in level for b in sups[f[-1]]]
     return out
 
 

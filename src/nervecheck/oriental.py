@@ -6,6 +6,13 @@ with minimum i and maximum j, ordered by inclusion; composition is
 union.  D^I is the poset of subsets of I containing min(I), where
 S <= T iff max(S) <= max(T) and T is contained in S together with the
 integer interval [max(S), max(T)].
+
+`d_leq` is that two-condition predicate.  `build_d` does not call it:
+it lists each row of D^I pair by pair, the sets T above S for every
+top max(T) >= max(S), so its cost grows with the related pairs rather
+than with the square of the element count.  `d_leq` stays as the
+predicate `Geometry` and `rho_fully_faithful` read and as the oracle
+the rows are tested against.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .bits import (bit_list, interval_mask, max_bit, min_bit, subsets_of,
-                   subsets_with_min_max)
+from .bits import (bit_list, bits, interval_mask, max_bit, min_bit,
+                   subsets_of, subsets_with_min_max)
 from .poset import Poset
 
 
@@ -43,7 +50,8 @@ class DPoset:
     def build(cls, ground: int) -> "DPoset":
         if ground == 0:
             raise ValueError("empty ground set")
-        return cls(ground, Poset.from_relation(d_elements(ground), d_leq))
+        els = d_elements(ground)
+        return cls(ground, Poset(els, _up_rows(ground, els)))
 
     @property
     def n(self) -> int:
@@ -61,6 +69,27 @@ def d_elements(ground: int) -> list[int]:
     """The subsets of a nonempty ground mask that contain its minimum, sorted."""
     lo_bit = 1 << min_bit(ground)
     return [lo_bit | rest for rest in sorted(subsets_of(ground & ~lo_bit))]
+
+
+def _up_rows(ground: int, els: list[int]) -> list[int]:
+    """Up-mask rows of D^ground over els, listed pair by pair.
+
+    The sets T >= S with max(T) = mt are min(I) | mt | x, where x runs
+    over the subsets of (S | [max(S), mt]) & I strictly below mt,
+    min(I) left out."""
+    index = {e: i for i, e in enumerate(els)}
+    lo_bit = ground & -ground
+    rows = []
+    for s in els:
+        ms = max_bit(s)
+        row = 0
+        for mt in bits(ground >> ms << ms):
+            ends = lo_bit | 1 << mt
+            free = (s | interval_mask(ms, mt)) & ground & ~lo_bit & ((1 << mt) - 1)
+            for x in subsets_of(free):
+                row |= 1 << index[ends | x]
+        rows.append(row)
+    return rows
 
 
 def build_d(ground: int) -> DPoset:

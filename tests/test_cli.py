@@ -36,6 +36,26 @@ def test_dn_dot_export(tmp_path):
     assert dot.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dn", "--n", "3"],
+    ["mapping-space", "--n", "3", "--i", "1", "--from", "0", "--to", "03"],
+])
+def test_dot_is_built_only_for_dot(argv, tmp_path, monkeypatch):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--json", str(out)]) == 0
+    want = out.read_text()
+
+    def refuse(self, label):
+        raise AssertionError("DOT built without --dot")
+    monkeypatch.setattr(cli.Poset, "to_dot", refuse)
+    assert main([*argv, "--json", str(out)]) == 0
+    assert out.read_text() == want
+    monkeypatch.undo()
+    dot = tmp_path / "out.dot"
+    assert main([*argv, "--dot", str(dot)]) == 0
+    assert dot.read_text().startswith("digraph")
+
+
 def test_verify_writes_report_json(capsys, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", "lemma-distant", "--n", "2", "--json", str(out)])

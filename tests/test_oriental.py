@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nervecheck import oriental
 from nervecheck.bits import digits, from_digits, mask_of
-from nervecheck.oriental import (build_d, d_leq, d_via_under_category,
-                                 rho_fully_faithful, rho_image, rho_preimage,
-                                 standard_interval, witness_set)
+from nervecheck.oriental import (build_d, d_elements, d_leq,
+                                 d_via_under_category, rho_fully_faithful,
+                                 rho_image, rho_preimage, standard_interval,
+                                 witness_set)
+from nervecheck.poset import Poset
 
 D = from_digits
 
@@ -62,6 +65,23 @@ def test_nonstandard_ground_set():
     d = build_d(g)
     assert len(d) == 4
     assert all(e & 0b10 for e in d.poset.elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=2 ** 10 - 1))
+@example(mask_of([1, 3, 4]))
+@example(mask_of([2, 5, 6, 9]))
+def test_rows_match_the_d_leq_relation(g):
+    # grounds inside [0, 9], gaps and a minimum above 0 included
+    want = Poset.from_relation(d_elements(g), d_leq).up_masks
+    assert build_d(g).poset.up_masks == want
+
+
+def test_build_d_never_calls_d_leq(monkeypatch):
+    def refuse(s, t):
+        raise AssertionError("build_d called d_leq")
+    monkeypatch.setattr(oriental, "d_leq", refuse)
+    assert len(build_d(standard_interval(6))) == 2 ** 6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -22,6 +22,14 @@ def test_module_entry_point_runs():
     assert "4 elements" in proc.stdout
 
 
+def test_package_runs_as_module():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "nervecheck", "dn", "--n", "2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "4 elements" in proc.stdout
+
+
 def test_no_unused_imports_in_package():
     unused = []
     for path in sorted((SRC / "nervecheck").glob("*.py")):

@@ -181,7 +181,7 @@ def test_topo_rank_is_a_linear_extension(p):
                if strictly_below(p, i, j))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_d_poset_cover_count(n):
     assert len(build_d(standard_interval(n)).poset.covers) == (n - 1) * 2 ** (n - 1) + 1
 
