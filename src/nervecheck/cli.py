@@ -21,7 +21,8 @@ from .funcspec import FunctorSpec
 from .homotopy import complex_from_json, contractibility_verdict
 from .horn import admissible_and_superior, l_complex
 from .lifting import collapse_nat, identity_nat, reduced_lifting_check
-from .mapping import NECKLACE_MAX_VERTICES, flag_model, necklace_oracle
+from .mapping import (NECKLACE_MAX_VERTICES, flag_counts, flag_model,
+                      necklace_oracle)
 from .nerves import relative_nerve_2
 from .oriental import build_d, standard_interval
 from .poset import ChainSubcomplex, Poset, nerve_chains
@@ -93,6 +94,11 @@ def _parse(path: str, what: str, build):
 # n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7
+# Largest flag model mapping-space builds, in simplices (through --dim),
+# counted first by mapping.flag_counts: ~1 GB.  D^5's full nerve from 0 to
+# 045 holds 7.58M (~7 s, 750-960 MB peak RSS); from 01 to 05 it holds
+# 16.2M (2.26 GB), and counting its 0-05 model's 192M takes ~8 s.
+MAX_FLAG_SIMPLICES = 8_000_000
 
 
 def _check_n(n: int, top: int) -> None:
@@ -191,6 +197,11 @@ def cmd_mapping_space(args) -> int:
     rc = 0
     fm = None
     if args.model in ("flag", "both"):
+        size = sum(flag_counts(k, s, t)[:None if args.dim is None else args.dim + 1])
+        if size > MAX_FLAG_SIMPLICES:
+            raise UsageError(f"--model {args.model}: the flag model from {digits(s)} "
+                             f"to {digits(t)} has {size} simplices, more than "
+                             f"{MAX_FLAG_SIMPLICES}")
         fm = flag_model(k, s, t, max_dim=args.dim)
         payload["flag"] = {"counts": fm.counts()}
         print("flag model counts:", fm.counts())

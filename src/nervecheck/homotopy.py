@@ -9,8 +9,11 @@ integer homology and an edge-path-group triviality search run on the
 strong core.  Homology works over Python ints, so no overflow exists:
 unit pivots eliminated sparsely, Smith normal form on the residual,
 torsion as invariant factors; indexed Tietze search for the edge-path
-group.  Strong collapse preserves homotopy type, which keeps the
-matrices small.
+group.  Each boundary matrix is eliminated along its shorter side: by
+columns when most of its nonzero columns have at most two entries and
+most of its rows do not, as in the top matrix of a closed surface, where
+eliminating by rows would merge triangles into ever longer polygons.
+Strong collapse preserves homotopy type, which keeps the matrices small.
 
 Verdict semantics:
   Contractible      strong collapse reached a single vertex, or the
@@ -61,7 +64,7 @@ class Complex:
         return not self.simplices
 
 
-def smith_diagonal(rows: list[dict[int, int]], ncols: int) -> list[int]:
+def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of a sparse integer matrix.
 
     Exact arithmetic on Python ints.  Pivot choice favours entries of
@@ -155,9 +158,15 @@ def _invariant_factors(diag: list[int]) -> list[int]:
     return [1] * (len(diag) - len(rest)) + rest
 
 
-def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+def _eliminate_units(rows: list[dict[int, int]],
+                     cols: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
     """Sparse elimination of unit pivots: their count and the rows left.
 
+    cols holds the same entries by column; only its keys are read, so
+    _eliminate_units(cols, rows) eliminates the transpose, which has the
+    same rank and invariant factors.  A row operation whose pivot row has
+    at most two entries never lengthens the row it updates, so homology
+    passes as rows the side whose lines mostly have at most two entries.
     Rows are taken in order.  A row with a +-1 entry pivots on the one
     whose column has the fewest entries, ties to the smaller column id.
     Exact row operations clear that column from every other row (1/p = p
@@ -168,25 +177,26 @@ def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, in
     Villard, On efficient sparse integer matrix Smith normal form
     computations, J. Symb. Comput. 32 (2001)).  The rows are modified.
     """
-    cols: dict[int, set[int]] = {}
-    for r, row in enumerate(rows):
-        for c in row:
-            cols.setdefault(c, set()).add(r)
+    holders = [set(col) for col in cols]  # rows with an entry in each column
     units = 0
     pending = list(range(len(rows)))
     while True:
         left = []
         for r in pending:
             row = rows[r]
-            unit = [c for c, v in row.items() if v == 1 or v == -1]
-            if not unit:
+            pc = None
+            for c, v in row.items():
+                if v == 1 or v == -1:
+                    n = len(holders[c])
+                    if pc is None or n < fewest or n == fewest and c < pc:
+                        pc, fewest = c, n
+            if pc is None:
                 left.append(r)
                 continue
-            pc = min(unit, key=lambda c: (len(cols[c]), c))
             p = row.pop(pc)
             for c in row:
-                cols[c].discard(r)
-            for r2 in cols.pop(pc):
+                holders[c].discard(r)
+            for r2 in holders[pc]:  # no row gains column pc again
                 if r2 == r:
                     continue
                 other = rows[r2]
@@ -195,16 +205,22 @@ def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, in
                     w = other.get(c, 0) - k * v
                     if w:
                         if c not in other:
-                            cols[c].add(r2)
+                            holders[c].add(r2)
                         other[c] = w
                     else:
                         del other[c]
-                        cols[c].discard(r2)
+                        holders[c].discard(r2)
             units += 1
         left = [r for r in left if rows[r]]
         if len(left) == len(pending):
             return units, [rows[r] for r in left]
         pending = left
+
+
+def _mostly_short(lines: list[dict[int, int]]) -> bool:
+    """Whether most nonzero lines of a matrix have at most two entries."""
+    lengths = [len(x) for x in lines if x]
+    return 2 * sum(n <= 2 for n in lengths) > len(lengths)
 
 
 @dataclass
@@ -229,8 +245,12 @@ def homology(cx: Complex) -> HomologySummary:
 
     Each boundary matrix, rows the d-simplices in order, first loses its
     unit pivots (_eliminate_units); Smith normal form runs on the rows
-    left.  Torsion is reported as invariant factors.  A missing
-    codimension-1 face raises ValueError naming it.
+    left.  The matrix is transposed first when most of its nonzero columns
+    have at most two entries and most of its rows do not: in a
+    pseudo-manifold's top matrix each codimension-1 face lies on at most
+    two facets, and by columns the elimination has no fill-in.  Torsion is
+    reported as invariant factors.  A missing codimension-1 face raises
+    ValueError naming it.
     """
     if cx.is_empty():
         return HomologySummary([], [])
@@ -238,26 +258,32 @@ def homology(cx: Complex) -> HomologySummary:
     top = cx.dimension()
     index = {d: {s: i for i, s in enumerate(strata.get(d, []))} for d in range(top + 1)}
 
-    def boundary(d: int) -> list[dict[int, int]]:
-        """Rows of the boundary map from degree d to degree d-1."""
+    def boundary(d: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """The boundary map from degree d to degree d-1, by rows (the
+        d-simplices in order) and by columns (the (d-1)-simplices)."""
         faces = index[d - 1]
         rows = []
-        for s in strata.get(d, []):
+        cols: list[dict[int, int]] = [{} for _ in faces]
+        for i, s in enumerate(strata.get(d, [])):
             row: dict[int, int] = {}
             for k in range(len(s)):
                 f = s[:k] + s[k + 1:]
                 try:
-                    row[faces[f]] = -1 if k & 1 else 1
+                    j = faces[f]
                 except KeyError:
                     raise ValueError(f"face {f} of {s} is missing") from None
+                row[j] = cols[j][i] = -1 if k & 1 else 1
             rows.append(row)
-        return rows
+        return rows, cols
 
     ranks: dict[int, int] = {}
     torsions: dict[int, list[int]] = {}
     for d in range(1, top + 1):
-        units, rest = _eliminate_units(boundary(d))
-        diag = smith_diagonal(rest, len(index[d - 1]))
+        rows, cols = boundary(d)
+        if _mostly_short(cols) and not _mostly_short(rows):
+            rows, cols = cols, rows
+        units, rest = _eliminate_units(rows, cols)
+        diag = smith_diagonal(rest)
         ranks[d] = units + len(diag)
         torsions[d] = [v for v in diag if v > 1]
     betti = []

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
+from typing import Iterator
 
 from .bits import bit_list, bits, max_bit, min_bit, subsets_of
 from .oriental import build_d, interval_mask
@@ -57,13 +58,18 @@ class FlagModel:
                    sorted(other.simplices.get(k, [])) for k in keys)
 
 
+def _strict_supersets(admissible: list[int]) -> dict[int, list[int]]:
+    """Each mask of the sorted family with its strict supersets there."""
+    # a strict superset is the larger int, so only later masks can be one
+    return {m: [b for b in admissible[i + 1:] if m & ~b == 0]
+            for i, m in enumerate(admissible)}
+
+
 def _flags_above(bottom: int, admissible: list[int],
                  max_dim: int | None) -> list[Flag]:
     """Strict inclusion flags in the sorted admissible family starting at
     bottom, built one level (flag length) at a time."""
-    # a strict superset is the larger int, so only later masks can be one
-    sups = {m: [b for b in admissible[i + 1:] if m & ~b == 0]
-            for i, m in enumerate(admissible)}
+    sups = _strict_supersets(admissible)
     level: list[Flag] = [(bottom,)]
     out: list[Flag] = []
     while level:
@@ -94,31 +100,66 @@ def _edge_paths(k: ChainSubcomplex, s_idx: int, t_idx: int,
     return sorted(found)
 
 
-def flag_model(k: ChainSubcomplex, s: int, t: int,
-               max_dim: int | None = None) -> FlagModel:
-    """Mapping-space model between comparable vertices S and T of K."""
+def _bottoms(k: ChainSubcomplex, s: int, t: int) -> Iterator[tuple[int, list[int]]]:
+    """Each vertex M0 of the model between S and T, with the sorted chains
+    M that may top a flag over it (the unions of one K-chain per segment)."""
     p = k.ambient
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.up_masks[s_idx] >> t_idx & 1:
         raise ValueError("source must be below target")
     interval = set(bits(p.between(s_idx, t_idx)))
-
-    simplices: dict[int, list[Flag]] = {}
     for bottom in _edge_paths(k, s_idx, t_idx, interval):
         tup = p.chain_tuple(bottom)
         per_segment = [k.segments.get((a, b), ()) for a, b in zip(tup, tup[1:])]
         if any(not ch for ch in per_segment):
             continue
         if per_segment:
-            admissible = sorted(set(
+            yield bottom, sorted(set(
                 reduce(or_, choice) for choice in product(*per_segment)))
         else:
-            admissible = [bottom]
+            yield bottom, [bottom]
+
+
+def flag_model(k: ChainSubcomplex, s: int, t: int,
+               max_dim: int | None = None) -> FlagModel:
+    """Mapping-space model between comparable vertices S and T of K."""
+    simplices: dict[int, list[Flag]] = {}
+    for bottom, admissible in _bottoms(k, s, t):
         for flag in _flags_above(bottom, admissible, max_dim):
             simplices.setdefault(len(flag) - 1, []).append(flag)
     for v in simplices.values():
         v.sort()
-    return FlagModel(p, s, t, simplices)
+    return FlagModel(k.ambient, s, t, simplices)
+
+
+def flag_counts(k: ChainSubcomplex, s: int, t: int) -> list[int]:
+    """flag_model(k, s, t).counts(), counted without building a flag.
+
+    For each bottom, a dynamic programme over its admissible chains from
+    the largest down counts the flags starting at each chain, per
+    dimension: one for the chain alone, plus those of every strict
+    superset shifted up a dimension.
+    """
+    total: list[int] = []
+    for bottom, admissible in _bottoms(k, s, t):
+        sups = _strict_supersets(admissible)
+        counts: dict[int, list[int]] = {}
+        for m in reversed(admissible):
+            acc = [1]
+            for b in sups[m]:
+                _add_shifted(acc, counts[b], 1)
+            counts[m] = acc
+        _add_shifted(total, counts[bottom], 0)
+    return total
+
+
+def _add_shifted(acc: list[int], counts: list[int], shift: int) -> None:
+    """acc[d + shift] += counts[d] for every d, lengthening acc as needed."""
+    for d, n in enumerate(counts, shift):
+        if d == len(acc):
+            acc.append(n)
+        else:
+            acc[d] += n
 
 
 # The oracle enumerates every bead sequence; D^4's full nerve (16

@@ -337,6 +337,33 @@ def test_size_ceiling_rejects_before_building(argv, message, monkeypatch, capsys
     assert err == f"usage error: {message}\n"
 
 
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("built a flag model above the simplex ceiling")
+
+
+def test_flag_model_above_the_simplex_ceiling_is_refused(monkeypatch, capsys):
+    # D^5's full nerve from 01 to 05 holds 16.2M simplices (2.26 GB built)
+    monkeypatch.setattr(cli, "flag_model", _refuse_to_build)
+    assert main(["mapping-space", "--n", "5", "--from", "01", "--to", "05",
+                 "--model", "flag"]) == 64
+    assert capsys.readouterr().err == (
+        "usage error: --model flag: the flag model from 01 to 05 has 16203459 "
+        f"simplices, more than {cli.MAX_FLAG_SIMPLICES}\n")
+
+
+def test_simplex_ceiling_counts_only_through_dim(monkeypatch, capsys):
+    # D^3's full nerve from 0 to 03: [32, 157, 294, 240, 72] by dimension
+    monkeypatch.setattr(cli, "MAX_FLAG_SIMPLICES", 200)
+    argv = ["mapping-space", "--n", "3", "--from", "0", "--to", "03", "--model", "flag"]
+    assert main(argv + ["--dim", "1"]) == 0
+    assert capsys.readouterr().out == "flag model counts: [32, 157]\n"
+    monkeypatch.setattr(cli, "flag_model", _refuse_to_build)
+    assert main(argv + ["--dim", "2"]) == 64
+    assert capsys.readouterr().err == (
+        "usage error: --model flag: the flag model from 0 to 03 has 483 "
+        "simplices, more than 200\n")
+
+
 def test_flag_model_alone_runs_above_the_necklace_bound(capsys):
     assert main(["mapping-space", "--n", "5", "--i", "1", "--from", "0",
                  "--to", "01", "--model", "flag"]) == 0

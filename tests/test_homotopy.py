@@ -1,11 +1,15 @@
-from itertools import combinations
+import importlib.util
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nervecheck import homotopy
 from nervecheck.homotopy import (Complex, HomologySummary, _cyclic_reduce,
-                                 collapse, complex_from_chains,
+                                 _eliminate_units, collapse,
+                                 complex_from_chains, complex_from_json,
                                  contractibility_verdict, facets, generate,
                                  homology, pi1_trivial, smith_diagonal,
                                  strong_collapse)
@@ -76,6 +80,12 @@ def klein_bottle(k):
 
 RP2 = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+
+def barycentric(facets):
+    """Barycentric subdivision: one facet per ordering of a facet's vertices."""
+    return generate([tuple(tuple(sorted(p[:k])) for k in range(1, len(p) + 1))
+                     for f in facets for p in permutations(f)])
 
 
 def test_homology_torus():
@@ -250,8 +260,8 @@ def test_presentation_complex_of_trivial_group_is_contractible():
 
 
 def test_smith_diagonal_returns_invariant_factors():
-    assert smith_diagonal([{0: 2}, {1: 3}], 2) == [1, 6]
-    assert smith_diagonal([{0: 4}, {1: 6}], 2) == [2, 12]
+    assert smith_diagonal([{0: 2}, {1: 3}]) == [1, 6]
+    assert smith_diagonal([{0: 4}, {1: 6}]) == [2, 12]
 
 
 def test_torsion_of_a_presentation_complex_is_an_invariant_factor():
@@ -423,7 +433,7 @@ def full_matrix_homology(cx):
     for d in range(1, top + 1):
         rows = [{index[d - 1][s[:k] + s[k + 1:]]: (-1) ** k for k in range(len(s))}
                 for s in strata.get(d, [])]
-        diag = smith_diagonal(rows, len(index[d - 1]))
+        diag = smith_diagonal(rows)
         ranks[d] = len(diag)
         torsions[d] = [v for v in diag if v > 1]
     betti = [len(strata.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0) - (d == 0)
@@ -519,7 +529,7 @@ def pi1_trivial_oracle(cx: Complex) -> bool | None:
 def oracle_corpus():
     return [torus(3), klein_bottle(3), generate(RP2), generate(DUNCE_HAT),
             presentation_complex(BINARY_ICOSAHEDRAL),
-            presentation_complex([(1, 2), (1, 2, 2)])]
+            presentation_complex([(1, 2), (1, 2, 2)]), barycentric(RP2)]
 
 
 @st.composite
@@ -549,10 +559,83 @@ def test_homology_matches_full_matrix_smith(cx):
 def test_pi1_matches_the_quadratic_loop_on_the_corpus():
     answers = [pi1_trivial(cx) for cx in oracle_corpus()]
     assert answers == [pi1_trivial_oracle(cx) for cx in oracle_corpus()]
-    assert answers == [None, None, None, True, None, True]
+    assert answers == [None, None, None, True, None, True, None]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(small_complexes(), presentations()))
 def test_pi1_matches_the_quadratic_loop(cx):
     assert pi1_trivial(cx) == pi1_trivial_oracle(cx)
+
+
+def by_columns(rows, ncols):
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 7 x 7, mostly zero, with non-unit entries that leave torsion."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 4, -6])
+    rows = [{c: v for c in range(ncols) if (v := draw(entry))} for _ in range(nrows)]
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@example(([{0: 2, 1: 4}, {0: 4, 1: 2}], 2))  # Z/2 + Z/6
+@example(([{0: 1, 1: 1, 2: 2}, {0: 1, 1: -1}, {2: 2}], 3))
+def test_eliminating_a_matrix_or_its_transpose_keeps_the_invariant_factors(matrix):
+    rows, ncols = matrix
+    want = smith_diagonal([dict(r) for r in rows])
+    for transpose in (False, True):
+        a, b = [dict(r) for r in rows], by_columns(rows, ncols)
+        units, rest = _eliminate_units(*((b, a) if transpose else (a, b)))
+        assert all(v not in (1, -1) for row in rest for v in row.values())
+        assert [1] * units + smith_diagonal(rest) == want
+
+
+def test_closed_surface_top_matrix_is_eliminated_by_columns(monkeypatch):
+    cx = barycentric(RP2)
+    vertices, edges, triangles = (len(cx.by_dim()[d]) for d in range(3))
+    assert (vertices, edges, triangles) == (31, 90, 60)
+    shapes = []
+
+    def spy(rows, cols):
+        shapes.append((len(rows), len(cols)))
+        return _eliminate_units(rows, cols)
+
+    monkeypatch.setattr(homotopy, "_eliminate_units", spy)
+    h = homology(cx)
+    # d1 by rows (every edge row has two entries), d2 by its edge columns
+    assert shapes == [(edges, vertices), (edges, triangles)]
+    assert (h.betti, h.torsion) == ([0, 0, 0], [[], [2], []])
+
+
+def _homology_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "homology_inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_homology_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seeded_homology_inputs_meet_their_closed_forms():
+    make_inputs = _homology_inputs().make_inputs
+    checked = 0
+    for seed in range(1, 9):
+        for item in make_inputs(seed):
+            want = item["expected"]
+            v = contractibility_verdict(complex_from_json(item["input"]))
+            got = {"status": v.status, "method": v.method}
+            got.update({k: v.detail[k] for k in ("degree", "betti", "torsion")
+                        if k in v.detail})
+            assert (v.homology.betti, v.homology.torsion, got) == (
+                want["betti"], want["torsion"], want["verdict"]), (seed, item["name"])
+            checked += 1
+    assert checked == 56

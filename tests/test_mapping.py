@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +8,9 @@ from hypothesis import strategies as st
 from nervecheck.bits import bit_list, from_digits
 from nervecheck.homotopy import contractibility_verdict
 from nervecheck.horn import l_complex
-from nervecheck.mapping import (NECKLACE_MAX_VERTICES, flag_model,
-                                necklace_oracle, square_chain_poset)
+from nervecheck.mapping import (NECKLACE_MAX_VERTICES, flag_counts,
+                                flag_model, necklace_oracle,
+                                square_chain_poset)
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 
@@ -217,3 +221,41 @@ def test_flag_vs_necklace_property(data):
             fm = flag_model(k, s, t)
             no = necklace_oracle(k, s, t)
             assert fm.same_simplices(no)
+
+
+def test_flag_counts_equal_the_built_model_counts():
+    for n in (2, 3):
+        dp = d_poset(n)
+        p = dp.poset
+        for k in [full_nerve(dp)] + [l_complex(n, i, dp) for i in range(1, n)]:
+            for s in p.elements:
+                for t in p.elements:
+                    if p.less_eq(s, t):
+                        assert flag_counts(k, s, t) == flag_model(k, s, t).counts()
+    with pytest.raises(ValueError):
+        flag_counts(full_nerve(d_poset(3)), D("02"), D("013"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_subcomplexes())
+def test_flag_counts_property(data):
+    d3, k = data
+    p = d3.poset
+    for si in k.vertices():
+        for ti in k.vertices():
+            if p.leq[si, ti]:
+                s, t = p.elements[si], p.elements[ti]
+                assert flag_counts(k, s, t) == flag_model(k, s, t).counts()
+
+
+def test_flag_counts_match_the_n5_size_table():
+    # the table was counted by its own copy of the DP and cross-checked
+    # against flag_model up to 6e5 simplices; the small rows keep this quick
+    table = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                        / "n5_sizes.json").read_text())
+    dp = d_poset(5)
+    horns = {i: l_complex(5, i, dp) for i in range(1, 5)}
+    rows = [r for r in table["rows"] if r["simplices"] <= 20_000]
+    assert len(rows) > 1000
+    for r in rows:
+        assert flag_counts(horns[r["i"]], D(r["s"]), D(r["t"])) == r["counts"]
