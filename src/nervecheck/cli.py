@@ -94,6 +94,10 @@ def _parse(path: str, what: str, build):
 # n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7
+# Largest --n at which mapping-space without --i builds D^n's full nerve:
+# D^6's holds 704,511 chains (0.7 s, 53 MB); D^7's holds 20,074,495 and
+# runs out of memory under a 1.5 GB cap.
+MAX_N_FULL_NERVE = 6
 # Largest flag model mapping-space builds, in simplices (through --dim),
 # counted first by mapping.flag_counts: ~1 GB.  D^5's full nerve from 0 to
 # 045 holds 7.58M (~7 s, 750-960 MB peak RSS); from 01 to 05 it holds
@@ -182,6 +186,9 @@ def cmd_mapping_space(args) -> int:
     if args.model != "flag" and 2 ** args.n > NECKLACE_MAX_VERTICES:
         raise UsageError(f"--model {args.model}: D^{args.n} has {2 ** args.n} vertices, "
                          f"the necklace oracle takes at most {NECKLACE_MAX_VERTICES}")
+    if args.i is None and args.n > MAX_N_FULL_NERVE:
+        raise UsageError(f"--n out of range without --i (0..{MAX_N_FULL_NERVE}): "
+                         f"the full nerve of D^{args.n} is too large")
     dp = build_d(standard_interval(args.n))
     if args.i is not None:
         _check_inner(args)

@@ -288,6 +288,7 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
      "--model", "necklace"],
     ["mapping-space", "--n", "7", "--i", "3", "--from", "0", "--to", "07",
      "--model", "both"],
+    ["homology", "--input", "{simplex24}"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -296,23 +297,28 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
         "homology-input-directory", "homology-input-not-utf8",
         "homology-simplices-string", "homology-simplex-object",
         "compare-nerves-oriental-base", "base-change-oriental-base",
-        "lift-check-n-1", "mapping-necklace-n5", "mapping-both-n7"])
+        "lift-check-n-1", "mapping-necklace-n5", "mapping-both-n7",
+        "homology-simplex-24-vertices"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",
              "object_simplex": tmp_path / "object.json",
              "oriental": tmp_path / "oriental.json",
-             "edge": _edge02_file(tmp_path)}
+             "edge": _edge02_file(tmp_path),
+             "simplex24": tmp_path / "simplex24.json"}
     paths["binary"].write_bytes(b"\xff\xfe\x00bad")
     paths["oriental"].write_text(json.dumps(oriental2_spec().to_json()))
     paths["string_simplices"].write_text(json.dumps({"simplices": "abc"}))
     paths["object_simplex"].write_text(json.dumps({"simplices": [{"x": 1}]}))
+    # 16.7M faces once closed: refused before closing
+    paths["simplex24"].write_text(json.dumps({"simplices": [list(range(24))]}))
     assert main([a.format(**paths) for a in argv]) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 OUT_OF_RANGE = "--n out of range (0..7)"
+FULL_NERVE_N7 = "--n out of range without --i (0..6): the full nerve of D^7 is too large"
 NECKLACE_N5 = "D^5 has 32 vertices, the necklace oracle takes at most 16"
 
 
@@ -324,8 +330,10 @@ NECKLACE_N5 = "D^5 has 32 vertices, the necklace oracle takes at most 16"
      "--model both: " + NECKLACE_N5),
     (["mapping-space", "--n", "5", "--from", "0", "--to", "05",
       "--model", "necklace"], "--model necklace: " + NECKLACE_N5),
+    (["mapping-space", "--n", "7", "--from", "0", "--to", "07", "--model", "flag"],
+     FULL_NERVE_N7),
 ], ids=["horn-n8", "mapping-n8", "mapping-n-negative", "mapping-both-n5",
-        "mapping-necklace-n5"])
+        "mapping-necklace-n5", "mapping-flag-full-nerve-n7"])
 def test_size_ceiling_rejects_before_building(argv, message, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("built a D-poset outside the size ceiling")

@@ -1,5 +1,6 @@
 import importlib.util
 from itertools import combinations, permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,14 @@ def test_generate_interns_closes_and_rejects():
     assert cx.simplices == {(0,), (1,), (0, 1), (2,)}
     with pytest.raises(ValueError, match="repeated vertex"):
         generate([(0, 1, 0)])
+
+
+def test_generate_bounds_the_faces_of_distinct_input_simplices(monkeypatch):
+    monkeypatch.setattr(homotopy, "MAX_INPUT_FACES", 10)
+    # 7 + 3 faces by the bound, a repeat counted once; 9 once closed
+    assert len(generate([(0, 1, 2), (2, 1, 0), (2, 3)])) == 9
+    with pytest.raises(ValueError, match="up to 13 faces, more than 10"):
+        generate([(0, 1, 2), (2, 3), (3, 4)])
 
 
 def test_collapse_rejects_unclosed_family():
@@ -598,6 +607,47 @@ def test_eliminating_a_matrix_or_its_transpose_keeps_the_invariant_factors(matri
         units, rest = _eliminate_units(*((b, a) if transpose else (a, b)))
         assert all(v not in (1, -1) for row in rest for v in row.values())
         assert [1] * units + smith_diagonal(rest) == want
+
+
+def determinant(m):
+    return sum((-1) ** c * m[0][c] * determinant([r[:c] + r[c + 1:] for r in m[1:]])
+               for c in range(len(m))) if m else 1
+
+
+def determinantal_factors(dense):
+    """Invariant factors from determinantal divisors, independent of any
+    elimination: d_k is the gcd of all k x k minors and s_k = d_k / d_(k-1),
+    for k up to the rank."""
+    nrows, ncols = len(dense), len(dense[0])
+    factors, previous = [], 1
+    for k in range(1, min(nrows, ncols) + 1):
+        d = 0
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                d = gcd(d, determinant([[dense[r][c] for c in cs] for r in rs]))
+        if not d:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+@st.composite
+def dense_matrices(draw):
+    """Up to 5 x 5, entries from a set whose products leave torsion."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 1, -1, 2, -2, 3, 4, -6])
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_matrices())
+@example([[2, 4], [4, 2]])  # Z/2 + Z/6
+@example([[4, 6, 0], [6, -6, 2], [0, 2, 3]])
+def test_smith_diagonal_matches_determinantal_divisors(dense):
+    rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    assert smith_diagonal(rows) == determinantal_factors(dense)
 
 
 def test_closed_surface_top_matrix_is_eliminated_by_columns(monkeypatch):

@@ -67,6 +67,18 @@ TEST_ONLY = {
     "scaled_nerve": "scaled nerve of both base kinds behind one call",
 }
 
+# Methods and properties of the package that src/ never names.  Each is a
+# fixture that a test reads, except Parser.error, which argparse calls.
+UNNAMED_METHODS = {
+    "Complex.euler_characteristic": "alternating count, checked against the Betti numbers",
+    "Geometry.distance": "taxicab metric, checked against path length in the Hasse diagram",
+    "Geometry.atomic": "unit coordinate steps, checked to be exactly the covers",
+    "SimplexTable.face": "face maps, checked against the simplicial identities",
+    "SimplexTable.edge_marked": "degenerate or marked edges of a nerve table",
+    "SimplexTable.triangle_thin": "degenerate or thin triangles of a nerve table",
+    "Parser.error": "argparse calls it on a bad command line",
+}
+
 
 def _is_suite_builder(node):
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
@@ -86,38 +98,53 @@ def _names_in(paths):
     return named
 
 
-def _module_level_names(path):
+def _defined_names(path):
+    """Module-level names, and Class.method for the methods and properties
+    of module-level classes; dunder methods are left out, as Python calls
+    them by their protocols."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not _is_suite_builder(node):
                 yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (f"{node.name}.{m.name}" for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("__"))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
 def _unused_in_src(src, tests):
-    """Module-level names of the packages under src that src never uses
-    besides their definitions, split into (named by tests, named nowhere);
-    suite builders register by decorator."""
+    """Names that the packages under src define (_defined_names) and src
+    never uses besides their definitions, split into (named by tests,
+    named nowhere); a method counts as used wherever its bare name is
+    named, and suite builders register by decorator."""
     in_src = _names_in(sorted(src.glob("**/*.py")))
     in_tests = _names_in(sorted(tests.glob("*.py")))
     unused = {name for path in sorted(src.glob("*/*.py"))
-              for name in _module_level_names(path) if name not in in_src}
-    return unused & in_tests, unused - in_tests
+              for name in _defined_names(path)
+              if name.rpartition(".")[2] not in in_src}
+    named_by_tests = {name for name in unused if name.rpartition(".")[2] in in_tests}
+    return named_by_tests, unused - named_by_tests
 
 
 def test_no_dead_helpers_in_package():
     test_only, dead = _unused_in_src(SRC, TESTS)
-    assert sorted(dead) == []
-    assert sorted(test_only) == sorted(TEST_ONLY)
+    methods = {name for name in test_only | dead if "." in name}
+    assert sorted(dead - methods) == []
+    assert sorted(test_only - methods) == sorted(TEST_ONLY)
+    assert sorted(methods) == sorted(UNNAMED_METHODS)
 
 
 def test_scan_flags_a_helper_only_a_test_names(tmp_path):
     pkg = tmp_path / "src" / "pkg"
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text(
-        "LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\n"
+        "LIMIT = 3\n\n\nclass Box:\n    def __len__(self):\n        return LIMIT\n\n"
+        "    def size(self):\n        return len(self)\n\n"
+        "    def spare(self):\n        return 0\n\n\n"
+        "def used():\n    return Box().size()\n\n\n"
         "def helper():\n    return used()\n\n\ndef orphan():\n    return 0\n")
     (pkg / "cli.py").write_text("from .mod import used\n\nprint(used())\n")
     tests = tmp_path / "tests"
@@ -125,7 +152,7 @@ def test_scan_flags_a_helper_only_a_test_names(tmp_path):
     (tests / "test_mod.py").write_text(
         "from pkg.mod import helper\n\n\ndef test_helper():\n"
         "    assert helper() == 3\n")
-    assert _unused_in_src(tmp_path / "src", tests) == ({"helper"}, {"orphan"})
+    assert _unused_in_src(tmp_path / "src", tests) == ({"helper"}, {"orphan", "Box.spare"})
 
 
 # numpy is blocked in the child: any import of it raises ImportError.
