@@ -1,21 +1,26 @@
 """Machine verdicts on contractibility of finite simplicial complexes.
 
-Complexes here are abstract: a simplex is a strictly increasing tuple
-of int vertex ids and the family is closed under nonempty subsets.
-Producers hand in families closed by construction; generate interns and
-closes outside input, refusing input that may close to more than
-MAX_INPUT_FACES simplices.  The verdict pipeline removes dominated
-vertices from the facet list (strong collapse); if more than one vertex
-survives, integer homology and an edge-path-group triviality search run
-on the strong core.  Homology works over Python ints, so no overflow
-exists: unit pivots eliminated sparsely, then Smith normal form on the
-residual row dicts in place (least-entry pivots, floor remainders), with
-torsion as invariant factors; indexed Tietze search for the edge-path
-group.  Each boundary matrix is eliminated along its shorter side: by
-columns when most of its nonzero columns have at most two entries and
-most of its rows do not, as in the top matrix of a closed surface, where
-eliminating by rows would merge triangles into ever longer polygons.
-Strong collapse preserves homotopy type, which keeps the matrices small.
+Complexes here are abstract: a simplex is a strictly increasing tuple of
+int vertex ids and the family is closed under nonempty subsets.  A
+Complex holds its simplices as per-dimension strata, each the sorted
+list of the distinct simplices of one dimension.  Flag models hand in
+their dimension lists unchanged; other producers hand in families closed
+by construction, grouped and sorted once when the Complex is built, and
+generate interns and closes outside input, refusing input that may close
+to more than MAX_INPUT_FACES simplices.  facets walks the strata from
+the top down and checks closure on the way.  The verdict pipeline
+removes dominated vertices from the facet list (strong collapse); if
+more than one vertex survives, integer homology and an edge-path-group
+triviality search run on the strong core.  Homology works over Python
+ints, so no overflow exists: unit pivots eliminated sparsely, then Smith
+normal form on the residual row dicts in place (least-entry pivots,
+floor remainders), with torsion as invariant factors; indexed Tietze
+search for the edge-path group.  Each boundary matrix is eliminated
+along its shorter side: by columns when most of its nonzero columns have
+at most two entries and most of its rows do not, as in the top matrix of
+a closed surface, where eliminating by rows would merge triangles into
+ever longer polygons.  Strong collapse preserves homotopy type, which
+keeps the matrices small.
 
 Verdict semantics:
   Contractible      strong collapse reached a single vertex, or the
@@ -40,30 +45,39 @@ from .bits import bits
 
 
 class Complex:
-    """Face-closed family of strictly increasing int tuples, stored as given."""
+    """Face-closed family of strictly increasing int tuples, by dimension.
 
-    def __init__(self, simplices: Iterable[tuple[int, ...]]):
-        self.simplices = set(simplices)
+    strata[d] is the sorted list of the distinct d-simplices, and no
+    stratum is empty.  Outside simplices, in any order and with repeats,
+    are grouped and sorted once, here.  A producer that already holds
+    such lists, keyed by dimension, hands them in as strata; they are
+    kept as they are, not copied or checked.
+    """
+
+    def __init__(self, simplices: Iterable[tuple[int, ...]] = (),
+                 strata: dict[int, list[tuple[int, ...]]] | None = None):
+        if strata is None:
+            strata = {}
+            for s in set(simplices):
+                strata.setdefault(len(s) - 1, []).append(s)
+            strata = {d: sorted(strata[d]) for d in sorted(strata)}
+        self.strata = strata
 
     def by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for s in self.simplices:
-            out.setdefault(len(s) - 1, []).append(s)
-        for v in out.values():
-            v.sort()
-        return out
+        """The strata themselves, not a copy: callers must not change them."""
+        return self.strata
 
     def dimension(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return max(self.strata, default=-1)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
+        return sum((-1) ** d * len(v) for d, v in self.strata.items())
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(map(len, self.strata.values()))
 
     def is_empty(self) -> bool:
-        return not self.simplices
+        return not self.strata
 
 
 def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
@@ -265,7 +279,7 @@ def collapse(cx: Complex) -> CollapseResult:
     Free faces (exactly one remaining coface) are consumed smallest first.
     No verdict uses it: it is the independent oracle of strong_collapse.
     """
-    present = set(cx.simplices)
+    present = set(chain.from_iterable(cx.strata.values()))
     cofaces: dict[tuple[int, ...], set[tuple[int, ...]]] = {s: set() for s in present}
     for s in present:
         if len(s) > 1:
@@ -304,25 +318,26 @@ def collapse(cx: Complex) -> CollapseResult:
 def facets(cx: Complex) -> list[tuple[int, ...]]:
     """Simplices that are no codimension-1 face of another, sorted.
 
-    Checks closure on the way, one dimension at a time: a missing
-    codimension-1 face raises ValueError naming it.
+    Walks the strata from the top dimension down and checks closure on
+    the way: every codimension-1 face of each simplex is looked up in the
+    set of the level below, and a missing one raises ValueError naming it.
     """
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for s in cx.simplices:
-        by_len.setdefault(len(s), []).append(s)
     out: list[tuple[int, ...]] = []
+    above: list[tuple[int, ...]] = []
     covered: set[tuple[int, ...]] = set()  # faces of the level above
-    for k in sorted(by_len, reverse=True):
-        level = by_len[k]
-        out.extend(s for s in level if s not in covered)
-        if k == 1:
-            break
-        covered = set(chain.from_iterable(map(combinations, level, repeat(k - 1))))
-        missing = covered.difference(cx.simplices)
-        if missing:
-            f = min(missing)
-            s = min(s for s in level if set(f) <= set(s))
+    for d in range(cx.dimension(), -1, -1):
+        level = cx.strata.get(d, [])
+        uncovered = set(level)
+        uncovered.difference_update(covered)
+        # strata are distinct, so every face was found iff this many went
+        if len(level) - len(uncovered) != len(covered):
+            f = min(covered.difference(level))
+            s = min(s for s in above if set(f) <= set(s))
             raise ValueError(f"face {f} of {s} is missing")
+        out += uncovered
+        if d:
+            covered = set(chain.from_iterable(map(combinations, level, repeat(d))))
+            above = level
     out.sort()
     return out
 
@@ -349,7 +364,7 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
     surviving core does not depend on set iteration order.
     """
     tops = facets(cx)
-    labels = sorted({v for f in tops for v in f})
+    labels = [v for (v,) in cx.strata.get(0, [])]  # closed: facets checked it
     index = {v: i for i, v in enumerate(labels)}
     star: list[set[int]] = [set() for _ in labels]  # facet masks per vertex
     members: dict[int, tuple[int, ...]] = {}  # live facet mask -> vertex ids
@@ -381,8 +396,8 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
         # F - v is kept unless a facet without v contains it; two shrunk
         # facets never contain one another, since their originals did not
         for g, ids in shrunk:
-            fewest = min(ids, key=lambda u: len(star[u]))
-            if not any(h & g == g for h in star[fewest]):
+            smallest_star = min(map(star.__getitem__, ids), key=len)
+            if g not in map(g.__and__, smallest_star):
                 members[g] = ids
                 for u in ids:
                     star[u].add(g)

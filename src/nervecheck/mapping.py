@@ -48,9 +48,14 @@ class FlagModel:
         return not self.simplices.get(0)
 
     def to_complex(self):
-        """Flags are strictly increasing mask tuples, closed under dropping levels."""
+        """The model as a Complex whose strata are this model's nonempty lists.
+
+        Flags are strictly increasing mask tuples, closed under dropping
+        levels, and each list is sorted.  The lists are shared with the
+        complex, not copied, so neither may change them afterwards.
+        """
         from .homotopy import Complex
-        return Complex(f for fs in self.simplices.values() for f in fs)
+        return Complex(strata={d: fs for d, fs in self.simplices.items() if fs})
 
     def same_simplices(self, other: "FlagModel") -> bool:
         keys = set(self.simplices) | set(other.simplices)
@@ -66,18 +71,17 @@ def _strict_supersets(admissible: list[int]) -> dict[int, list[int]]:
 
 
 def _flags_above(bottom: int, admissible: list[int],
-                 max_dim: int | None) -> list[Flag]:
+                 max_dim: int | None) -> Iterator[list[Flag]]:
     """Strict inclusion flags in the sorted admissible family starting at
-    bottom, built one level (flag length) at a time."""
+    bottom, one level (flag length) at a time: the flags of dimension d
+    are the d-th list yielded, none of them empty."""
     sups = _strict_supersets(admissible)
     level: list[Flag] = [(bottom,)]
-    out: list[Flag] = []
     while level:
-        out += level
+        yield level
         if max_dim is not None and len(level[0]) - 1 >= max_dim:
             break
         level = [f + (b,) for f in level for b in sups[f[-1]]]
-    return out
 
 
 def _edge_paths(k: ChainSubcomplex, s_idx: int, t_idx: int,
@@ -125,8 +129,8 @@ def flag_model(k: ChainSubcomplex, s: int, t: int,
     """Mapping-space model between comparable vertices S and T of K."""
     simplices: dict[int, list[Flag]] = {}
     for bottom, admissible in _bottoms(k, s, t):
-        for flag in _flags_above(bottom, admissible, max_dim):
-            simplices.setdefault(len(flag) - 1, []).append(flag)
+        for d, level in enumerate(_flags_above(bottom, admissible, max_dim)):
+            simplices.setdefault(d, []).extend(level)
     for v in simplices.values():
         v.sort()
     return FlagModel(k.ambient, s, t, simplices)

@@ -1,6 +1,8 @@
+import heapq
 import importlib.util
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, repeat
 from math import gcd
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nervecheck import homotopy
-from nervecheck.homotopy import (Complex, HomologySummary, _cyclic_reduce,
+from nervecheck.homotopy import (Complex, HomologySummary,
+                                 StrongCollapseResult, _cyclic_reduce,
                                  _eliminate_units, collapse,
                                  complex_from_chains, complex_from_json,
                                  contractibility_verdict, facets, generate,
@@ -19,6 +22,11 @@ from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, nerve_chains
 from nervecheck.suites import _dp, _horn, _pairs
+
+
+def simplex_set(cx):
+    """The simplices of cx as one flat set."""
+    return set(chain.from_iterable(cx.strata.values()))
 
 
 def full_simplex(n):
@@ -33,6 +41,41 @@ def test_closure():
     cx = generate([(0, 1, 2)])
     assert len(cx) == 7
     assert cx.dimension() == 2
+
+
+def test_complex_groups_sorts_and_dedups_its_input():
+    cx = Complex(iter([(2, 3), (0,), (1, 2), (3,), (0, 1, 2), (2, 3), (0,)]))
+    assert cx.strata == {0: [(0,), (3,)], 1: [(1, 2), (2, 3)], 2: [(0, 1, 2)]}
+    assert list(cx.strata) == [0, 1, 2]
+    assert (len(cx), cx.dimension(), cx.euler_characteristic()) == (5, 2, 1)
+    assert Complex([]).strata == {} and Complex([]).dimension() == -1
+
+
+@st.composite
+def families(draw):
+    """Strictly increasing int tuples in any order with repeats, at times
+    closed under faces."""
+    sims = draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4)
+                         .map(lambda v: tuple(sorted(v))), max_size=20))
+    if draw(st.booleans()):
+        sims += [f for s in sims for k in range(1, len(s)) for f in combinations(s, k)]
+    return draw(st.permutations(sims + sims[:draw(st.integers(0, len(sims)))]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(families())
+def test_strata_match_a_recount_from_a_plain_set(family):
+    plain = set(family)
+    by_dim = {}
+    for s in plain:
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+    cx = Complex(iter(family))
+    # sorted and duplicate-free per dimension, no empty dimension
+    assert cx.by_dim() == {d: sorted(v) for d, v in by_dim.items()}
+    assert len(cx) == len(plain)
+    assert cx.dimension() == max(by_dim, default=-1)
+    assert cx.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in plain)
+    assert cx.is_empty() == (not plain)
 
 
 def test_euler_characteristic():
@@ -273,7 +316,7 @@ def test_torsion_of_a_presentation_complex_is_an_invariant_factor():
 
 def test_generate_interns_closes_and_rejects():
     cx = generate([("b", "a"), (), ("c",)])
-    assert cx.simplices == {(0,), (1,), (0, 1), (2,)}
+    assert simplex_set(cx) == {(0,), (1,), (0, 1), (2,)}
     with pytest.raises(ValueError, match="repeated vertex"):
         generate([(0, 1, 0)])
 
@@ -295,6 +338,14 @@ def test_collapse_rejects_unclosed_family():
     # a triangle edge missing from the family is not taken for a tree edge
     with pytest.raises(ValueError, match=r"face \(0, 2\) of \(0, 1, 2\) is missing"):
         pi1_trivial(Complex([(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)]))
+
+
+def test_a_missing_dimension_is_a_missing_face():
+    # no edge at all: the triangle's faces are looked for in an empty level
+    hollow = Complex([(0,), (1,), (2,), (0, 1, 2)])
+    for check in (facets, contractibility_verdict):
+        with pytest.raises(ValueError, match=r"^face \(0, 1\) of \(0, 1, 2\) is missing$"):
+            check(hollow)
 
 
 def test_facets_and_strong_collapse_of_a_simplex_and_a_cone():
@@ -323,13 +374,101 @@ def test_theorem_grid_is_strong_and_greedy_collapsible():
                 assert collapse(cx).success, (n, i, s, t)
 
 
+def strong_collapse_oracle(cx):
+    """strong_collapse as it was before complexes were held by dimension:
+    facets regrouped from a flat set, and an any() scan of the smallest
+    star for a facet containing each shrunk one; kept as its oracle."""
+    simplices = simplex_set(cx)
+    by_len = {}
+    for s in simplices:
+        by_len.setdefault(len(s), []).append(s)
+    tops = []
+    covered = set()
+    for k in sorted(by_len, reverse=True):
+        level = by_len[k]
+        tops.extend(s for s in level if s not in covered)
+        if k == 1:
+            break
+        covered = set(chain.from_iterable(map(combinations, level, repeat(k - 1))))
+        missing = covered.difference(simplices)
+        if missing:
+            f = min(missing)
+            s = min(s for s in level if set(f) <= set(s))
+            raise ValueError(f"face {f} of {s} is missing")
+    tops.sort()
+    labels = sorted({v for f in tops for v in f})
+    index = {v: i for i, v in enumerate(labels)}
+    star = [set() for _ in labels]
+    members = {}
+    for f in tops:
+        ids = tuple(map(index.__getitem__, f))
+        m = sum(map((1).__lshift__, ids))
+        members[m] = ids
+        for i in ids:
+            star[i].add(m)
+    heap = list(range(len(labels)))
+    queued = [True] * len(labels)
+    removed = 0
+    while heap:
+        v = heapq.heappop(heap)
+        queued[v] = False
+        mine, bit = star[v], 1 << v
+        if bit in accumulate(mine, and_):
+            continue
+        star[v] = set()
+        removed += 1
+        shrunk = []
+        for m in mine:
+            ids = members.pop(m)
+            for u in ids:
+                if u != v:
+                    star[u].discard(m)
+            shrunk.append((m ^ bit, tuple(u for u in ids if u != v)))
+        for g, ids in shrunk:
+            fewest = min(ids, key=lambda u: len(star[u]))
+            if not any(h & g == g for h in star[fewest]):
+                members[g] = ids
+                for u in ids:
+                    star[u].add(g)
+            for u in ids:
+                if not queued[u]:
+                    queued[u] = True
+                    heapq.heappush(heap, u)
+    core = sorted(tuple(labels[i] for i in ids) for ids in members.values())
+    return StrongCollapseResult(removed, core, max(map(len, tops), default=0) - 1)
+
+
+def assert_strong_collapse_matches_its_oracle(cx):
+    got, want = strong_collapse(cx), strong_collapse_oracle(cx)
+    assert (got.removed, got.core, got.dimension) == (
+        want.removed, want.core, want.dimension)
+
+
+def test_strong_collapse_matches_its_oracle_on_the_theorem_grid():
+    checked = 0
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for s, t in _pairs(_dp(n), strict=False):
+                assert_strong_collapse_matches_its_oracle(
+                    flag_model(_horn(n, i), s, t).to_complex())
+                checked += 1
+    assert checked == 394
+
+
+def test_strong_collapse_matches_its_oracle_on_the_seeded_homology_inputs():
+    make_inputs = _homology_inputs().make_inputs
+    for seed in range(1, 9):
+        for item in make_inputs(seed):
+            assert_strong_collapse_matches_its_oracle(complex_from_json(item["input"]))
+
+
 def assert_closed(family):
     """The family equals its own generate closure, vertex ids kept in order."""
     family = set(family)
     verts = sorted({v for s in family for v in s})
     rank = {v: k for k, v in enumerate(verts)}
     closed = generate([(v,) for v in verts] + sorted(family))
-    assert closed.simplices == {tuple(rank[v] for v in s) for s in family}
+    assert simplex_set(closed) == {tuple(rank[v] for v in s) for s in family}
 
 
 def test_flag_models_are_closed():
@@ -342,13 +481,13 @@ def test_flag_models_are_closed():
             for s in p.elements:
                 for t in p.elements:
                     if p.less_eq(s, t):
-                        assert_closed(flag_model(k, s, t).to_complex().simplices)
+                        assert_closed(simplex_set(flag_model(k, s, t).to_complex()))
 
 
 def test_poset_nerves_are_closed():
     for n in (1, 2, 3, 4):
         p = build_d(standard_interval(n)).poset
-        assert_closed(complex_from_chains(nerve_chains(p)).simplices)
+        assert_closed(simplex_set(complex_from_chains(nerve_chains(p))))
 
 
 def test_verdict_on_poset_nerve():
@@ -392,6 +531,12 @@ def test_collapse_cores_are_closed(cx):
     assert_closed(collapse(cx).critical)
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_complexes())
+def test_strong_collapse_matches_its_oracle(cx):
+    assert_strong_collapse_matches_its_oracle(cx)
+
+
 def test_stuck_cores_are_closed():
     for cx in (sphere(1), sphere(2), generate(DUNCE_HAT)):
         assert_closed(collapse(cx).critical)
@@ -426,11 +571,11 @@ def test_strong_collapse_verdict_implies_trivial_homology(cx):
 @settings(max_examples=40, deadline=None)
 @given(small_complexes(), st.integers(min_value=0))
 def test_verdict_rejects_a_family_with_a_face_removed(cx, pick):
-    inner = sorted(cx.simplices.difference(facets(cx)))
+    inner = sorted(simplex_set(cx).difference(facets(cx)))
     assume(inner)
     gone = inner[pick % len(inner)]
     with pytest.raises(ValueError, match="is missing"):
-        contractibility_verdict(Complex(cx.simplices - {gone}))
+        contractibility_verdict(Complex(simplex_set(cx) - {gone}))
 
 
 def full_matrix_homology(cx):

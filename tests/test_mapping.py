@@ -167,6 +167,34 @@ def test_max_dim_truncates():
         assert cut.simplices.get(d, []) == full.simplices.get(d, [])
 
 
+def small_grid():
+    """(K, S, T) for the full nerve and every horn of D^n, n <= 3, and
+    every comparable pair S <= T."""
+    for n in (1, 2, 3):
+        dp = d_poset(n)
+        p = dp.poset
+        for k in [full_nerve(dp)] + [l_complex(n, i, dp) for i in range(1, n)]:
+            for s in p.elements:
+                for t in p.elements:
+                    if p.less_eq(s, t):
+                        yield k, s, t
+
+
+def test_max_dim_cuts_the_model_after_whole_levels():
+    for k, s, t in small_grid():
+        full = flag_model(k, s, t).counts()
+        for d in range(len(full) + 1):
+            assert flag_model(k, s, t, max_dim=d).counts() == full[:d + 1], (s, t, d)
+
+
+def test_to_complex_hands_over_the_model_lists():
+    for k, s, t in small_grid():
+        fm = flag_model(k, s, t)
+        strata = fm.to_complex().by_dim()
+        assert strata == {d: fs for d, fs in fm.simplices.items() if fs}
+        assert all(strata[d] is fm.simplices[d] for d in strata)
+
+
 def test_square_chain_poset_n1_frozen():
     p, f, dp = square_chain_poset(1, 0, 1)
     assert len(p) == 3
