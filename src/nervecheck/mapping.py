@@ -126,13 +126,14 @@ def _bottoms(k: ChainSubcomplex, s: int, t: int) -> Iterator[tuple[int, list[int
 
 def flag_model(k: ChainSubcomplex, s: int, t: int,
                max_dim: int | None = None) -> FlagModel:
-    """Mapping-space model between comparable vertices S and T of K."""
+    """Mapping-space model between comparable vertices S and T of K.
+
+    The lists come out sorted: bottoms ascend, and _flags_above yields
+    each bottom's levels in order."""
     simplices: dict[int, list[Flag]] = {}
     for bottom, admissible in _bottoms(k, s, t):
         for d, level in enumerate(_flags_above(bottom, admissible, max_dim)):
             simplices.setdefault(d, []).extend(level)
-    for v in simplices.values():
-        v.sort()
     return FlagModel(k.ambient, s, t, simplices)
 
 

@@ -29,6 +29,7 @@ from .poset import Poset
 from .simplicial import (
     CategoryNerveBackend,
     SimplexTable,
+    boundary_of,
     closed_simplices,
     codegeneracy,
     delta,
@@ -38,6 +39,16 @@ from .simplicial import (
 
 def pair_order(k: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(k + 1) for b in range(a + 1, k + 1)]
+
+
+@lru_cache(maxsize=None)
+def _pair_plan(k: int, alpha) -> tuple:
+    """Per pair (a, b) of alpha's domain, alpha(a) and the index of the
+    pair (alpha(a), alpha(b)) in pair_order(k), None where they meet."""
+    index = {p: t for t, p in enumerate(pair_order(k))}
+    return tuple((alpha[a], None if alpha[a] == alpha[b]
+                  else index[(alpha[a], alpha[b])])
+                 for a, b in pair_order(len(alpha) - 1))
 
 
 class OrientalScaledBackend:
@@ -74,14 +85,9 @@ class OrientalScaledBackend:
 
     def alpha_star(self, s, alpha):
         v, h = s
-        k = len(v) - 1
-        hd = dict(zip(pair_order(k), h))
-        vp = tuple(v[a] for a in alpha)
-        hp = []
-        for a, b in pair_order(len(alpha) - 1):
-            ia, ib = alpha[a], alpha[b]
-            hp.append((1 << v[ia]) if ia == ib else hd[(ia, ib)])
-        return (vp, tuple(hp))
+        return (tuple(v[a] for a in alpha),
+                tuple((1 << v[ia]) if t is None else h[t]
+                      for ia, t in _pair_plan(len(v) - 1, alpha)))
 
     def dim_of(self, s) -> int:
         return len(s[0]) - 1
@@ -108,6 +114,7 @@ class _BaseView:
         self.oriental = spec.oriental_base
         self.backend = OrientalScaledBackend(spec.base) if self.oriental \
             else CategoryNerveBackend(spec.base)
+        self._path_cells: dict = {}
 
     def simplices(self, k: int):
         return self.backend.simplices(k)
@@ -133,10 +140,14 @@ class _BaseView:
 
     def path_cell(self, s, pos_mask: int):
         """Composite cell along the consecutive pairs of a position set."""
-        ps = bit_list(pos_mask)
-        out = self.cell(s, ps[0], ps[0])
-        for a, b in zip(ps, ps[1:]):
-            out = self.compose(out, self.cell(s, a, b))
+        key = (s, pos_mask)
+        out = self._path_cells.get(key)
+        if out is None:
+            ps = bit_list(pos_mask)
+            out = self.cell(s, ps[0], ps[0])
+            for a, b in zip(ps, ps[1:]):
+                out = self.compose(out, self.cell(s, a, b))
+            self._path_cells[key] = out
         return out
 
 
@@ -265,18 +276,9 @@ class Rel2Backend:
 
     def alpha_star(self, z, alpha):
         s, x, data = z
-        k = len(x) - 1
-        f = dict(zip(pair_order(k), data))
-        sp = self.view.alpha_star(s, alpha)
-        xp = tuple(x[a] for a in alpha)
-        fp = []
-        for a, b in pair_order(len(alpha) - 1):
-            ia, ib = alpha[a], alpha[b]
-            if ia == ib:
-                fp.append(self.value_at(s, ia).ident[x[ia]])
-            else:
-                fp.append(f[(ia, ib)])
-        return (sp, xp, tuple(fp))
+        fp = tuple(self.value_at(s, ia).ident[x[ia]] if t is None else data[t]
+                   for ia, t in _pair_plan(len(x) - 1, alpha))
+        return (self.view.alpha_star(s, alpha), tuple(x[a] for a in alpha), fp)
 
     def dim_of(self, z) -> int:
         return len(z[1]) - 1
@@ -410,6 +412,10 @@ class Rel1Backend:
                     paths[(a, b)] = spec.functor(
                         spec.base.compose_path(s[1][a:b], at=s[0][a]))
             step = [paths[(j, j + 1)] for j in range(k)]
+            # per subset, the maps and positions that build its theta
+            plans = [([(paths[(ps[0], p)].obj, p) for p in ps],
+                      [(paths[(ps[0], a)].mor, (a, b))
+                       for a, b in zip(ps, ps[1:])]) for ps in subsets]
             for x in product(*(e.objects for e in vals)):
                 opts = [vals[j].hom(x[j], step[j].obj[x[j + 1]])
                         for j in range(k)]
@@ -421,14 +427,11 @@ class Rel1Backend:
                             g[(a, c)] = vals[a].then(
                                 g[(a, c - 1)],
                                 paths[(a, c - 1)].on_mor(g[(c - 1, c)]))
-                    thetas = []
-                    for ps in subsets:
-                        objs = tuple(paths[(ps[0], p)].obj[x[p]] for p in ps)
-                        mors = tuple(
-                            paths[(ps[0], ps[t])].on_mor(g[(ps[t], ps[t + 1])])
-                            for t in range(len(ps) - 1))
-                        thetas.append((objs, mors))
-                    out.append((s, tuple(thetas)))
+                    thetas = tuple(
+                        (tuple([obj[x[p]] for obj, p in objs]),
+                         tuple([mor[g[ab]] for mor, ab in mors]))
+                        for objs, mors in plans)
+                    out.append((s, thetas))
         return out
 
     def alpha_star(self, z, alpha):
@@ -521,8 +524,9 @@ def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
               "degeneracies_commute": True, "markings_match": True,
               "projection_commutes": True,
               "injective": {}, "bijective": {}}
+    image_below: dict = {}
     for k in range(dim + 1):
-        src, tgt = sims1[k][0], sims2[k][1]
+        (src, _, _, faces1), (_, tgt, _, faces2) = sims1[k], sims2[k]
         images = [pi_star_map(z) for z in src]
         if any(w not in tgt for w in images):
             report["well_defined"] = False
@@ -533,16 +537,16 @@ def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
                 report["projection_commutes"] = False
             if k == 1 and marked1(z) != marked2(w):
                 report["markings_match"] = False
-            if k > 0:
-                for i in range(k + 1):
-                    if pi_star_map(b1.alpha_star(z, delta(i, k))) != \
-                            b2.alpha_star(w, delta(i, k)):
-                        report["faces_commute"] = False
+            if k > 0 and tuple([image_below[f] for f in faces1[z]]) != \
+                    boundary_of(b2, faces2, w):
+                report["faces_commute"] = False
             if k < dim:
                 for j in range(k + 1):
                     if pi_star_map(b1.alpha_star(z, codegeneracy(j, k))) != \
                             b2.alpha_star(w, codegeneracy(j, k)):
                         report["degeneracies_commute"] = False
+        if k < dim:
+            image_below = dict(zip(src, images))
     return report
 
 
@@ -564,8 +568,9 @@ def chi_groth_comparison(spec: FunctorSpec, dim: int) -> dict:
     bg = CategoryNerveBackend(grothendieck_classical(spec))
     simsg = closed_simplices(bg, dim)
     report = {"counts": [], "bijective": True, "faces_commute": True}
+    image_below: dict = {}
     for k in range(dim + 1):
-        src, tgt = sims1[k][0], simsg[k][1]
+        (src, _, _, faces1), (_, tgt, _, facesg) = sims1[k], simsg[k]
         images = [chi_groth_map(z) for z in src]
         ok = len(set(images)) == len(src) and set(images) == tgt
         report["counts"].append((len(src), len(tgt)))
@@ -573,10 +578,11 @@ def chi_groth_comparison(spec: FunctorSpec, dim: int) -> dict:
             report["bijective"] = False
         if k > 0:
             for z, w in zip(src, images):
-                for i in range(k + 1):
-                    if chi_groth_map(b1.alpha_star(z, delta(i, k))) != \
-                            bg.alpha_star(w, delta(i, k)):
-                        report["faces_commute"] = False
+                if tuple([image_below[f] for f in faces1[z]]) != \
+                        boundary_of(bg, facesg, w):
+                    report["faces_commute"] = False
+        if k < dim:
+            image_below = dict(zip(src, images))
     return report
 
 

@@ -5,13 +5,15 @@ with precomposition along monotone maps (alpha_star).  A simplex is
 identified by itself: its faces are alpha_star along the cofaces, and
 it is degenerate when it is a degeneracy of a simplex one dimension
 down.  The table keeps every simplex of every dimension up to its
-bound, the degenerate ones as a set, and the nondegenerate cells in a
-fixed order; horn and boundary-sphere enumeration work on the lists.
+bound, the degenerate ones as a set, the faces of each simplex, and
+the nondegenerate cells in a fixed order; horn and boundary-sphere
+enumeration work on the lists.
 
 Closure validation (no duplicates, every degeneracy and every face
 present) is the function closed_simplices; the table calls it, and a
 comparison that needs only the simplex lists of a backend calls it
-without building a table.
+without building a table.  It records the faces it computes, and
+faces are read from that record afterwards.
 """
 
 from __future__ import annotations
@@ -58,32 +60,37 @@ def sort_key(x):
     return (0, repr(x))
 
 
-def closed_simplices(backend, dim: int) -> list[tuple[list, set, set]]:
-    """Each dimension's simplices, their set and the degenerate ones.
+def closed_simplices(backend, dim: int) -> list[tuple[list, set, set, dict]]:
+    """Each dimension's simplices, their set, the degenerate ones and faces.
 
-    Raises ValueError when a dimension lists a simplex twice, misses a
-    degeneracy of the dimension below, or has a face that is not listed.
+    faces maps each k-simplex, k > 0, to its k+1 faces, each the listed
+    simplex it equals.  Raises ValueError when a dimension lists a
+    simplex twice, misses a degeneracy of the dimension below, or has a
+    face that is not listed.
     """
-    out: list[tuple[list, set, set]] = []
-    below: set = set()
+    out: list[tuple[list, set, set, dict]] = []
+    below: dict = {}
     for k in range(dim + 1):
         sims = list(backend.simplices(k))
         sset = set(sims)
         if len(sset) != len(sims):
             raise ValueError(f"duplicate simplices in dimension {k}")
         degenerate = set()
+        faces: dict = {}
         if k > 0:
             for t in below:
                 for j in range(k):
                     degenerate.add(backend.alpha_star(t, codegeneracy(j, k - 1)))
             if not degenerate <= sset:
                 raise ValueError(f"degeneracies missing in dimension {k}")
+            cofaces = [delta(i, k) for i in range(k + 1)]
             for s in sims:
-                for i in range(k + 1):
-                    if backend.alpha_star(s, delta(i, k)) not in below:
-                        raise ValueError(f"face missing below dimension {k}")
-        out.append((sims, sset, degenerate))
-        below = sset
+                fs = tuple([below.get(backend.alpha_star(s, d)) for d in cofaces])
+                if None in fs:
+                    raise ValueError(f"face missing below dimension {k}")
+                faces[s] = fs
+        out.append((sims, sset, degenerate, faces))
+        below = {s: s for s in sims}
     return out
 
 
@@ -91,19 +98,21 @@ class SimplexTable:
     """Simplicial set truncated at a dimension bound.
 
     simplices[k] lists every k-simplex, simplex_set[k] holds the same
-    simplices and degenerate[k] the degenerate ones; cells[k] lists the
-    nondegenerate ones in sort_key order.  marked and thin hold the
-    nondegenerate edges and triangles the rules pick; a degenerate edge
-    or triangle counts as marked or thin.
+    simplices and degenerate[k] the degenerate ones; faces[k] maps each
+    k-simplex to its faces as the closure check recorded them, and
+    cells[k] lists the nondegenerate ones in sort_key order.  marked
+    and thin hold the nondegenerate edges and triangles the rules pick;
+    a degenerate edge or triangle counts as marked or thin.
     """
 
     def __init__(self, backend, dim: int, marked_rule=None, thin_rule=None):
         self.backend = backend
         self.dim = dim
         closed = closed_simplices(backend, dim)
-        self.simplices, self.simplex_set, self.degenerate = map(list, zip(*closed))
+        (self.simplices, self.simplex_set, self.degenerate,
+         self.faces) = map(list, zip(*closed))
         self.cells = [sorted((s for s in sims if s not in degenerate), key=sort_key)
-                      for sims, _, degenerate in closed]
+                      for sims, _, degenerate, _ in closed]
         self.marked: frozenset = frozenset(
             e for e in self.cells[1] if marked_rule(e)
         ) if marked_rule and dim >= 1 else frozenset()
@@ -116,11 +125,11 @@ class SimplexTable:
         return k <= self.dim and s in self.simplex_set[k]
 
     def face(self, s, i: int):
-        return self.backend.alpha_star(s, delta(i, self.backend.dim_of(s)))
+        return self.boundary(s)[i]
 
     def boundary(self, s) -> tuple:
         k = self.backend.dim_of(s)
-        return tuple(self.backend.alpha_star(s, delta(i, k)) for i in range(k + 1))
+        return boundary_of(self.backend, self.faces[k] if 0 < k <= self.dim else {}, s)
 
     def edge_marked(self, e) -> bool:
         return e in self.degenerate[1] or e in self.marked
@@ -130,6 +139,15 @@ class SimplexTable:
 
     def counts(self) -> list[int]:
         return [len(c) for c in self.cells]
+
+
+def boundary_of(backend, faces: dict, s) -> tuple:
+    """Faces of s as recorded in faces, or by alpha_star if s is not there."""
+    recorded = faces.get(s)
+    if recorded is not None:
+        return recorded
+    k = backend.dim_of(s)
+    return tuple(backend.alpha_star(s, delta(i, k)) for i in range(k + 1))
 
 
 def _compatible_tuples(table: SimplexTable, n: int,
@@ -172,8 +190,8 @@ def horn_fill_check(table: SimplexTable, n: int, i: int) -> dict:
     positions = [j for j in range(n + 1) if j != i]
     horns = _compatible_tuples(table, n, positions)
     by_faces: dict[tuple, list] = {}
-    for y in table.simplices[n]:
-        key = tuple(table.backend.alpha_star(y, delta(j, n)) for j in positions)
+    for y, faces in table.faces[n].items():
+        key = tuple(faces[j] for j in positions)
         by_faces.setdefault(key, []).append(y)
     filled = 0
     unfilled = []
@@ -239,6 +257,7 @@ class CategoryNerveBackend:
 
     def __init__(self, cat):
         self.cat = cat
+        self._restricted: dict = {}
 
     def simplices(self, k: int) -> list:
         out = []
@@ -256,6 +275,13 @@ class CategoryNerveBackend:
         return out
 
     def alpha_star(self, s, alpha: Alpha):
+        key = (s, alpha)
+        out = self._restricted.get(key)
+        if out is None:
+            out = self._restricted[key] = self._restrict(s, alpha)
+        return out
+
+    def _restrict(self, s, alpha: Alpha):
         objs, mors = s
         cat = self.cat
         new_mors = []

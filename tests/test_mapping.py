@@ -13,6 +13,7 @@ from nervecheck.mapping import (NECKLACE_MAX_VERTICES, flag_counts,
                                 square_chain_poset)
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
+from nervecheck.suites import _dp, _horn, _pairs
 
 D = from_digits
 
@@ -193,6 +194,32 @@ def test_to_complex_hands_over_the_model_lists():
         strata = fm.to_complex().by_dim()
         assert strata == {d: fs for d, fs in fm.simplices.items() if fs}
         assert all(strata[d] is fm.simplices[d] for d in strata)
+
+
+def assert_lists_strictly_increase(fm, where):
+    for d, flags in fm.simplices.items():
+        assert all(a < b for a, b in zip(flags, flags[1:])), (where, d)
+
+
+def test_flag_model_lists_come_out_strictly_increasing():
+    # flag_model does not sort: Complex(strata=...) takes the lists as
+    # they are, and strong_collapse reads its vertex labels from strata[0]
+    lists = 0
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for s, t in _pairs(_dp(n), strict=False):
+                fm = flag_model(_horn(n, i), s, t)
+                assert_lists_strictly_increase(fm, (n, i, s, t))
+                lists += len(fm.simplices)
+                for cut in range(len(fm.counts())):
+                    assert_lists_strictly_increase(
+                        flag_model(_horn(n, i), s, t, max_dim=cut), (n, i, s, t, cut))
+    assert lists == 842
+    for i, s, t in [(1, "0", "01345"), (2, "012", "0245"),
+                    (3, "0", "01345"), (4, "012", "0245")]:
+        fm = flag_model(_horn(5, i), D(s), D(t))
+        assert len(fm.simplices) == 5
+        assert_lists_strictly_increase(fm, (5, i, s, t))
 
 
 def test_square_chain_poset_n1_frozen():

@@ -1,16 +1,20 @@
 """Scaled nerves, both relative nerves, and the comparisons between them."""
 
+from functools import partial
+
 import pytest
 
-from nervecheck import suites
-from nervecheck.battery import functor_battery
+from nervecheck import nerves, suites
+from nervecheck.battery import functor_battery, oriental_two_spec
 from nervecheck.bits import bit_list, mask_of
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from nervecheck.funcspec import FunctorSpec, constant_spec, pair_mask
+from nervecheck.groth import grothendieck_classical
 from nervecheck.nerves import (
     OrientalScaledBackend,
     Rel1Backend,
     Rel2Backend,
+    _BaseView,
     base_change_check,
     chi_groth_comparison,
     chi_squares_hold,
@@ -24,7 +28,13 @@ from nervecheck.nerves import (
     scaled_nerve,
 )
 from nervecheck.report import FAIL
-from nervecheck.simplicial import codegeneracy, delta, horn_fill_check
+from nervecheck.simplicial import (
+    CategoryNerveBackend,
+    closed_simplices,
+    codegeneracy,
+    delta,
+    horn_fill_check,
+)
 
 
 def oriental2_spec():
@@ -307,6 +317,81 @@ def test_comparisons_still_closure_check_the_family_nerve(monkeypatch):
     assert res.verdict == FAIL
     assert res.certificate == {
         "error": "ValueError: face missing below dimension 2"}
+
+
+def _checked_backends():
+    """(name, backend maker, dim) for every nerve a comparison reads."""
+    for name, sp in functor_battery():
+        yield name, partial(Rel1Backend, sp), 4
+        yield name, partial(Rel2Backend, sp), 3
+        yield name, lambda sp=sp: CategoryNerveBackend(grothendieck_classical(sp)), 4
+    yield "oriental-two", partial(Rel2Backend, oriental_two_spec()), 3
+
+
+def test_recorded_faces_equal_alpha_star_on_a_fresh_backend():
+    for name, make, dim in _checked_backends():
+        fresh = make()
+        for k, (sims, _, _, faces) in enumerate(closed_simplices(make(), dim)):
+            assert list(faces) == (sims if k else []), (name, k)
+            for z, fs in faces.items():
+                assert fs == tuple(fresh.alpha_star(z, delta(i, k))
+                                   for i in range(k + 1)), (name, k, z)
+
+
+def _swap_d0_d1_in_dimension_2(monkeypatch, cls, applies):
+    inner = cls.alpha_star
+    swap = {delta(0, 2): delta(1, 2), delta(1, 2): delta(0, 2)}
+
+    def alpha_star(self, s, alpha):
+        if applies(self) and self.dim_of(s) == 2:
+            alpha = swap.get(alpha, alpha)
+        return inner(self, s, alpha)
+
+    monkeypatch.setattr(cls, "alpha_star", alpha_star)
+
+
+def test_comparisons_catch_a_target_with_swapped_faces(monkeypatch):
+    # the target's closure check still passes, so only a comparison that
+    # computes the faces of both sides on its own can see the swap
+    sp = dict(functor_battery())["arrow-collapse"]
+    assert chi_groth_comparison(sp, 3)["faces_commute"]
+    assert pi_star_check(sp, 3)["faces_commute"]
+    totals = []
+
+    def recorded_total_category(spec):
+        totals.append(grothendieck_classical(spec))
+        return totals[-1]
+
+    monkeypatch.setattr(nerves, "grothendieck_classical", recorded_total_category)
+    _swap_d0_d1_in_dimension_2(monkeypatch, CategoryNerveBackend,
+                               lambda b: any(b.cat is g for g in totals))
+    _swap_d0_d1_in_dimension_2(monkeypatch, Rel2Backend, lambda b: True)
+    rep = chi_groth_comparison(sp, 3)
+    assert totals and rep["bijective"] and not rep["faces_commute"]
+    rep = pi_star_check(sp, 3)
+    assert rep["well_defined"] and all(rep["bijective"].values())
+    assert rep["degeneracies_commute"] and not rep["faces_commute"]
+
+
+def _path_cell_by_folding(view, s, pos_mask):
+    ps = bit_list(pos_mask)
+    out = view.cell(s, ps[0], ps[0])
+    for a, b in zip(ps, ps[1:]):
+        out = view.compose(out, view.cell(s, a, b))
+    return out
+
+
+def test_path_cell_equals_the_fold_of_cell_and_compose():
+    battery = dict(functor_battery())
+    for sp in [oriental_two_spec(), battery["two-chain-mixed"],
+               battery["two-chain-parallel"]]:
+        view = _BaseView(sp)
+        for _ in range(2):  # the second round reads the memo
+            for k in range(4):
+                for s in view.simplices(k):
+                    for mask in range(1, 1 << (k + 1)):
+                        assert view.path_cell(s, mask) == \
+                            _path_cell_by_folding(view, s, mask), (s, mask)
 
 
 def test_marked_edges_are_value_isomorphisms():

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from nervecheck.battery import functor_battery
+from nervecheck.battery import functor_battery, parallel_pair
 from nervecheck.category import chain_category, walking_iso
 from nervecheck.simplicial import (
     CategoryNerveBackend,
@@ -153,6 +153,36 @@ def test_category_alpha_star_matches_composition():
                             assert (nb.alpha_star(s, alpha)
                                     == _alpha_star_by_composition(cat, s, alpha))
     assert {0, 1, 2, 3} <= lengths
+
+
+def test_memoized_category_alpha_star_matches_a_fresh_backend():
+    # a memo hit must give what a backend that never saw the simplex
+    # computes, on every coface and codegeneracy
+    for cat in [walking_iso(), chain_category(2), parallel_pair()]:
+        memo = CategoryNerveBackend(cat)
+        for k in range(4):
+            maps = [delta(i, k) for i in range(k + 1)] if k else []
+            maps += [codegeneracy(j, k) for j in range(k + 1)]
+            for _ in range(2):
+                for s in memo.simplices(k):
+                    for alpha in maps:
+                        assert memo.alpha_star(s, alpha) == \
+                            CategoryNerveBackend(cat).alpha_star(s, alpha)
+
+
+def test_table_reads_faces_the_closure_check_recorded():
+    t = nerve_table(walking_iso(), 3)
+    assert t.faces[0] == {}
+    for k in (1, 2, 3):
+        assert list(t.faces[k]) == t.simplices[k]
+        for s in t.simplices[k]:
+            assert t.boundary(s) is t.faces[k][s]
+            assert all(t.face(s, i) is f for i, f in enumerate(t.faces[k][s]))
+    # a simplex outside the table gets its faces from alpha_star
+    top = t.simplices[3][-1]
+    above = t.backend.alpha_star(top, codegeneracy(0, 3))
+    assert t.boundary(above) == tuple(
+        t.backend.alpha_star(above, delta(i, 4)) for i in range(5))
 
 
 def test_marked_edges():
