@@ -2,8 +2,8 @@
 
 Exit codes: 0 all good, 1 a check failed (or none ran), 2 inconclusive
 results only, 64 usage error.  --json writes the machine-readable result
-next to the human output; --dot writes a Hasse diagram for the
-poset-shaped subcommands.
+next to the human output; --dot, on dn, horn and mapping-space, writes
+a Hasse diagram.
 """
 
 from __future__ import annotations
@@ -38,19 +38,15 @@ class Parser(argparse.ArgumentParser):
 
 def _common(p: Parser) -> None:
     p.add_argument("--json", metavar="FILE", help="write JSON result here")
-    p.add_argument("--dot", metavar="FILE", help="write a DOT Hasse diagram")
 
 
 def _emit(args, payload: dict, dot: Callable[[], str] | None = None) -> None:
-    """Write --json and --dot; dot builds the picture, only when asked for."""
+    """Write --json, and --dot where dot builds a picture, only when asked for."""
     if args.json:
         text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
         Path(args.json).write_text(text + "\n")
-    if args.dot:
-        if dot is None:
-            print("note: --dot has no picture for this subcommand", file=sys.stderr)
-        else:
-            Path(args.dot).write_text(dot())
+    if dot is not None and args.dot:
+        Path(args.dot).write_text(dot())
 
 
 def _at_least(lo: int):
@@ -200,9 +196,8 @@ def cmd_mapping_space(args) -> int:
         raise UsageError(f"need --from <= --to in D^{args.n}, got {digits(s)}, {digits(t)}")
     payload: dict = {"n": args.n, "i": args.i,
                      "from": digits(s), "to": digits(t)}
-    dot = None
     rc = 0
-    fm = None
+    fm = no = None
     if args.model in ("flag", "both"):
         size = sum(flag_counts(k, s, t)[:None if args.dim is None else args.dim + 1])
         if size > MAX_FLAG_SIMPLICES:
@@ -212,7 +207,6 @@ def cmd_mapping_space(args) -> int:
         fm = flag_model(k, s, t, max_dim=args.dim)
         payload["flag"] = {"counts": fm.counts()}
         print("flag model counts:", fm.counts())
-        dot = partial(_refinement_dot, dp.poset, fm.vertices())
     if args.model in ("necklace", "both"):
         no = necklace_oracle(k, s, t, max_dim=args.dim)
         payload["necklace"] = {"counts": no.counts()}
@@ -222,7 +216,8 @@ def cmd_mapping_space(args) -> int:
             payload["agree"] = agree
             print("models agree:", agree)
             rc = 0 if agree else 1
-    _emit(args, payload, dot)
+    model = fm if fm is not None else no
+    _emit(args, payload, partial(_refinement_dot, dp.poset, model.vertices()))
     return rc
 
 
@@ -407,6 +402,9 @@ def build_parser() -> Parser:
     _common(p)
     p.set_defaults(func=cmd_verify)
 
+    for name in ("dn", "horn", "mapping-space"):
+        sub.choices[name].add_argument("--dot", metavar="FILE",
+                                       help="write a DOT Hasse diagram")
     return top
 
 

@@ -58,9 +58,6 @@ class FunctorSpec:
     def oriental_base(self) -> bool:
         return isinstance(self.base, int)
 
-    def value(self, c) -> FiniteCategory:
-        return self.values[c]
-
     def functor(self, cell) -> CatFunctor:
         """The functor assigned to a 1-cell, composites included."""
         if cell not in self._functors:

@@ -80,17 +80,14 @@ def _union_over_faces(dposet: DPoset, faces: list[int]) -> ChainSubcomplex:
     return ChainSubcomplex(dposet.poset, chains, validate=False)
 
 
-def l_complex(n: int, i: int, dposet: DPoset | None = None,
-              use_superior: bool = True) -> ChainSubcomplex:
+def l_complex(n: int, i: int, dposet: DPoset | None = None) -> ChainSubcomplex:
     """Horn subcomplex of the nerve of D^n for the inner horn at i.
 
-    The union over superior faces equals the union over all admissible
-    faces; use_superior=False takes the long route for cross-checks.
+    It is the union over the superior faces, which equals the union
+    over all admissible faces.
     """
     dposet = dposet or build_d(standard_interval(n))
-    fam = admissible_and_superior(n, i)
-    faces = fam.superior if use_superior else fam.admissible
-    return _union_over_faces(dposet, faces)
+    return _union_over_faces(dposet, admissible_and_superior(n, i).superior)
 
 
 def phi_on_objects(n: int, i: int, j: int) -> tuple[ChainSubcomplex, ChainSubcomplex]:

@@ -162,7 +162,7 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
     On arrows the hom part moves contravariantly, so the transported
     face value is composed with the two-cell comparing the two paths.
     """
-    spec, view = back.spec, back.view
+    spec = back.spec
     e0 = back.value_at(zv[0], 0)
     full = (1 << (n + 1)) - 1
     obj: dict = {}
@@ -175,7 +175,7 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
         pre = {m: rho_preimage(jm, m) for m in elems}
         for m in elems:
             s1, s2 = pre[m]
-            val = spec.functor(view.path_cell(zv[0], s1)).obj[th[0][s2]]
+            val = spec.functor(back.path_cell(zv[0], s1)).obj[th[0][s2]]
             if obj.setdefault(m, val) != val:
                 raise ValueError("boundary functors disagree on an element")
         for m in elems:
@@ -184,8 +184,8 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
                     continue
                 s1, s2 = pre[m]
                 t1, t2 = pre[mp]
-                big = view.path_cell(zv[0], s1)
-                small = view.path_cell(zv[0], t1)
+                big = back.path_cell(zv[0], s1)
+                small = back.path_cell(zv[0], t1)
                 arrow = e0.then(spec.functor(big).on_mor(th[1][(s2, t2)]),
                                 spec.tau(small, big)[th[0][t2]])
                 if mor.setdefault((m, mp), arrow) != arrow:
@@ -209,7 +209,7 @@ def reduced_solutions(nat: NatTrans, back: Rel2Backend, zv, gbar) -> list[dict]:
         key = (dp.elements[ia], dp.elements[ib])
         if key in edge_pin:
             cover_pin[key] = edge_pin[key]
-    p0 = nat.component(back.view.vertex(zv[0], 0))
+    p0 = nat.component(zv[0][0][0])
     g_obj, g_mor = gbar
     out = []
     for cand in poset_functors(dp, e0, obj_pin, cover_pin):

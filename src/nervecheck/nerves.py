@@ -26,15 +26,8 @@ from .funcspec import FunctorSpec, one_cells, pair_mask
 from .groth import grothendieck_classical
 from .oriental import build_d
 from .poset import Poset
-from .simplicial import (
-    CategoryNerveBackend,
-    SimplexTable,
-    boundary_of,
-    closed_simplices,
-    codegeneracy,
-    delta,
-    nerve_table,
-)
+from .simplicial import (CategoryNerveBackend, SimplexTable, codegeneracy,
+                         map_by_dimension, nerve_table)
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -89,6 +82,16 @@ class OrientalScaledBackend:
                 tuple((1 << v[ia]) if t is None else h[t]
                       for ia, t in _pair_plan(len(v) - 1, alpha)))
 
+    def cell(self, s, a: int, b: int):
+        """The 1-cell of s from vertex a to vertex b, a <= b."""
+        v, h = s
+        if a == b:
+            return 1 << v[a]
+        return h[a * (len(v) - 1) - a * (a - 1) // 2 + (b - a - 1)]
+
+    def compose(self, c1, c2):
+        return c1 | c2
+
     def dim_of(self, s) -> int:
         return len(s[0]) - 1
 
@@ -106,67 +109,23 @@ def scaled_nerve(base, dim: int) -> SimplexTable:
     return nerve_table(base, dim)
 
 
-class _BaseView:
-    """Uniform cell calculus over category and oriental bases."""
-
-    def __init__(self, spec: FunctorSpec):
-        self.spec = spec
-        self.oriental = spec.oriental_base
-        self.backend = OrientalScaledBackend(spec.base) if self.oriental \
-            else CategoryNerveBackend(spec.base)
-        self._path_cells: dict = {}
-
-    def simplices(self, k: int):
-        return self.backend.simplices(k)
-
-    def alpha_star(self, s, alpha):
-        return self.backend.alpha_star(s, alpha)
-
-    def vertex(self, s, j: int):
-        return s[0][j]
-
-    def cell(self, s, a: int, b: int):
-        if a == b:
-            va = s[0][a]
-            return (1 << va) if self.oriental else self.spec.base.ident[va]
-        if self.oriental:
-            k = len(s[0]) - 1
-            idx = a * k - a * (a - 1) // 2 + (b - a - 1)
-            return s[1][idx]
-        return self.spec.base.compose_path(s[1][a:b], at=s[0][a])
-
-    def compose(self, c1, c2):
-        return (c1 | c2) if self.oriental else self.spec.base.then(c1, c2)
-
-    def path_cell(self, s, pos_mask: int):
-        """Composite cell along the consecutive pairs of a position set."""
-        key = (s, pos_mask)
-        out = self._path_cells.get(key)
-        if out is None:
-            ps = bit_list(pos_mask)
-            out = self.cell(s, ps[0], ps[0])
-            for a, b in zip(ps, ps[1:]):
-                out = self.compose(out, self.cell(s, a, b))
-            self._path_cells[key] = out
-        return out
-
-
 class Rel2Backend:
     """Simplices of the functor-family nerve, enumerated by free data.
 
     A simplex is (sigma, x, f) with one object per vertex and one
     morphism per vertex pair; pairs beyond the consecutive ones are the
     forced composites.  Candidates are kept when every subset functor
-    is path independent and every transport square holds.
+    is path independent and every transport square holds.  The base
+    backend supplies the cells of base simplices, and path_cell keeps
+    each composite cell once.
     """
 
-    def __init__(self, spec: FunctorSpec, validate=None):
+    def __init__(self, spec: FunctorSpec):
         self.spec = spec
-        self.view = _BaseView(spec)
-        # category bases need no filtering: triviality of the two-cells
-        # makes every derived candidate satisfy the squares
-        self.validate = spec.oriental_base if validate is None else validate
+        self.base = OrientalScaledBackend(spec.base) if spec.oriental_base \
+            else CategoryNerveBackend(spec.base)
         self._dps: dict[int, Poset] = {}
+        self._path_cells: dict = {}
 
     def dpos(self, ground: int) -> Poset:
         if ground not in self._dps:
@@ -174,40 +133,58 @@ class Rel2Backend:
         return self._dps[ground]
 
     def value_at(self, s, j: int) -> FiniteCategory:
-        return self.spec.values[self.view.vertex(s, j)]
+        return self.spec.values[s[0][j]]
+
+    def path_cell(self, s, pos_mask: int):
+        """Composite base cell along the consecutive pairs of a position set."""
+        key = (s, pos_mask)
+        out = self._path_cells.get(key)
+        if out is None:
+            ps, base = bit_list(pos_mask), self.base
+            out = base.cell(s, ps[0], ps[0])
+            for a, b in zip(ps, ps[1:]):
+                out = base.compose(out, base.cell(s, a, b))
+            self._path_cells[key] = out
+        return out
 
     def simplices(self, k: int) -> list:
         out = []
-        for s in self.view.simplices(k):
+        for s in self.base.simplices(k):
             out.extend(self.fill(s, k))
         return out
 
     def fill(self, s, k: int) -> list:
-        """All simplices over one base simplex."""
-        spec, view = self.spec, self.view
+        """All simplices over one base simplex.
+
+        Category bases need no filtering: triviality of the two-cells
+        makes every candidate satisfy the squares.
+        """
+        if self.spec.oriental_base:
+            return [z for z in self.candidates(s, k) if self.simplex_valid(z)]
+        return self.candidates(s, k)
+
+    def candidates(self, s, k: int) -> list:
+        """Every family the free data derive over one base simplex, unfiltered."""
+        spec = self.spec
         vals = [self.value_at(s, j) for j in range(k + 1)]
-        step = [spec.functor(view.cell(s, j, j + 1)) for j in range(k)]
+        step = [spec.functor(self.base.cell(s, j, j + 1)) for j in range(k)]
         res = []
         for x in product(*(e.objects for e in vals)):
             opts = [vals[j].hom(x[j], step[j].obj[x[j + 1]]) for j in range(k)]
             for fc in product(*opts):
-                data = self._derive(s, k, x, fc)
-                z = (s, x, data)
-                if not self.validate or self.simplex_valid(z,
-                                                           full=self.validate == "full"):
-                    res.append(z)
+                res.append((s, x, self._derive(s, k, x, fc)))
         return res
 
     def _derive(self, s, k: int, x, fc) -> tuple:
-        view, spec = self.view, self.spec
+        base, spec = self.base, self.spec
         f = {(j, j + 1): fc[j] for j in range(k)}
         for span in range(2, k + 1):
             for a in range(k + 1 - span):
                 b, c = a + 1, a + span
-                cab, cbc = view.cell(s, a, b), view.cell(s, b, c)
+                cab, cbc = base.cell(s, a, b), base.cell(s, b, c)
                 e = self.value_at(s, a)
                 comp = e.then(f[(a, b)], spec.functor(cab).on_mor(f[(b, c)]))
-                tau = spec.tau(view.cell(s, a, c), view.compose(cab, cbc))
+                tau = spec.tau(base.cell(s, a, c), base.compose(cab, cbc))
                 f[(a, c)] = e.then(comp, tau[x[c]])
         return tuple(f[p] for p in pair_order(k))
 
@@ -220,7 +197,7 @@ class Rel2Backend:
         f = dict(zip(pair_order(k), data))
         p = self.dpos(imask)
         e = self.value_at(s, min_bit(imask))
-        obj = {sm: self.spec.functor(self.view.path_cell(s, sm)).obj[x[max_bit(sm)]]
+        obj = {sm: self.spec.functor(self.path_cell(s, sm)).obj[x[max_bit(sm)]]
                for sm in p.elements}
         cov = {}
         for (ia, ib) in p.covers:
@@ -243,19 +220,19 @@ class Rel2Backend:
         return out
 
     def _cover_value(self, s, x, f, sm: int, tm: int):
-        view, spec = self.view, self.spec
+        base, spec = self.base, self.spec
         added = tm & ~sm
         if added:
             t = min_bit(added)
-            return spec.functor(view.path_cell(s, sm)).on_mor(f[(max_bit(sm), t)])
+            return spec.functor(self.path_cell(s, sm)).on_mor(f[(max_bit(sm), t)])
         j = min_bit(sm & ~tm)
         below = sm & ((1 << j) - 1)
         above = sm & ~((1 << (j + 1)) - 1)
         a, b = max_bit(below), min_bit(above)
-        small = view.cell(s, a, b)
-        big = view.compose(view.cell(s, a, j), view.cell(s, j, b))
-        comp_at = spec.functor(view.path_cell(s, above)).obj[x[max_bit(sm)]]
-        return spec.functor(view.path_cell(s, below)).on_mor(
+        small = base.cell(s, a, b)
+        big = base.compose(base.cell(s, a, j), base.cell(s, j, b))
+        comp_at = spec.functor(self.path_cell(s, above)).obj[x[max_bit(sm)]]
+        return spec.functor(self.path_cell(s, below)).on_mor(
             spec.tau(small, big)[comp_at])
 
     def simplex_valid(self, z, full: bool = False) -> bool:
@@ -278,7 +255,7 @@ class Rel2Backend:
         s, x, data = z
         fp = tuple(self.value_at(s, ia).ident[x[ia]] if t is None else data[t]
                    for ia, t in _pair_plan(len(x) - 1, alpha))
-        return (self.view.alpha_star(s, alpha), tuple(x[a] for a in alpha), fp)
+        return (self.base.alpha_star(s, alpha), tuple(x[a] for a in alpha), fp)
 
     def dim_of(self, z) -> int:
         return len(z[1]) - 1
@@ -295,7 +272,7 @@ def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
     of the two-cell data (validated on the diagram) extend them to
     every comparable pair, which full mode checks outright.
     """
-    spec, view = back.spec, back.view
+    spec = back.spec
     i0, j0 = min_bit(imask), min_bit(jmask)
     e = back.value_at(s, i0)
     obj_j, mor_j = th_j
@@ -310,7 +287,7 @@ def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
                    for ia, ib in p_j.covers]
     refl = [(a, a) for a in p_j.elements]
     for s1 in connectors:
-        f_s1 = spec.functor(view.path_cell(s, s1))
+        f_s1 = spec.functor(back.path_cell(s, s1))
         for s2 in p_j.elements:
             if obj_i[s1 | s2] != f_s1.obj[obj_j[s2]]:
                 return False
@@ -320,7 +297,7 @@ def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
             one_step = (s1 & ~s1p).bit_count() == 1
             if not full and s1 != s1p and not one_step:
                 continue
-            tau = spec.tau(view.path_cell(s, s1p), view.path_cell(s, s1))
+            tau = spec.tau(back.path_cell(s, s1p), back.path_cell(s, s1))
             pairs = j_pairs if (full or s1 == s1p) else refl
             for s2, s2p in pairs:
                 want = e.then(f_s1.on_mor(mor_j[(s2, s2p)]), tau[obj_j[s2p]])
@@ -330,13 +307,7 @@ def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
 
 
 def _rel2_marked(spec):
-    view = _BaseView(spec)
-
-    def rule(z):
-        s, x, data = z
-        return spec.values[view.vertex(s, 0)].is_iso(data[0])
-
-    return rule
+    return lambda z: spec.values[z[0][0][0]].is_iso(z[2][0])
 
 
 def _rel2_thin(spec):
@@ -409,8 +380,7 @@ class Rel1Backend:
             paths = {}
             for a in range(k + 1):
                 for b in range(a, k + 1):
-                    paths[(a, b)] = spec.functor(
-                        spec.base.compose_path(s[1][a:b], at=s[0][a]))
+                    paths[(a, b)] = spec.functor(self.catnerve.cell(s, a, b))
             step = [paths[(j, j + 1)] for j in range(k)]
             # per subset, the maps and positions that build its theta
             plans = [([(paths[(ps[0], p)].obj, p) for p in ps],
@@ -485,6 +455,7 @@ def chi_squares_hold(spec: FunctorSpec, z) -> bool:
     """Literal restriction squares for a simplex-family nerve simplex."""
     s, thetas = z
     k = len(s[0]) - 1
+    base = CategoryNerveBackend(spec.base)
     for imask in range(1, 1 << (k + 1)):
         ps = bit_list(imask)
         nb = spec.values[s[0][ps[0]]]
@@ -494,16 +465,10 @@ def chi_squares_hold(spec: FunctorSpec, z) -> bool:
             qs = bit_list(jmask)
             beta = tuple(ps.index(q) for q in qs)
             sub = CategoryNerveBackend(nb).alpha_star(thetas[imask - 1], beta)
-            trans = spec.functor(
-                spec.base.compose_path([], at=s[0][ps[0]])
-                if ps[0] == qs[0] else _segment(spec.base, s, ps[0], qs[0]))
+            trans = spec.functor(base.cell(s, ps[0], qs[0]))
             if sub != transport_chain(trans, thetas[jmask - 1]):
                 return False
     return True
-
-
-def _segment(base, s, a, b):
-    return base.compose_path(s[1][a:b], at=s[0][a])
 
 
 def pi_star_map(z):
@@ -518,18 +483,17 @@ def pi_star_map(z):
 def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
     """Compare the two relative nerves along the projection-induced map."""
     b1, b2 = Rel1Backend(spec), Rel2Backend(spec)
-    sims1, sims2 = closed_simplices(b1, dim), closed_simplices(b2, dim)
     marked1, marked2 = _rel1_marked(spec), _rel2_marked(spec)
     report = {"well_defined": True, "faces_commute": True,
               "degeneracies_commute": True, "markings_match": True,
               "projection_commutes": True,
               "injective": {}, "bijective": {}}
-    image_below: dict = {}
-    for k in range(dim + 1):
-        (src, _, _, faces1), (_, tgt, _, faces2) = sims1[k], sims2[k]
-        images = [pi_star_map(z) for z in src]
+    for k, (src, images, tgt, commute) in enumerate(
+            map_by_dimension(b1, b2, pi_star_map, dim)):
         if any(w not in tgt for w in images):
             report["well_defined"] = False
+        if not commute:
+            report["faces_commute"] = False
         report["injective"][k] = len(set(images)) == len(src)
         report["bijective"][k] = set(images) == tgt and report["injective"][k]
         for z, w in zip(src, images):
@@ -537,16 +501,11 @@ def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
                 report["projection_commutes"] = False
             if k == 1 and marked1(z) != marked2(w):
                 report["markings_match"] = False
-            if k > 0 and tuple([image_below[f] for f in faces1[z]]) != \
-                    boundary_of(b2, faces2, w):
-                report["faces_commute"] = False
             if k < dim:
                 for j in range(k + 1):
                     if pi_star_map(b1.alpha_star(z, codegeneracy(j, k))) != \
                             b2.alpha_star(w, codegeneracy(j, k)):
                         report["degeneracies_commute"] = False
-        if k < dim:
-            image_below = dict(zip(src, images))
     return report
 
 
@@ -563,26 +522,15 @@ def chi_groth_map(z):
 
 def chi_groth_comparison(spec: FunctorSpec, dim: int) -> dict:
     """The family nerve against the nerve of the total category."""
-    b1 = Rel1Backend(spec)
-    sims1 = closed_simplices(b1, dim)
-    bg = CategoryNerveBackend(grothendieck_classical(spec))
-    simsg = closed_simplices(bg, dim)
+    total = CategoryNerveBackend(grothendieck_classical(spec))
     report = {"counts": [], "bijective": True, "faces_commute": True}
-    image_below: dict = {}
-    for k in range(dim + 1):
-        (src, _, _, faces1), (_, tgt, _, facesg) = sims1[k], simsg[k]
-        images = [chi_groth_map(z) for z in src]
-        ok = len(set(images)) == len(src) and set(images) == tgt
+    for src, images, tgt, commute in map_by_dimension(
+            Rel1Backend(spec), total, chi_groth_map, dim):
         report["counts"].append((len(src), len(tgt)))
-        if not ok:
+        if not (len(set(images)) == len(src) and set(images) == tgt):
             report["bijective"] = False
-        if k > 0:
-            for z, w in zip(src, images):
-                if tuple([image_below[f] for f in faces1[z]]) != \
-                        boundary_of(bg, facesg, w):
-                    report["faces_commute"] = False
-        if k < dim:
-            image_below = dict(zip(src, images))
+        if not commute:
+            report["faces_commute"] = False
     return report
 
 
@@ -597,40 +545,46 @@ def pull_spec(bf: CatFunctor, spec: FunctorSpec) -> FunctorSpec:
     return FunctorSpec(c, values, action)
 
 
+class PullbackBackend:
+    """Pullback of a family nerve along the nerve of a base functor bf.
+
+    A simplex is a pair (tau, z) of a simplex tau of the nerve of the
+    source of bf and a family nerve simplex z over the base simplex
+    bf(tau); alpha_star acts on both components.
+    """
+
+    def __init__(self, bf: CatFunctor, family: Rel2Backend):
+        self.bf = bf
+        self.source = CategoryNerveBackend(bf.source)
+        self.family = family
+
+    def over(self, tau):
+        """The base simplex bf(tau)."""
+        return (tuple(self.bf.obj[o] for o in tau[0]),
+                tuple(self.bf.mor[m] for m in tau[1]))
+
+    def simplices(self, k: int) -> list:
+        return [(tau, z) for tau in self.source.simplices(k)
+                for z in self.family.fill(self.over(tau), k)]
+
+    def alpha_star(self, p, alpha):
+        return (self.source.alpha_star(p[0], alpha), self.family.alpha_star(p[1], alpha))
+
+    def dim_of(self, p) -> int:
+        return len(p[0][0]) - 1
+
+
 def base_change_check(bf: CatFunctor, spec: FunctorSpec, dim: int) -> dict:
     """Pulled-back nerve against the pullback of the nerve."""
-    pulled = pull_spec(bf, spec)
-    tc = Rel2Backend(pulled)
-    td = Rel2Backend(spec)
-    nc = CategoryNerveBackend(bf.source)
-
-    def nerve_image(tau):
-        return (tuple(bf.obj[o] for o in tau[0]),
-                tuple(bf.mor[m] for m in tau[1]))
-
+    pulled = Rel2Backend(pull_spec(bf, spec))
+    pullback = PullbackBackend(bf, Rel2Backend(spec))
     report = {"dims": {}, "isomorphism": True, "faces_commute": True}
-    for k in range(dim + 1):
-        by_base: dict = {}
-        for z in td.simplices(k):
-            by_base.setdefault(z[0], []).append(z)
-        pullback = set()
-        for tau in nc.simplices(k):
-            for z in by_base.get(nerve_image(tau), []):
-                pullback.add((tau, z))
-        src = tc.simplices(k)
-        images = [(z[0], (nerve_image(z[0]), z[1], z[2])) for z in src]
-        ok = len(set(images)) == len(src) and set(images) == pullback
-        report["dims"][k] = {"nerve": len(src), "pullback": len(pullback),
-                             "match": ok}
+    for k, (src, images, tgt, commute) in enumerate(map_by_dimension(
+            pulled, pullback, lambda z: (z[0], (pullback.over(z[0]), z[1], z[2])), dim)):
+        ok = len(set(images)) == len(src) and set(images) == tgt
+        report["dims"][k] = {"nerve": len(src), "pullback": len(tgt), "match": ok}
         if not ok:
             report["isomorphism"] = False
-        if k > 0:
-            for z in src:
-                for i in range(k + 1):
-                    fz = tc.alpha_star(z, delta(i, k))
-                    w = (z[0], (nerve_image(z[0]), z[1], z[2]))
-                    fw = (nc.alpha_star(w[0], delta(i, k)),
-                          td.alpha_star(w[1], delta(i, k)))
-                    if (fz[0], (nerve_image(fz[0]), fz[1], fz[2])) != fw:
-                        report["faces_commute"] = False
+        if not commute:
+            report["faces_commute"] = False
     return report

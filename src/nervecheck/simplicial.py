@@ -10,10 +10,10 @@ the nondegenerate cells in a fixed order; horn and boundary-sphere
 enumeration work on the lists.
 
 Closure validation (no duplicates, every degeneracy and every face
-present) is the function closed_simplices; the table calls it, and a
-comparison that needs only the simplex lists of a backend calls it
-without building a table.  It records the faces it computes, and
-faces are read from that record afterwards.
+present) is the function closed_simplices; the table calls it, and so
+does map_by_dimension, through which every comparison map of two
+backends is checked without building a table.  It records the faces
+it computes, and faces are read from that record afterwards.
 """
 
 from __future__ import annotations
@@ -150,6 +150,25 @@ def boundary_of(backend, faces: dict, s) -> tuple:
     return tuple(backend.alpha_star(s, delta(i, k)) for i in range(k + 1))
 
 
+def map_by_dimension(source, target, image, dim: int):
+    """Closure-check both backends through dim and map source into target.
+
+    Yields, per dimension, the source simplices, their images, the
+    target's simplex set and whether faces commute: each recorded face
+    of a source simplex, mapped by image, must be the target's recorded
+    face of the image (alpha_star for an image the target lacks).
+    """
+    sources, targets = closed_simplices(source, dim), closed_simplices(target, dim)
+    image_below: dict = {}
+    for k, ((sims, _, _, faces), (_, tset, _, tfaces)) in enumerate(zip(sources, targets)):
+        images = [image(z) for z in sims]
+        yield sims, images, tset, k == 0 or all(
+            tuple([image_below[f] for f in faces[z]]) == boundary_of(target, tfaces, w)
+            for z, w in zip(sims, images))
+        if k < dim:
+            image_below = dict(zip(sims, images))
+
+
 def _compatible_tuples(table: SimplexTable, n: int,
                        positions: list[int]) -> list[dict]:
     """Assignments position -> (n-1)-simplex with matching shared faces.
@@ -282,19 +301,20 @@ class CategoryNerveBackend:
         return out
 
     def _restrict(self, s, alpha: Alpha):
+        return (tuple([s[0][a] for a in alpha]),
+                tuple([self.cell(s, a, b) for a, b in zip(alpha, alpha[1:])]))
+
+    def cell(self, s, a: int, b: int):
+        """The morphism of s from vertex a to vertex b, a <= b."""
         objs, mors = s
-        cat = self.cat
-        new_mors = []
-        a = alpha[0]
-        for b in alpha[1:]:
-            if b == a:
-                new_mors.append(cat.ident[objs[a]])
-            elif b == a + 1:
-                new_mors.append(mors[a])
-            else:
-                new_mors.append(cat.compose_path(mors[a:b], at=objs[a]))
-            a = b
-        return (tuple([objs[a] for a in alpha]), tuple(new_mors))
+        if a == b:
+            return self.cat.ident[objs[a]]
+        if b == a + 1:
+            return mors[a]
+        return self.cat.compose_path(mors[a:b], at=objs[a])
+
+    def compose(self, f, g):
+        return self.cat.then(f, g)
 
     def dim_of(self, s) -> int:
         return len(s[0]) - 1

@@ -39,6 +39,8 @@ def test_dn_dot_export(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["dn", "--n", "3"],
     ["mapping-space", "--n", "3", "--i", "1", "--from", "0", "--to", "03"],
+    ["mapping-space", "--n", "3", "--i", "1", "--from", "0", "--to", "03",
+     "--model", "necklace"],
 ])
 def test_dot_is_built_only_for_dot(argv, tmp_path, monkeypatch):
     out = tmp_path / "out.json"
@@ -289,6 +291,7 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
     ["mapping-space", "--n", "7", "--i", "3", "--from", "0", "--to", "07",
      "--model", "both"],
     ["homology", "--input", "{simplex24}"],
+    ["verify", "lemma-close", "--dot", "x"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -298,7 +301,7 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
         "homology-simplices-string", "homology-simplex-object",
         "compare-nerves-oriental-base", "base-change-oriental-base",
         "lift-check-n-1", "mapping-necklace-n5", "mapping-both-n7",
-        "homology-simplex-24-vertices"])
+        "homology-simplex-24-vertices", "verify-dot"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",

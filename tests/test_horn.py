@@ -62,8 +62,9 @@ def test_l2_1_shape():
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 2)])
 def test_union_over_superior_equals_union_over_admissible(n, i):
-    a = l_complex(n, i, use_superior=True)
-    b = l_complex(n, i, use_superior=False)
+    dp = build_d(standard_interval(n))
+    a = l_complex(n, i, dp)
+    b = _union_over_faces(dp, admissible_and_superior(n, i).admissible)
     assert a.chains == b.chains
 
 

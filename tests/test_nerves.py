@@ -12,9 +12,9 @@ from nervecheck.funcspec import FunctorSpec, constant_spec, pair_mask
 from nervecheck.groth import grothendieck_classical
 from nervecheck.nerves import (
     OrientalScaledBackend,
+    PullbackBackend,
     Rel1Backend,
     Rel2Backend,
-    _BaseView,
     base_change_check,
     chi_groth_comparison,
     chi_squares_hold,
@@ -162,23 +162,25 @@ def test_derived_enumeration_matches_literal_in_diamond_dimension():
         assert lit == der
 
 
+def _fully_valid(b: Rel2Backend, s, k: int) -> set:
+    return {z for z in b.candidates(s, k) if b.simplex_valid(z, full=True)}
+
+
 def test_reduced_validation_agrees_with_full():
     sp = oriental2_spec()
-    reduced, full = Rel2Backend(sp), Rel2Backend(sp, validate="full")
+    b = Rel2Backend(sp)
     base = OrientalScaledBackend(2)
     for k in range(4):
         sims = base.simplices(k) if k < 3 else base.simplices(k)[:8]
         for s in sims:
-            assert set(reduced.fill(s, k)) == set(full.fill(s, k))
+            assert set(b.fill(s, k)) == _fully_valid(b, s, k)
 
 
 def test_category_base_candidates_always_valid():
-    sp = arrow_base_spec()
-    unchecked, full = Rel2Backend(sp), Rel2Backend(sp, validate="full")
-    nerve = Rel2Backend(sp).view
+    b = Rel2Backend(arrow_base_spec())
     for k in range(3):
-        for s in nerve.simplices(k):
-            assert set(unchecked.fill(s, k)) == set(full.fill(s, k))
+        for s in b.base.simplices(k):
+            assert set(b.fill(s, k)) == _fully_valid(b, s, k)
 
 
 def test_validator_rejects_corrupted_family():
@@ -287,18 +289,18 @@ def test_planned_alpha_star_matches_the_per_subset_oracle():
                         alpha_star_oracle(b, z, alpha), (name, z, alpha)
 
 
-def _drop_a_nondegenerate_edge(monkeypatch):
-    inner = Rel1Backend.simplices
+def _drop_a_nondegenerate_edge(monkeypatch, cls=Rel1Backend, applies=lambda b: True):
+    inner = cls.simplices
 
     def simplices(self, k):
         out = inner(self, k)
-        if k != 1:
+        if k != 1 or not applies(self):
             return out
         points = {self.alpha_star(v, codegeneracy(0, 0)) for v in inner(self, 0)}
         edge = next(z for z in out if z not in points)
         return [z for z in out if z != edge]
 
-    monkeypatch.setattr(Rel1Backend, "simplices", simplices)
+    monkeypatch.setattr(cls, "simplices", simplices)
 
 
 def test_comparisons_still_closure_check_the_family_nerve(monkeypatch):
@@ -317,6 +319,42 @@ def test_comparisons_still_closure_check_the_family_nerve(monkeypatch):
     assert res.verdict == FAIL
     assert res.certificate == {
         "error": "ValueError: face missing below dimension 2"}
+
+
+def test_base_change_closure_checks_the_pulled_family_nerve(monkeypatch):
+    sp = dict(functor_battery())["two-chain-mixed"]
+    bf = CatFunctor(chain_category(1), sp.base, {0: 0, 1: 2},
+                    {(0, 0): (0, 0), (1, 1): (2, 2), (0, 1): (0, 2)})
+    assert base_change_check(bf, sp, 3)["isomorphism"]
+    pulled = []
+
+    def recorded_pull_spec(bf, spec):
+        pulled.append(pull_spec(bf, spec))
+        return pulled[-1]
+
+    monkeypatch.setattr(nerves, "pull_spec", recorded_pull_spec)
+    _drop_a_nondegenerate_edge(monkeypatch, Rel2Backend,
+                               lambda b: any(b.spec is p for p in pulled))
+    with pytest.raises(ValueError, match="^face missing below dimension 2$"):
+        base_change_check(bf, sp, 3)
+    assert pulled
+
+
+def test_each_comparison_lists_each_nerve_once_per_dimension(monkeypatch):
+    # a nerve is a backend class over a spec (the pullback over itself)
+    listed = []
+    for cls in (Rel1Backend, Rel2Backend, PullbackBackend):
+        def simplices(self, k, inner=cls.simplices):
+            listed.append((type(self).__name__, id(getattr(self, "spec", self)), k))
+            return inner(self, k)
+
+        monkeypatch.setattr(cls, "simplices", simplices)
+    sp = dict(functor_battery())["two-chain-mixed"]
+    for run in (partial(pi_star_check, sp, 3), partial(chi_groth_comparison, sp, 3),
+                partial(base_change_check, CatFunctor.identity(sp.base), sp, 3)):
+        listed.clear()
+        run()
+        assert listed and len(set(listed)) == len(listed), listed
 
 
 def _checked_backends():
@@ -371,13 +409,23 @@ def test_comparisons_catch_a_target_with_swapped_faces(monkeypatch):
     rep = pi_star_check(sp, 3)
     assert rep["well_defined"] and all(rep["bijective"].values())
     assert rep["degeneracies_commute"] and not rep["faces_commute"]
+    # base change, swapped on the pullback's family side only: over the
+    # point both faces lie over one base simplex, so the pullback stays
+    # closed
+    monkeypatch.undo()
+    pt = dict(functor_battery())["point-two-chain"]
+    bf = CatFunctor.constant(chain_category(1), pt.base, "*")
+    assert base_change_check(bf, pt, 3)["faces_commute"]
+    _swap_d0_d1_in_dimension_2(monkeypatch, Rel2Backend, lambda b: b.spec is pt)
+    rep = base_change_check(bf, pt, 3)
+    assert rep["isomorphism"] and not rep["faces_commute"]
 
 
-def _path_cell_by_folding(view, s, pos_mask):
+def _path_cell_by_folding(base, s, pos_mask):
     ps = bit_list(pos_mask)
-    out = view.cell(s, ps[0], ps[0])
+    out = base.cell(s, ps[0], ps[0])
     for a, b in zip(ps, ps[1:]):
-        out = view.compose(out, view.cell(s, a, b))
+        out = base.compose(out, base.cell(s, a, b))
     return out
 
 
@@ -385,13 +433,13 @@ def test_path_cell_equals_the_fold_of_cell_and_compose():
     battery = dict(functor_battery())
     for sp in [oriental_two_spec(), battery["two-chain-mixed"],
                battery["two-chain-parallel"]]:
-        view = _BaseView(sp)
+        back = Rel2Backend(sp)
         for _ in range(2):  # the second round reads the memo
             for k in range(4):
-                for s in view.simplices(k):
+                for s in back.base.simplices(k):
                     for mask in range(1, 1 << (k + 1)):
-                        assert view.path_cell(s, mask) == \
-                            _path_cell_by_folding(view, s, mask), (s, mask)
+                        assert back.path_cell(s, mask) == \
+                            _path_cell_by_folding(back.base, s, mask), (s, mask)
 
 
 def test_marked_edges_are_value_isomorphisms():

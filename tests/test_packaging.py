@@ -77,6 +77,7 @@ UNNAMED_METHODS = {
     "SimplexTable.edge_marked": "degenerate or marked edges of a nerve table",
     "SimplexTable.triangle_thin": "degenerate or thin triangles of a nerve table",
     "Parser.error": "argparse calls it on a bad command line",
+    "Poset.leq": "relation as a matrix, read by tests and perfbench/gen_n5_sizes.py",
 }
 
 
@@ -86,16 +87,24 @@ def _is_suite_builder(node):
 
 
 def _names_in(paths):
-    named = set()
+    """(every name paths use, the names they use as attributes)."""
+    named, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-    return named
+    return named | attributes, attributes
+
+
+def _uses(name, names):
+    """Whether a defined name is used: a method only as an attribute."""
+    every, attributes = names
+    owner, _, bare = name.rpartition(".")
+    return bare in (attributes if owner else every)
 
 
 def _defined_names(path):
@@ -118,14 +127,13 @@ def _defined_names(path):
 def _unused_in_src(src, tests):
     """Names that the packages under src define (_defined_names) and src
     never uses besides their definitions, split into (named by tests,
-    named nowhere); a method counts as used wherever its bare name is
-    named, and suite builders register by decorator."""
+    named nowhere); a method counts as used only where it is named as an
+    attribute, and suite builders register by decorator."""
     in_src = _names_in(sorted(src.glob("**/*.py")))
     in_tests = _names_in(sorted(tests.glob("*.py")))
     unused = {name for path in sorted(src.glob("*/*.py"))
-              for name in _defined_names(path)
-              if name.rpartition(".")[2] not in in_src}
-    named_by_tests = {name for name in unused if name.rpartition(".")[2] in in_tests}
+              for name in _defined_names(path) if not _uses(name, in_src)}
+    named_by_tests = {name for name in unused if _uses(name, in_tests)}
     return named_by_tests, unused - named_by_tests
 
 
@@ -146,7 +154,8 @@ def test_scan_flags_a_helper_only_a_test_names(tmp_path):
         "    def spare(self):\n        return 0\n\n\n"
         "def used():\n    return Box().size()\n\n\n"
         "def helper():\n    return used()\n\n\ndef orphan():\n    return 0\n")
-    (pkg / "cli.py").write_text("from .mod import used\n\nprint(used())\n")
+    # a bare name spare elsewhere does not use the method Box.spare
+    (pkg / "cli.py").write_text("from .mod import used\n\nspare = used()\nprint(spare)\n")
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_mod.py").write_text(
