@@ -86,7 +86,7 @@ def _parse(path: str, what: str, build):
 
 # Largest --n per subcommand: dn --n 12 takes ~3.3 s and 30 MB (~1 s and
 # 25 MB at n=11), most of it walking the 4096-bit rows in Poset validation
-# and covers; horn --i 2 at n=7 takes ~76 s and 1.6 GB (2.4 s and 93 MB at
+# and covers; horn --i 2 at n=7 takes ~10 s and 640 MB (0.4 s and 43 MB at
 # n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7

@@ -5,7 +5,8 @@ in the i-th horn: J differs from the full interval and from the full
 interval minus i.  The i-superior sets are the admissible ones that are
 maximal among admissibles sharing their minimum.  Each J contributes
 the full subposet A(J) of D^n swept out by the pullback pairing, and
-the horn subcomplex is the union of the nerves of these subposets.
+the horn subcomplex is the union of the nerves of these subposets,
+listed face by face from the chains of each A(J) alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .bits import interval_mask, mask_of, min_bit, nonempty_subsets_of
 from .oriental import DPoset, build_d, rho_image, standard_interval
-from .poset import ChainSubcomplex, nerve_chains
+from .poset import ChainSubcomplex, chains_in, nerve_chains
 
 
 def is_admissible(j_mask: int, n: int, i: int) -> bool:
@@ -69,14 +70,13 @@ def a_elements(dposet: DPoset, j_mask: int) -> list[int]:
 
 
 def _union_over_faces(dposet: DPoset, faces: list[int]) -> ChainSubcomplex:
-    member_masks = [mask_of(dposet.poset.index[e] for e in a_elements(dposet, j))
-                    for j in faces]
+    """Union of the nerves of the A(J), each listed from its own chains; a
+    face whose members lie inside another face's adds none and is skipped."""
+    masks = {mask_of(dposet.poset.index[e] for e in a_elements(dposet, j)) for j in faces}
     chains: set[int] = set()
-    for c in nerve_chains(dposet.poset):
-        for mm in member_masks:
-            if c & ~mm == 0:
-                chains.add(c)
-                break
+    for mm in masks:
+        if not any(mm != other and mm & ~other == 0 for other in masks):
+            chains.update(chains_in(dposet.poset, mm))
     return ChainSubcomplex(dposet.poset, chains, validate=False)
 
 

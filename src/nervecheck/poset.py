@@ -160,19 +160,26 @@ class Poset:
         return f"Poset({len(self)} elements)"
 
 
+def chains_in(poset: Poset, mask: int) -> list[int]:
+    """Every nonempty chain inside the element mask, one length at a time,
+    each chain extended by the elements of mask above its top."""
+    ups = poset.up_masks
+    above = {t: [(j, 1 << j) for j in bits(ups[t] & mask & ~(1 << t))] for t in bits(mask)}
+    level = {t: [1 << t] for t in above}
+    out: list[int] = []
+    while level:
+        longer: dict[int, list[int]] = {}
+        for top, cs in level.items():
+            out.extend(cs)
+            for j, b in above[top]:
+                longer.setdefault(j, []).extend([c | b for c in cs])
+        level = longer
+    return out
+
+
 def nerve_chains(poset: Poset) -> list[int]:
     """All nonempty chains of the poset as index masks, sorted for determinism."""
-    ups = poset.up_masks
-    out: list[int] = []
-
-    def extend(mask: int, top: int) -> None:
-        out.append(mask)
-        for j in bits(ups[top] & ~(1 << top)):
-            extend(mask | (1 << j), j)
-
-    for i in range(len(poset)):
-        extend(1 << i, i)
-    return sorted(out)
+    return sorted(chains_in(poset, (1 << len(poset)) - 1))
 
 
 def strict_interval(poset: Poset, a: Label, b: Label) -> Poset:
@@ -251,10 +258,22 @@ class ChainSubcomplex:
     def segments(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Member chains by (bottom, top) ambient index, as sorted tuples
         so that no reader can alter this index shared by all of them."""
+        ups, chains, verts = self.ambient.up_masks, self.chains, self.vertices()
+        # dropping a member's top leaves a member, so walking up from each
+        # singleton through member chains reaches every member exactly once
+        above = {t: [(j, 1 << j) for j in bits(ups[t] & ~(1 << t))
+                     if (1 << t | 1 << j) in chains] for t in verts}
+        level = {(v, v): [1 << v] for v in verts}
         groups: dict[tuple[int, int], list[int]] = {}
-        for c in self.chains:
-            tup = self.ambient.chain_tuple(c)
-            groups.setdefault((tup[0], tup[-1]), []).append(c)
+        while level:
+            longer: dict[tuple[int, int], list[int]] = {}
+            for (lo, top), cs in level.items():
+                groups.setdefault((lo, top), []).extend(cs)
+                for j, b in above[top]:
+                    found = [d for c in cs if (d := c | b) in chains]
+                    if found:
+                        longer.setdefault((lo, j), []).extend(found)
+            level = longer
         return {ends: tuple(sorted(cs)) for ends, cs in groups.items()}
 
     def vertices(self) -> list[int]:

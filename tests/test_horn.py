@@ -1,12 +1,31 @@
 import pytest
 
-from nervecheck.bits import bit_list, from_digits, nonempty_subsets_of
+from nervecheck.bits import (bit_list, from_digits, interval_mask, mask_of,
+                             nonempty_subsets_of)
 from nervecheck.horn import (_union_over_faces, a_elements,
                              admissible_and_superior, is_admissible, l_complex,
                              phi_on_objects, superior_closed_form)
 from nervecheck.oriental import build_d, standard_interval
+from nervecheck.poset import nerve_chains
 
 D = from_digits
+
+# chains of every inner horn of the nerve of D^n, for each n
+HORN_CHAINS = {2: 7, 3: 47, 4: 515, 5: 8311, 6: 179347}
+
+
+def _filtered_full_nerve(dp, faces):
+    """Every chain of the full nerve that lies inside some face's A(J)."""
+    masks = [mask_of(dp.poset.index[e] for e in a_elements(dp, j)) for j in faces]
+    return {c for c in nerve_chains(dp.poset) if any(c & ~mm == 0 for mm in masks)}
+
+
+def _check_horns_against_the_full_nerve(n):
+    dp = build_d(standard_interval(n))
+    for i in range(1, n):
+        k = l_complex(n, i, dp)
+        assert k.chains == _filtered_full_nerve(dp, admissible_and_superior(n, i).superior)
+        assert len(k.chains) == HORN_CHAINS[n]
 
 
 def test_admissible_excludes_exactly_two_sets():
@@ -92,3 +111,26 @@ def test_phi_at_zero_is_the_horn_complex(n, i):
     horn = l_complex(n, i)
     assert restricted.chains == horn.chains
     assert restricted.chains < full.chains
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_l_complex_equals_the_filtered_full_nerve(n):
+    _check_horns_against_the_full_nerve(n)
+
+
+@pytest.mark.slow
+def test_every_n6_horn_equals_the_filtered_full_nerve():
+    _check_horns_against_the_full_nerve(6)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_phi_on_objects_equals_the_filtered_full_nerve(n):
+    for j in range(n + 1):
+        ground = interval_mask(j, n)
+        dp = build_d(ground)
+        every_chain = {c for c in range(1, 1 << len(dp.poset)) if dp.poset.is_chain(c)}
+        for i in range(1, n):
+            restricted, full = phi_on_objects(n, i, j)
+            faces = [f for f in nonempty_subsets_of(ground) if is_admissible(f, n, i)]
+            assert restricted.chains == _filtered_full_nerve(dp, faces)
+            assert full.chains == every_chain

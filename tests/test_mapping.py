@@ -1,4 +1,5 @@
 import json
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -127,21 +128,22 @@ def test_segment_index_groups_chains_by_ends():
 
 
 def test_segment_index_is_built_once_per_complex(monkeypatch):
+    builds = []
+    real = ChainSubcomplex.segments.func
+
+    def counting(self):
+        builds.append(self)
+        return real(self)
+
+    index = cached_property(counting)
+    index.__set_name__(ChainSubcomplex, "segments")
+    monkeypatch.setattr(ChainSubcomplex, "segments", index)
     k = l_complex(3, 1, dposet=d_poset(3))
-    calls = []
-    real = Poset.chain_tuple
-
-    def counting(self, mask):
-        calls.append(mask)
-        return real(self, mask)
-
-    monkeypatch.setattr(Poset, "chain_tuple", counting)
     flag_model(k, D("0"), D("03"))
-    first = len(calls)
-    assert first >= len(k.chains)
+    assert builds == [k]
     flag_model(k, D("0"), D("03"))
-    # the second call only sorts its own edge paths, not every chain of K
-    assert len(calls) - first < len(k.chains)
+    # the second call reads the index the first one built
+    assert builds == [k]
     assert k.segments is k.segments
 
 

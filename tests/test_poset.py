@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from nervecheck.bits import bit_list, bits, mask_of
 from nervecheck.oriental import build_d, standard_interval
-from nervecheck.poset import (ChainSubcomplex, MonotoneMap, Poset,
+from nervecheck.poset import (ChainSubcomplex, MonotoneMap, Poset, chains_in,
                               nerve_chains, strict_interval)
 
 
@@ -146,6 +146,15 @@ def random_posets(draw):
     for i, up in enumerate(ups):
         rows[perm[i]] = mask_of(perm[j] for j in bits(up))
     return Poset(list(range(n)), rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_posets(), st.data())
+def test_chains_in_lists_every_chain_inside_the_mask(p, data):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(p)) - 1))
+    inside = [c for c in range(1, mask + 1) if c & ~mask == 0 and p.is_chain(c)]
+    assert sorted(chains_in(p, mask)) == inside
+    assert nerve_chains(p) == [c for c in range(1, 1 << len(p)) if p.is_chain(c)]
 
 
 def strictly_below(p, i, j):
