@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -86,7 +87,7 @@ def _parse(path: str, what: str, build):
 
 # Largest --n per subcommand: dn --n 12 takes ~3.3 s and 30 MB (~1 s and
 # 25 MB at n=11), most of it walking the 4096-bit rows in Poset validation
-# and covers; horn --i 2 at n=7 takes ~10 s and 640 MB (0.4 s and 43 MB at
+# and covers; horn --i 2 at n=7 takes ~7 s and 640 MB (0.4 s and 43 MB at
 # n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7
@@ -121,11 +122,7 @@ def _chain_labels(poset: Poset, mask: int) -> list[str]:
 
 
 def _dim_histogram(chains) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for c in chains:
-        d = bin(c).count("1") - 1
-        out[d] = out.get(d, 0) + 1
-    return dict(sorted(out.items()))
+    return dict(sorted(Counter(c.bit_count() - 1 for c in chains).items()))
 
 
 def cmd_dn(args) -> int:

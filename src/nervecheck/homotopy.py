@@ -8,7 +8,9 @@ their dimension lists unchanged; other producers hand in families closed
 by construction, grouped and sorted once when the Complex is built, and
 generate interns and closes outside input, refusing input that may close
 to more than MAX_INPUT_FACES simplices.  facets walks the strata from
-the top down and checks closure on the way.  The verdict pipeline
+the top down and checks closure on the way: each level's set must
+contain every face of the level above, and those faces are discarded
+from it as they are generated, never held.  The verdict pipeline
 removes dominated vertices from the facet list (strong collapse); if
 more than one vertex survives, integer homology and an edge-path-group
 triviality search run on the strong core.  Homology works over Python
@@ -315,29 +317,33 @@ def collapse(cx: Complex) -> CollapseResult:
     return CollapseResult(success, pairs, critical)
 
 
+def _faces(level: list[tuple[int, ...]], d: int) -> Iterable[tuple[int, ...]]:
+    """The d-dimensional faces of the (d+1)-simplices of level, with repeats."""
+    return chain.from_iterable(map(combinations, level, repeat(d + 1)))
+
+
 def facets(cx: Complex) -> list[tuple[int, ...]]:
     """Simplices that are no codimension-1 face of another, sorted.
 
     Walks the strata from the top dimension down and checks closure on
-    the way: every codimension-1 face of each simplex is looked up in the
-    set of the level below, and a missing one raises ValueError naming it.
+    the way: the set of each level must contain every codimension-1 face
+    of the level above, and those faces are then discarded from it, so
+    what is left are the level's facets.  The faces are generated twice,
+    once for each pass, and never held.  A missing one raises ValueError
+    naming the least missing face and the least simplex containing it.
     """
     out: list[tuple[int, ...]] = []
     above: list[tuple[int, ...]] = []
-    covered: set[tuple[int, ...]] = set()  # faces of the level above
     for d in range(cx.dimension(), -1, -1):
         level = cx.strata.get(d, [])
-        uncovered = set(level)
-        uncovered.difference_update(covered)
-        # strata are distinct, so every face was found iff this many went
-        if len(level) - len(uncovered) != len(covered):
-            f = min(covered.difference(level))
+        present = set(level)
+        if not present.issuperset(_faces(above, d)):
+            f = min(set(_faces(above, d)).difference(present))
             s = min(s for s in above if set(f) <= set(s))
             raise ValueError(f"face {f} of {s} is missing")
-        out += uncovered
-        if d:
-            covered = set(chain.from_iterable(map(combinations, level, repeat(d))))
-            above = level
+        present.difference_update(_faces(above, d))
+        out += present
+        above = level
     out.sort()
     return out
 

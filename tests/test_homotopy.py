@@ -1,5 +1,6 @@
 import heapq
 import importlib.util
+import tracemalloc
 from itertools import accumulate, chain, combinations, permutations, repeat
 from math import gcd
 from operator import and_
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nervecheck import homotopy
+from nervecheck.bits import from_digits
 from nervecheck.homotopy import (Complex, HomologySummary,
                                  StrongCollapseResult, _cyclic_reduce,
                                  _eliminate_units, collapse,
@@ -834,3 +836,92 @@ def test_seeded_homology_inputs_meet_their_closed_forms():
                 want["betti"], want["torsion"], want["verdict"]), (seed, item["name"])
             checked += 1
     assert checked == 56
+
+
+def facets_oracle(cx):
+    """facets as it was before closure was checked by a superset scan: the
+    faces of the level above held as one set and taken from the level's
+    set; kept as its oracle."""
+    out = []
+    above = []
+    covered = set()  # faces of the level above
+    for d in range(cx.dimension(), -1, -1):
+        level = cx.strata.get(d, [])
+        uncovered = set(level)
+        uncovered.difference_update(covered)
+        # strata are distinct, so every face was found iff this many went
+        if len(level) - len(uncovered) != len(covered):
+            f = min(covered.difference(level))
+            s = min(s for s in above if set(f) <= set(s))
+            raise ValueError(f"face {f} of {s} is missing")
+        out += uncovered
+        if d:
+            covered = set(chain.from_iterable(map(combinations, level, repeat(d))))
+            above = level
+    out.sort()
+    return out
+
+
+def assert_facets_match_their_oracle(cx):
+    assert facets(cx) == facets_oracle(cx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_complexes())
+def test_facets_match_their_oracle(cx):
+    assert_facets_match_their_oracle(cx)
+
+
+def test_facets_match_their_oracle_on_the_theorem_grid():
+    checked = 0
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for s, t in _pairs(_dp(n), strict=False):
+                assert_facets_match_their_oracle(flag_model(_horn(n, i), s, t).to_complex())
+                checked += 1
+    assert checked == 394
+
+
+def test_facets_match_their_oracle_on_the_seeded_homology_inputs():
+    make_inputs = _homology_inputs().make_inputs
+    for seed in range(1, 9):
+        for item in make_inputs(seed):
+            assert_facets_match_their_oracle(complex_from_json(item["input"]))
+
+
+def test_facets_match_their_oracle_on_two_n5_pairs():
+    for i, s, t, size in ((1, "0", "0145", 58_809), (1, "01", "025", 121_717)):
+        cx = flag_model(_horn(5, i), from_digits(s), from_digits(t)).to_complex()
+        assert len(cx) == size
+        assert_facets_match_their_oracle(cx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.integers(min_value=0))
+def test_facets_and_their_oracle_name_the_same_missing_face(cx, pick):
+    inner = sorted(simplex_set(cx).difference(facets_oracle(cx)))
+    assume(inner)
+    holed = Complex(simplex_set(cx) - {inner[pick % len(inner)]})
+    with pytest.raises(ValueError, match="is missing") as want:
+        facets_oracle(holed)
+    with pytest.raises(ValueError, match="is missing") as got:
+        facets(holed)
+    assert str(got.value) == str(want.value)
+
+
+def test_facets_hold_no_copy_of_the_faces():
+    horn, s, t = _horn(5, 1), from_digits("0"), from_digits("0145")
+    flag_model(horn, s, t)  # fills the horn's caches before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = flag_model(horn, s, t).to_complex()
+        strata = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        facets(cx)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cx) == 58_809
+    assert peak <= 0.75 * strata, (peak, strata)
