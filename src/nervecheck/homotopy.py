@@ -11,18 +11,20 @@ to more than MAX_INPUT_FACES simplices.  facets walks the strata from
 the top down and checks closure on the way: each level's set must
 contain every face of the level above, and those faces are discarded
 from it as they are generated, never held.  The verdict pipeline
-removes dominated vertices from the facet list (strong collapse); if
-more than one vertex survives, integer homology and an edge-path-group
-triviality search run on the strong core.  Homology works over Python
-ints, so no overflow exists: unit pivots eliminated sparsely, then Smith
-normal form on the residual row dicts in place (least-entry pivots,
-floor remainders), with torsion as invariant factors; indexed Tietze
-search for the edge-path group.  Each boundary matrix is eliminated
-along its shorter side: by columns when most of its nonzero columns have
-at most two entries and most of its rows do not, as in the top matrix of
-a closed surface, where eliminating by rows would merge triangles into
-ever longer polygons.  Strong collapse preserves homotopy type, which
-keeps the matrices small.
+removes dominated vertices (strong collapse): on neighbourhood bitmasks
+when a walk over the cliques of the 1-skeleton meets the strata exactly,
+which proves closure too, and the masks fit in 64 bits per vertex slot of
+the strata; else on the facet list.  If more than one vertex survives,
+homology and an edge-path-group search run on the strong core.  Homology
+works over Python ints, so no overflow exists: unit pivots eliminated
+sparsely, then Smith normal form on the residual row dicts in place
+(least-entry pivots, floor remainders), with torsion as invariant
+factors; indexed Tietze search for the edge-path group.  Each boundary
+matrix is eliminated along its shorter side: by columns when most of its
+nonzero columns have at most two entries and most of its rows do not, as
+in the top matrix of a closed surface, where eliminating by rows would
+merge triangles into ever longer polygons.  Strong collapse preserves
+homotopy type, which keeps the matrices small.
 
 Verdict semantics:
   Contractible      strong collapse reached a single vertex, or the
@@ -352,7 +354,7 @@ def facets(cx: Complex) -> list[tuple[int, ...]]:
 class StrongCollapseResult:
     removed: int  # dominated vertices removed
     core: list[tuple[int, ...]]  # facets of the strong core, sorted
-    dimension: int  # of the input, read off its facets
+    dimension: int  # of the input
 
     @property
     def success(self) -> bool:
@@ -360,19 +362,105 @@ class StrongCollapseResult:
 
 
 def strong_collapse(cx: Complex) -> StrongCollapseResult:
-    """Remove dominated vertices from the facet list until none is left.
+    """Remove dominated vertices until none is left.
 
     A vertex v is dominated when the facets containing v share another
     vertex; its removal is a sequence of elementary collapses (Barmak and
     Minian, Strong homotopy types, nerves and collapses, DCG 47 (2012)).
-    Facets are bitmasks over the vertices in increasing order.  Vertices
-    are tried smallest first and tried again when a neighbour goes, so the
-    surviving core does not depend on set iteration order.
+    Vertices are tried smallest first and tried again when a neighbour
+    goes, so the surviving core does not depend on set iteration order.
+    On a clique complex (_clique_graph) v is dominated iff the closed
+    neighbourhoods over N[v] share another vertex, and the core is the
+    maximal cliques left; any other complex is collapsed on its facets.
     """
-    tops = facets(cx)
-    labels = [v for (v,) in cx.strata.get(0, [])]  # closed: facets checked it
+    labels = [v for (v,) in cx.strata.get(0, [])]
     index = {v: i for i, v in enumerate(labels)}
-    star: list[set[int]] = [set() for _ in labels]  # facet masks per vertex
+    nbr = _clique_graph(cx.strata, index)
+    drop, core = _on_facets(cx, index) if nbr is None else _on_graph(nbr)
+    heap = list(range(len(labels)))
+    queued = [True] * len(labels)
+    removed = 0
+    while heap:
+        v = heapq.heappop(heap)
+        queued[v] = False
+        if (near := drop(v)) is None:  # else v went: try near again
+            continue
+        removed += 1
+        for u in near:
+            if not queued[u]:
+                queued[u] = True
+                heapq.heappush(heap, u)
+    core = sorted(tuple(labels[i] for i in ids) for ids in core())
+    return StrongCollapseResult(removed, core, cx.dimension())
+
+
+def _clique_graph(strata: dict, index: dict[int, int]) -> list[int] | None:
+    """Closed neighbourhood masks by vertex id if the strata are exactly
+    the clique complex of their 1-skeleton, and n masks of n bits fit in
+    64 bits per vertex slot of the strata; else None.  A depth-first walk
+    over upward neighbour masks lists the cliques by increasing ids, each
+    dimension in lexicographic order, and stops at the first that is not
+    the next simplex of its stratum.  Faces of cliques are cliques, so a
+    walk that meets every stratum to its end also proves closure.
+    """
+    n = len(index)
+    if n * n > 64 * sum((d + 1) * len(s) for d, s in strata.items()):
+        return None
+    up = [0] * n
+    levels = [strata.get(d, []) for d in range(max(strata, default=-1) + 2)]
+    ends = [0] * len(levels)  # the next simplex to meet in each stratum
+
+    def walk(prefix: tuple[int, ...], cand: int, d: int) -> bool:
+        level, k = levels[d], ends[d]
+        while cand:
+            j = (low := cand & -cand).bit_length() - 1
+            cand ^= low
+            if level[k] != (s := prefix + levels[0][j]):  # IndexError past the end
+                return False
+            k += 1
+            if (c := cand & up[j]) and not walk(s, c, d + 1):
+                return False
+        ends[d] = k
+        return True
+
+    try:  # KeyError: an edge on no vertex; IndexError: no strata at all
+        for a, b in levels[1]:
+            up[index[a]] |= 1 << index[b]
+        if not walk((), (1 << n) - 1, 0) or ends != list(map(len, levels)):
+            return None
+    except (KeyError, IndexError):
+        return None
+    for a, b in levels[1]:
+        up[index[b]] |= 1 << index[a]
+    return [m | 1 << i for i, m in enumerate(up)]
+
+
+def _on_graph(nbr: list[int]):
+    """strong_collapse's drop and core on closed neighbourhood masks."""
+    def drop(v: int) -> Iterable[int] | None:
+        bit, near = 1 << v, nbr[v] ^ 1 << v
+        # as on facets: the running AND of N[u] over N[v] only shrinks
+        if bit in accumulate(map(nbr.__getitem__, bits(near)), and_, initial=nbr[v]):
+            return None
+        nbr[v] = 0
+        for u in bits(near):
+            nbr[u] ^= bit
+        return bits(near)
+
+    def cliques(ids: tuple[int, ...], common: int):
+        if common.bit_count() == len(ids):  # no vertex extends the clique
+            yield ids
+        for j in bits(common >> (ids[-1] + 1) << (ids[-1] + 1)):
+            yield from cliques(ids + (j,), common & nbr[j])
+
+    return drop, lambda: chain.from_iterable(
+        cliques((v,), m) for v, m in enumerate(nbr) if m)
+
+
+def _on_facets(cx: Complex, index: dict[int, int]):
+    """strong_collapse's drop and core on facet bitmasks."""
+    tops = facets(cx)  # checks closure, so index names every vertex
+    star: list[set[int]] = [set() for _ in index]  # facet masks per vertex
     members: dict[int, tuple[int, ...]] = {}  # live facet mask -> vertex ids
     for f in tops:
         ids = tuple(map(index.__getitem__, f))
@@ -380,18 +468,13 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
         members[m] = ids
         for i in ids:
             star[i].add(m)
-    heap = list(range(len(labels)))
-    queued = [True] * len(labels)
-    removed = 0
-    while heap:
-        v = heapq.heappop(heap)
-        queued[v] = False
+
+    def drop(v: int) -> list[int] | None:
         mine, bit = star[v], 1 << v
         # the running AND of v's facets only shrinks; stop once it is v alone
         if bit in accumulate(mine, and_):
-            continue
+            return None
         star[v] = set()
-        removed += 1
         shrunk = []
         for m in mine:
             ids = members.pop(m)
@@ -407,12 +490,9 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
                 members[g] = ids
                 for u in ids:
                     star[u].add(g)
-            for u in ids:
-                if not queued[u]:
-                    queued[u] = True
-                    heapq.heappush(heap, u)
-    core = sorted(tuple(labels[i] for i in ids) for ids in members.values())
-    return StrongCollapseResult(removed, core, max(map(len, tops), default=0) - 1)
+        return [u for _, ids in shrunk for u in ids]
+
+    return drop, members.values
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -277,7 +277,7 @@ class ChainSubcomplex:
         return {ends: tuple(sorted(cs)) for ends, cs in groups.items()}
 
     def vertices(self) -> list[int]:
-        return sorted(c.bit_length() - 1 for c in self.chains if c.bit_count() == 1)
+        return [b for b in range(len(self.ambient)) if 1 << b in self.chains]
 
     def dimension(self) -> int:
         return max((c.bit_count() - 1 for c in self.chains), default=-1)

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nervecheck import homotopy
-from nervecheck.bits import from_digits
+from nervecheck.bits import bits, from_digits
 from nervecheck.homotopy import (Complex, HomologySummary,
                                  StrongCollapseResult, _cyclic_reduce,
                                  _eliminate_units, collapse,
@@ -22,8 +22,8 @@ from nervecheck.homotopy import (Complex, HomologySummary,
 from nervecheck.horn import l_complex
 from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, standard_interval
-from nervecheck.poset import ChainSubcomplex, nerve_chains
-from nervecheck.suites import _dp, _horn, _pairs
+from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
+from nervecheck.suites import _dp, _horn, _pairs, run_suite
 
 
 def simplex_set(cx):
@@ -925,3 +925,154 @@ def test_facets_hold_no_copy_of_the_faces():
         tracemalloc.stop()
     assert len(cx) == 58_809
     assert peak <= 0.75 * strata, (peak, strata)
+
+
+def clique_complex(n, edges):
+    """Every clique of the graph on 0..n-1 with these edges, as a Complex."""
+    near = {v: set() for v in range(n)}
+    for a, b in edges:
+        near[a].add(b)
+        near[b].add(a)
+    cliques = []
+
+    def grow(clique, cand):
+        cliques.append(clique)
+        for v in sorted(cand):
+            grow(clique + (v,), {u for u in cand & near[v] if u > v})
+
+    for v in range(n):
+        grow((v,), {u for u in near[v] if u > v})
+    return Complex(cliques)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [p for p, k in zip(pairs, keep) if k]
+
+
+@st.composite
+def random_order_complexes(draw):
+    """Order complex of a poset on 0..n-1 whose relation extends the order
+    of the integers: the closure of a random set of pairs i < j."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    ups = [1 << i for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        if draw(st.booleans()):
+            ups[i] |= 1 << j
+    for i in reversed(range(n)):  # transitive closure, top down
+        for j in bits(ups[i] & ~(1 << i)):
+            ups[i] |= ups[j]
+    return complex_from_chains(nerve_chains(Poset(range(n), ups)))
+
+
+def facet_calls(monkeypatch):
+    """Count the calls strong_collapse makes to facets from now on."""
+    calls = []
+    real = homotopy.facets
+
+    def spy(cx):
+        calls.append(cx)
+        return real(cx)
+    monkeypatch.setattr(homotopy, "facets", spy)
+    return calls
+
+
+def assert_clique_path_matches_the_facet_path(cx):
+    """strong_collapse takes the clique path on cx without calling facets,
+    and it and the verdict agree with the oracle and with the facet path."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = facet_calls(mp)
+        got, verdict = strong_collapse(cx), contractibility_verdict(cx)
+        assert calls == []
+        mp.setattr(homotopy, "_clique_graph", lambda strata, index: None)
+        assert contractibility_verdict(cx) == verdict
+    want = strong_collapse_oracle(cx)
+    assert (got.removed, got.core, got.dimension) == (
+        want.removed, want.core, want.dimension)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs())
+def test_clique_path_matches_the_oracle_on_random_graphs(graph):
+    assert_clique_path_matches_the_facet_path(clique_complex(*graph))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_order_complexes())
+def test_clique_path_matches_the_oracle_on_random_order_complexes(cx):
+    assert_clique_path_matches_the_facet_path(cx)
+
+
+OCTAHEDRON = [(a, b) for a, b in combinations(range(6), 2) if b != a + 1 or a % 2]
+
+
+@pytest.mark.parametrize("extra, removed", [
+    ([(0, 6), (2, 6), (4, 6)], 1),  # a cone on the triangle 024
+    ([(0, 6), (6, 7), (7, 8)], 3),  # a path hanging off vertex 0
+])
+def test_clique_path_keeps_an_octahedral_core(extra, removed):
+    cx = clique_complex(1 + max(map(max, extra)), OCTAHEDRON + extra)
+    got = assert_clique_path_matches_the_facet_path(cx)
+    octahedron = [t for t in combinations(range(6), 3)
+                  if set(combinations(t, 2)) <= set(OCTAHEDRON)]
+    assert (got.removed, got.core) == (removed, octahedron)
+    assert contractibility_verdict(cx).method == "homology"
+
+
+def test_clique_path_keeps_a_torus_core_under_a_whisker():
+    tris = facets(torus(6))
+    cx = Complex(simplex_set(torus(6)) | {(0, 99), (99,)})
+    got = assert_clique_path_matches_the_facet_path(cx)
+    assert (got.removed, got.core) == (1, tris)
+    v = contractibility_verdict(cx)
+    assert (v.method, v.homology.betti) == ("homology", [0, 2, 1])
+
+
+def strata_out_of_order():
+    cx = full_simplex(3)
+    return Complex(strata={d: s[::-1] if d == 1 else s for d, s in cx.strata.items()})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sphere(2),  # the clique complex of K4 less its one top simplex
+    strata_out_of_order,
+    lambda: generate([(v, v + 1) for v in range(300)]),  # masks outgrow strata
+], ids=["missing-top-simplex", "strata-out-of-order", "long-path"])
+def test_complexes_the_walk_refuses_take_the_facet_path(monkeypatch, make):
+    cx = make()
+    calls = facet_calls(monkeypatch)
+    got = strong_collapse(cx)
+    assert calls == [cx]
+    want = strong_collapse_oracle(cx)
+    assert (got.removed, got.core, got.dimension) == (
+        want.removed, want.core, want.dimension)
+
+
+@pytest.mark.parametrize("strata, message", [
+    ({0: [(0,), (1,), (2,)], 1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]},
+     r"face \(0, 2\) of \(0, 1, 2\)"),
+    ({0: [(0,), (1,)], 1: [(0, 1), (0, 2)]}, r"face \(2,\) of \(0, 2\)"),
+], ids=["edge", "vertex"])
+def test_the_facet_path_names_a_face_the_walk_misses(strata, message):
+    with pytest.raises(ValueError, match=f"^{message} is missing$"):
+        strong_collapse(Complex(strata=strata))
+
+
+def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monkeypatch):
+    calls = facet_calls(monkeypatch)
+    for name, checks in (("theorem-contractible", 394), ("lemma-distant", 63)):
+        rep = run_suite(name)
+        assert len(rep.checks) == checks
+        assert {c.verdict for c in rep.checks} == {"PASS"}
+    assert calls == []
+    make_inputs = _homology_inputs().make_inputs
+    for seed in range(1, 9):
+        for item in make_inputs(seed):
+            cx = complex_from_json(item["input"])
+            contractibility_verdict(cx)
+            assert calls[-1] is cx, (seed, item["name"])
+    assert len(calls) == 56
