@@ -10,15 +10,16 @@ generate interns and closes outside input, refusing input that may close
 to more than MAX_INPUT_FACES simplices.  facets walks the strata from
 the top down and checks closure on the way: each level's set must
 contain every face of the level above, and those faces are discarded
-from it as they are generated, never held.  The verdict pipeline
-removes dominated vertices (strong collapse): on neighbourhood bitmasks
-when a walk over the cliques of the 1-skeleton meets the strata exactly,
-which proves closure too, and the masks fit in 64 bits per vertex slot of
-the strata; else on the facet list.  If more than one vertex survives,
-homology and an edge-path-group search run on the strong core.  Homology
-works over Python ints, so no overflow exists: unit pivots eliminated
-sparsely, then Smith normal form on the residual row dicts in place
-(least-entry pivots, floor remainders), with torsion as invariant
+from it as they are generated, never held.  The verdict pipeline removes
+dominated vertices (strong collapse): on neighbourhood bitmasks when a
+walk over the cliques of the 1-skeleton meets the strata exactly, which
+proves closure too; else on the facet list.  A vertex's mask is no wider
+than a facet holding its largest neighbour, so these masks take at most
+dimension + 1 times the facet path's bits.  If more than one vertex
+survives, homology and an edge-path-group search run on the strong core.
+Homology works over Python ints, so no overflow exists: unit pivots
+eliminated sparsely, then Smith normal form on the residual row dicts in
+place (least-entry pivots, floor remainders), with torsion as invariant
 factors; indexed Tietze search for the edge-path group.  Each boundary
 matrix is eliminated along its shorter side: by columns when most of its
 nonzero columns have at most two entries and most of its rows do not, as
@@ -396,16 +397,13 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
 
 def _clique_graph(strata: dict, index: dict[int, int]) -> list[int] | None:
     """Closed neighbourhood masks by vertex id if the strata are exactly
-    the clique complex of their 1-skeleton, and n masks of n bits fit in
-    64 bits per vertex slot of the strata; else None.  A depth-first walk
+    the clique complex of their 1-skeleton, else None.  A depth-first walk
     over upward neighbour masks lists the cliques by increasing ids, each
     dimension in lexicographic order, and stops at the first that is not
     the next simplex of its stratum.  Faces of cliques are cliques, so a
     walk that meets every stratum to its end also proves closure.
     """
     n = len(index)
-    if n * n > 64 * sum((d + 1) * len(s) for d, s in strata.items()):
-        return None
     up = [0] * n
     levels = [strata.get(d, []) for d in range(max(strata, default=-1) + 2)]
     ends = [0] * len(levels)  # the next simplex to meet in each stratum
@@ -432,7 +430,9 @@ def _clique_graph(strata: dict, index: dict[int, int]) -> list[int] | None:
         return None
     for a, b in levels[1]:
         up[index[b]] |= 1 << index[a]
-    return [m | 1 << i for i, m in enumerate(up)]
+    for i in range(n):  # in place, so one list of masks is held at a time
+        up[i] |= 1 << i
+    return up
 
 
 def _on_graph(nbr: list[int]):
