@@ -252,9 +252,10 @@ def _base_functor(data) -> CatFunctor:
 def cmd_nerve2(args) -> int:
     spec = _load_spec(args.spec)
     table = relative_nerve_2(spec, args.dim)
-    counts = table.counts()
+    counts, back = table.counts(), table.backend
     print("nondegenerate simplices per dimension:", counts)
-    marked, thin = len(table.marked), len(table.thin)
+    marked = sum(map(back.marked, table.cells[1])) if args.dim >= 1 else 0
+    thin = sum(map(back.thin, table.cells[2])) if args.dim >= 2 else 0
     print(f"marked edges: {marked}; thin triangles: {thin}")
     out = {"dim": args.dim, "counts": counts,
            "marked_edges": marked, "thin_triangles": thin,

@@ -27,7 +27,7 @@ from .groth import grothendieck_classical
 from .oriental import build_d
 from .poset import Poset
 from .simplicial import (CategoryNerveBackend, SimplexTable, codegeneracy,
-                         map_by_dimension, nerve_table)
+                         map_by_dimension)
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -92,21 +92,13 @@ class OrientalScaledBackend:
     def compose(self, c1, c2):
         return c1 | c2
 
+    def thin(self, s) -> bool:
+        """A triangle is thin when its long 1-cell is the union of the short ones."""
+        h = s[1]
+        return h[1] == h[0] | h[2]
+
     def dim_of(self, s) -> int:
         return len(s[0]) - 1
-
-
-def oriental_thin(s) -> bool:
-    v, h = s
-    return h[1] == h[0] | h[2]
-
-
-def scaled_nerve(base, dim: int) -> SimplexTable:
-    """Scaled nerve table; for category bases every triangle is thin."""
-    if isinstance(base, int):
-        return SimplexTable(OrientalScaledBackend(base), dim,
-                            thin_rule=oriental_thin)
-    return nerve_table(base, dim)
 
 
 class Rel2Backend:
@@ -257,6 +249,14 @@ class Rel2Backend:
                    for ia, t in _pair_plan(len(x) - 1, alpha))
         return (self.base.alpha_star(s, alpha), tuple(x[a] for a in alpha), fp)
 
+    def marked(self, z) -> bool:
+        """An edge is marked when its value morphism is an isomorphism."""
+        return self.value_at(z[0], 0).is_iso(z[2][0])
+
+    def thin(self, z) -> bool:
+        """A triangle is thin when its base triangle is."""
+        return self.base.thin(z[0])
+
     def dim_of(self, z) -> int:
         return len(z[1]) - 1
 
@@ -306,20 +306,9 @@ def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
     return True
 
 
-def _rel2_marked(spec):
-    return lambda z: spec.values[z[0][0][0]].is_iso(z[2][0])
-
-
-def _rel2_thin(spec):
-    if not spec.oriental_base:
-        return lambda z: True
-    return lambda z: oriental_thin(z[0])
-
-
 def relative_nerve_2(spec: FunctorSpec, dim: int) -> SimplexTable:
-    backend = Rel2Backend(spec)
-    return SimplexTable(backend, dim, marked_rule=_rel2_marked(spec),
-                        thin_rule=_rel2_thin(spec))
+    # kept as a name of its own because perfbench/spans.py traces it
+    return SimplexTable(Rel2Backend(spec), dim)
 
 
 def relative2_simplices_literal(spec: FunctorSpec, s, k: int) -> list:
@@ -412,6 +401,11 @@ class Rel1Backend:
                    for t, beta, first in _restriction_plan(alpha))
         return (self.catnerve.alpha_star(s, alpha), tp)
 
+    def marked(self, z) -> bool:
+        """An edge is marked when its value edge is an isomorphism."""
+        s, thetas = z
+        return self.spec.values[s[0][0]].is_iso(thetas[2][1][0])
+
     def dim_of(self, z) -> int:
         return len(z[0][0]) - 1
 
@@ -433,17 +427,9 @@ def _restriction_plan(alpha) -> tuple:
     return tuple(plan)
 
 
-def _rel1_marked(spec):
-    def rule(z):
-        s, thetas = z
-        return spec.values[s[0][0]].is_iso(thetas[2][1][0])
-
-    return rule
-
-
 def relative_nerve_1(spec: FunctorSpec, dim: int) -> SimplexTable:
-    return SimplexTable(Rel1Backend(spec), dim, marked_rule=_rel1_marked(spec),
-                        thin_rule=lambda z: True)
+    # kept as a name of its own because perfbench/spans.py traces it
+    return SimplexTable(Rel1Backend(spec), dim)
 
 
 def transport_chain(func: CatFunctor, chain):
@@ -483,7 +469,6 @@ def pi_star_map(z):
 def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
     """Compare the two relative nerves along the projection-induced map."""
     b1, b2 = Rel1Backend(spec), Rel2Backend(spec)
-    marked1, marked2 = _rel1_marked(spec), _rel2_marked(spec)
     report = {"well_defined": True, "faces_commute": True,
               "degeneracies_commute": True, "markings_match": True,
               "projection_commutes": True,
@@ -499,7 +484,7 @@ def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
         for z, w in zip(src, images):
             if z[0] != w[0]:
                 report["projection_commutes"] = False
-            if k == 1 and marked1(z) != marked2(w):
+            if k == 1 and b1.marked(z) != b2.marked(w):
                 report["markings_match"] = False
             if k < dim:
                 for j in range(k + 1):

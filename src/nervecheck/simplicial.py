@@ -4,21 +4,20 @@ A backend supplies concrete hashable simplices per dimension together
 with precomposition along monotone maps (alpha_star).  A simplex is
 identified by itself: its faces are alpha_star along the cofaces, and
 it is degenerate when it is a degeneracy of a simplex one dimension
-down.  The table keeps every simplex of every dimension up to its
-bound, the degenerate ones as a set, the faces of each simplex, and
-the nondegenerate cells in a fixed order; horn and boundary-sphere
-enumeration work on the lists.
-
-Closure validation (no duplicates, every degeneracy and every face
-present) is the function closed_simplices; the table calls it, and so
-does map_by_dimension, through which every comparison map of two
-backends is checked without building a table.  It records the faces
-it computes, and faces are read from that record afterwards.
+down.  SimplexTable is the one record of a nerve: its constructor
+checks closure (no duplicates, every degeneracy and every face
+present) and records every simplex of every dimension up to its bound,
+the degenerate ones as a set and the faces of each simplex, which are
+read from that record afterwards; the nondegenerate cells in a fixed
+order are sorted on first read.  Horn and boundary-sphere enumeration
+work on the table, and map_by_dimension checks every comparison map of
+two backends on their tables.  Markings belong to the backends:
+marked(e) on edges and thin(t) on triangles.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 Alpha = tuple[int, ...]
@@ -60,94 +59,66 @@ def sort_key(x):
     return (0, repr(x))
 
 
-def closed_simplices(backend, dim: int) -> list[tuple[list, set, set, dict]]:
-    """Each dimension's simplices, their set, the degenerate ones and faces.
-
-    faces maps each k-simplex, k > 0, to its k+1 faces, each the listed
-    simplex it equals.  Raises ValueError when a dimension lists a
-    simplex twice, misses a degeneracy of the dimension below, or has a
-    face that is not listed.
-    """
-    out: list[tuple[list, set, set, dict]] = []
-    below: dict = {}
-    for k in range(dim + 1):
-        sims = list(backend.simplices(k))
-        sset = set(sims)
-        if len(sset) != len(sims):
-            raise ValueError(f"duplicate simplices in dimension {k}")
-        degenerate = set()
-        faces: dict = {}
-        if k > 0:
-            for t in below:
-                for j in range(k):
-                    degenerate.add(backend.alpha_star(t, codegeneracy(j, k - 1)))
-            if not degenerate <= sset:
-                raise ValueError(f"degeneracies missing in dimension {k}")
-            cofaces = [delta(i, k) for i in range(k + 1)]
-            for s in sims:
-                fs = tuple([below.get(backend.alpha_star(s, d)) for d in cofaces])
-                if None in fs:
-                    raise ValueError(f"face missing below dimension {k}")
-                faces[s] = fs
-        out.append((sims, sset, degenerate, faces))
-        below = {s: s for s in sims}
-    return out
-
-
 class SimplexTable:
-    """Simplicial set truncated at a dimension bound.
+    """Simplicial set truncated at a dimension bound, checked for closure.
 
     simplices[k] lists every k-simplex, simplex_set[k] holds the same
     simplices and degenerate[k] the degenerate ones; faces[k] maps each
-    k-simplex to its faces as the closure check recorded them, and
-    cells[k] lists the nondegenerate ones in sort_key order.  marked
-    and thin hold the nondegenerate edges and triangles the rules pick;
-    a degenerate edge or triangle counts as marked or thin.
+    k-simplex, k > 0, to its k+1 faces, each the listed simplex it
+    equals.  cells[k] lists the nondegenerate ones in sort_key order.
+    Raises ValueError when a dimension lists a simplex twice, misses a
+    degeneracy of the dimension below, or has a face that is not listed.
     """
 
-    def __init__(self, backend, dim: int, marked_rule=None, thin_rule=None):
+    def __init__(self, backend, dim: int):
         self.backend = backend
         self.dim = dim
-        closed = closed_simplices(backend, dim)
-        (self.simplices, self.simplex_set, self.degenerate,
-         self.faces) = map(list, zip(*closed))
-        self.cells = [sorted((s for s in sims if s not in degenerate), key=sort_key)
-                      for sims, _, degenerate, _ in closed]
-        self.marked: frozenset = frozenset(
-            e for e in self.cells[1] if marked_rule(e)
-        ) if marked_rule and dim >= 1 else frozenset()
-        self.thin: frozenset = frozenset(
-            t for t in self.cells[2] if thin_rule(t)
-        ) if thin_rule and dim >= 2 else frozenset()
+        self.simplices, self.simplex_set, self.degenerate, self.faces = [], [], [], []
+        below: dict = {}
+        for k in range(dim + 1):
+            sims = list(backend.simplices(k))
+            sset = set(sims)
+            if len(sset) != len(sims):
+                raise ValueError(f"duplicate simplices in dimension {k}")
+            degenerate = set()
+            faces: dict = {}
+            if k > 0:
+                for t in below:
+                    for j in range(k):
+                        degenerate.add(backend.alpha_star(t, codegeneracy(j, k - 1)))
+                if not degenerate <= sset:
+                    raise ValueError(f"degeneracies missing in dimension {k}")
+                cofaces = [delta(i, k) for i in range(k + 1)]
+                for s in sims:
+                    fs = tuple([below.get(backend.alpha_star(s, d)) for d in cofaces])
+                    if None in fs:
+                        raise ValueError(f"face missing below dimension {k}")
+                    faces[s] = fs
+            self.simplices.append(sims)
+            self.simplex_set.append(sset)
+            self.degenerate.append(degenerate)
+            self.faces.append(faces)
+            below = {s: s for s in sims}
+
+    @cached_property
+    def cells(self) -> list[list]:
+        return [sorted((s for s in sims if s not in degenerate), key=sort_key)
+                for sims, degenerate in zip(self.simplices, self.degenerate)]
 
     def __contains__(self, s) -> bool:
         k = self.backend.dim_of(s)
         return k <= self.dim and s in self.simplex_set[k]
 
-    def face(self, s, i: int):
-        return self.boundary(s)[i]
-
     def boundary(self, s) -> tuple:
+        """Faces of s as recorded, or by alpha_star if s is not listed."""
         k = self.backend.dim_of(s)
-        return boundary_of(self.backend, self.faces[k] if 0 < k <= self.dim else {}, s)
-
-    def edge_marked(self, e) -> bool:
-        return e in self.degenerate[1] or e in self.marked
-
-    def triangle_thin(self, t) -> bool:
-        return t in self.degenerate[2] or t in self.thin
+        recorded = self.faces[k].get(s) if 0 < k <= self.dim else None
+        if recorded is not None:
+            return recorded
+        return tuple(self.backend.alpha_star(s, delta(i, k)) for i in range(k + 1))
 
     def counts(self) -> list[int]:
         return [len(c) for c in self.cells]
-
-
-def boundary_of(backend, faces: dict, s) -> tuple:
-    """Faces of s as recorded in faces, or by alpha_star if s is not there."""
-    recorded = faces.get(s)
-    if recorded is not None:
-        return recorded
-    k = backend.dim_of(s)
-    return tuple(backend.alpha_star(s, delta(i, k)) for i in range(k + 1))
 
 
 def map_by_dimension(source, target, image, dim: int):
@@ -158,12 +129,12 @@ def map_by_dimension(source, target, image, dim: int):
     of a source simplex, mapped by image, must be the target's recorded
     face of the image (alpha_star for an image the target lacks).
     """
-    sources, targets = closed_simplices(source, dim), closed_simplices(target, dim)
+    src, tgt = SimplexTable(source, dim), SimplexTable(target, dim)
     image_below: dict = {}
-    for k, ((sims, _, _, faces), (_, tset, _, tfaces)) in enumerate(zip(sources, targets)):
+    for k, (sims, faces) in enumerate(zip(src.simplices, src.faces)):
         images = [image(z) for z in sims]
-        yield sims, images, tset, k == 0 or all(
-            tuple([image_below[f] for f in faces[z]]) == boundary_of(target, tfaces, w)
+        yield sims, images, tgt.simplex_set[k], k == 0 or all(
+            tuple([image_below[f] for f in faces[z]]) == tgt.boundary(w)
             for z, w in zip(sims, images))
         if k < dim:
             image_below = dict(zip(sims, images))
@@ -316,12 +287,14 @@ class CategoryNerveBackend:
     def compose(self, f, g):
         return self.cat.then(f, g)
 
+    def marked(self, e) -> bool:
+        """Isomorphisms are marked."""
+        return self.cat.is_iso(e[1][0])
+
+    def thin(self, t) -> bool:
+        """Every triangle is thin."""
+        return True
+
     def dim_of(self, s) -> int:
         return len(s[0]) - 1
 
-
-def nerve_table(cat, dim: int) -> SimplexTable:
-    """Nerve of cat through dim, isomorphisms marked, every triangle thin."""
-    return SimplexTable(CategoryNerveBackend(cat), dim,
-                        marked_rule=lambda e: cat.is_iso(e[1][0]),
-                        thin_rule=lambda t: True)

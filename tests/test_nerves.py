@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from nervecheck import nerves, suites
-from nervecheck.battery import functor_battery, oriental_two_spec
+from nervecheck.battery import chain3_spec, functor_battery, oriental_two_spec
 from nervecheck.bits import bit_list, mask_of
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from nervecheck.funcspec import FunctorSpec, constant_spec, pair_mask
@@ -18,19 +18,17 @@ from nervecheck.nerves import (
     base_change_check,
     chi_groth_comparison,
     chi_squares_hold,
-    oriental_thin,
     pair_order,
     pi_star_check,
     pull_spec,
     relative2_simplices_literal,
     relative_nerve_1,
     relative_nerve_2,
-    scaled_nerve,
 )
 from nervecheck.report import FAIL
 from nervecheck.simplicial import (
     CategoryNerveBackend,
-    closed_simplices,
+    SimplexTable,
     codegeneracy,
     delta,
     horn_fill_check,
@@ -60,19 +58,19 @@ def arrow_base_spec(values=None):
 
 
 def test_scaled_nerve_of_interval_is_a_simplex():
-    t = scaled_nerve(1, 3)
+    t = SimplexTable(OrientalScaledBackend(1), 3)
     assert t.counts() == [2, 1, 0, 0]
     assert [len(s) for s in t.simplices] == [2, 3, 4, 5]
 
 
 def test_scaled_nerve_of_triangle_counts_and_thinness():
-    t = scaled_nerve(2, 3)
+    t = SimplexTable(OrientalScaledBackend(2), 3)
     assert t.counts() == [3, 4, 4, 4]
     # the full-vertex triangles: one through the long edge per 1-cell choice
     tris = {s for s in t.cells[2] if s[0] == (0, 1, 2)}
     assert tris == {((0, 1, 2), (0b011, 0b111, 0b110)),
                     ((0, 1, 2), (0b011, 0b101, 0b110))}
-    assert t.thin == {((0, 1, 2), (0b011, 0b111, 0b110))}
+    assert set(filter(t.backend.thin, t.cells[2])) == {((0, 1, 2), (0b011, 0b111, 0b110))}
     # nondegenerate triangles with a repeated vertex witness the 2-cell
     assert ((0, 0, 2), (0b001, 0b101, 0b111)) in t.cells[2]
     assert ((0, 2, 2), (0b111, 0b101, 0b100)) in t.cells[2]
@@ -80,7 +78,7 @@ def test_scaled_nerve_of_triangle_counts_and_thinness():
 
 def test_scaled_nerve_horn_filling_by_dimension():
     # triangle horns always fill: the union of the two cells is a filler edge
-    t = scaled_nerve(2, 3)
+    t = SimplexTable(OrientalScaledBackend(2), 3)
     assert horn_fill_check(t, 2, 1)["all_filled"]
     # 3-horns need an inverse of the noninvertible triangle cell, so some fail
     for i in (1, 2):
@@ -88,16 +86,16 @@ def test_scaled_nerve_horn_filling_by_dimension():
         assert not r["all_filled"]
         assert r["filler_counts"].get(0, 0) > 0
     # over a 1-category every inner horn fills uniquely
-    tc = scaled_nerve(chain_category(2), 3)
+    tc = SimplexTable(CategoryNerveBackend(chain_category(2)), 3)
     for n, i in [(2, 1), (3, 1), (3, 2)]:
         r = horn_fill_check(tc, n, i)
         assert r["all_filled"] and set(r["filler_counts"]) == {1}
 
 
 def test_scaled_nerve_of_category_base_is_plain_nerve():
-    t = scaled_nerve(chain_category(2), 2)
+    t = SimplexTable(CategoryNerveBackend(chain_category(2)), 2)
     assert t.counts() == [3, 3, 1]
-    assert len(t.thin) == 1
+    assert sum(map(t.backend.thin, t.cells[2])) == 1
 
 
 # --- functor-family nerve ------------------------------------------------
@@ -106,7 +104,7 @@ def test_scaled_nerve_of_category_base_is_plain_nerve():
 def test_point_valued_nerve_matches_scaled_nerve():
     sp = constant_spec(2, FiniteCategory.point())
     x = relative_nerve_2(sp, 3)
-    base = scaled_nerve(2, 3)
+    base = SimplexTable(OrientalScaledBackend(2), 3)
     assert x.counts() == base.counts()
     for k in range(4):
         assert [z[0] for z in x.cells[k]] == list(base.cells[k])
@@ -134,8 +132,8 @@ def test_family_nerve_counts_with_nontrivial_two_cell():
     x = relative_nerve_2(oriental2_spec(), 3)
     assert x.counts() == [6, 13, 17, 20]
     assert [len(s) for s in x.simplices] == [6, 19, 49, 116]
-    assert len(x.marked) == 8
-    assert len(x.thin) == 9
+    assert sum(map(x.backend.marked, x.cells[1])) == 8
+    assert sum(map(x.backend.thin, x.cells[2])) == 9
 
 
 def test_derived_enumeration_matches_literal_definition():
@@ -369,7 +367,8 @@ def _checked_backends():
 def test_recorded_faces_equal_alpha_star_on_a_fresh_backend():
     for name, make, dim in _checked_backends():
         fresh = make()
-        for k, (sims, _, _, faces) in enumerate(closed_simplices(make(), dim)):
+        t = SimplexTable(make(), dim)
+        for k, (sims, faces) in enumerate(zip(t.simplices, t.faces)):
             assert list(faces) == (sims if k else []), (name, k)
             for z, fs in faces.items():
                 assert fs == tuple(fresh.alpha_star(z, delta(i, k))
@@ -447,8 +446,44 @@ def test_marked_edges_are_value_isomorphisms():
     x = relative_nerve_2(sp, 1)
     for z in x.cells[1]:
         vertex_value = sp.values[z[0][0][0]]
-        assert (z in x.marked) == vertex_value.is_iso(z[2][0])
-    assert x.marked and len(x.marked) < len(x.cells[1])
+        assert x.backend.marked(z) == vertex_value.is_iso(z[2][0])
+    assert 0 < sum(map(x.backend.marked, x.cells[1])) < len(x.cells[1])
+
+
+
+def _marking_backends():
+    """(name, backend, whether it marks edges, whether it has thin triangles)."""
+    battery = functor_battery()
+    for name, sp in [*battery, ("oriental-two", oriental_two_spec()),
+                     ("three-chain", chain3_spec())]:
+        yield name, Rel2Backend(sp), True, True
+        if not sp.oriental_base:
+            yield name, Rel1Backend(sp), True, False
+    for m in (2, 3):
+        yield f"oriental-{m}", OrientalScaledBackend(m), False, True
+    for name, sp in battery:
+        yield name, CategoryNerveBackend(sp.base), True, True
+
+
+def test_degenerate_edges_are_marked_and_degenerate_triangles_thin():
+    seen = 0
+    for name, back, marks, thins in _marking_backends():
+        t = SimplexTable(back, 2)
+        if marks:
+            assert all(map(back.marked, t.degenerate[1])), name
+        if thins:
+            assert all(map(back.thin, t.degenerate[2])), name
+        seen += marks * len(t.degenerate[1]) + thins * len(t.degenerate[2])
+    assert seen
+
+
+@pytest.mark.parametrize("cls, marks", [(Rel2Backend, True), (Rel1Backend, False)],
+                         ids=["rel2-marks-all", "rel1-marks-none"])
+def test_pi_star_check_catches_a_changed_marking(monkeypatch, cls, marks):
+    battery = functor_battery()
+    assert all(pi_star_check(sp, 2)["markings_match"] for _, sp in battery)
+    monkeypatch.setattr(cls, "marked", lambda self, z: marks)
+    assert not all(pi_star_check(sp, 2)["markings_match"] for _, sp in battery)
 
 
 # --- base change ----------------------------------------------------------
@@ -486,5 +521,6 @@ def test_pair_order_shape():
 
 
 def test_oriental_thin_rule():
-    assert oriental_thin(((0, 1, 2), (0b011, 0b111, 0b110)))
-    assert not oriental_thin(((0, 1, 2), (0b011, 0b101, 0b110)))
+    back = OrientalScaledBackend(2)
+    assert back.thin(((0, 1, 2), (0b011, 0b111, 0b110)))
+    assert not back.thin(((0, 1, 2), (0b011, 0b101, 0b110)))

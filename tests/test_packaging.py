@@ -64,7 +64,6 @@ TEST_ONLY = {
     "sn_cells": "boundary sweep that boundary_functor is checked against",
     "ComplexBackend": "simplicial set of a complex, the SimplexTable fixture",
     "relative_nerve_1": "Lurie's relative nerve as a table; the benchmark traces it",
-    "scaled_nerve": "scaled nerve of both base kinds behind one call",
 }
 
 # Methods and properties of the package that src/ never names.  Each is a
@@ -73,9 +72,6 @@ UNNAMED_METHODS = {
     "Complex.euler_characteristic": "alternating count, checked against the Betti numbers",
     "Geometry.distance": "taxicab metric, checked against path length in the Hasse diagram",
     "Geometry.atomic": "unit coordinate steps, checked to be exactly the covers",
-    "SimplexTable.face": "face maps, checked against the simplicial identities",
-    "SimplexTable.edge_marked": "degenerate or marked edges of a nerve table",
-    "SimplexTable.triangle_thin": "degenerate or thin triangles of a nerve table",
     "Parser.error": "argparse calls it on a bad command line",
     "Poset.leq": "relation as a matrix, read by tests and perfbench/gen_n5_sizes.py",
 }

@@ -11,8 +11,8 @@ from nervecheck.simplicial import (
     codegeneracy,
     delta,
     horn_fill_check,
+    map_by_dimension,
     monotone_surjections,
-    nerve_table,
     sphere_maps,
 )
 
@@ -76,9 +76,10 @@ def test_full_triangle_counts():
 def test_face_identities_on_table():
     t = simplex_table(2)
     for s in t.simplices[2]:
+        fs = t.boundary(s)
         for i in range(2):
             for j in range(i + 1, 3):
-                assert t.face(t.face(s, j), i) == t.face(t.face(s, i), j - 1)
+                assert t.boundary(fs[j])[i] == t.boundary(fs[i])[j - 1]
 
 
 def test_degeneracy_identities_on_table():
@@ -91,10 +92,10 @@ def test_degeneracy_identities_on_table():
         for j in range(2):
             s = degeneracy(e, j)
             assert s in t.degenerate[2]
-            assert t.face(s, j) == e
-            assert t.face(s, j + 1) == e
+            assert t.boundary(s)[j] == e
+            assert t.boundary(s)[j + 1] == e
         s0 = degeneracy(e, 0)
-        assert t.face(s0, 2) == degeneracy(t.face(e, 1), 0)
+        assert t.boundary(s0)[2] == degeneracy(t.boundary(e)[1], 0)
 
 
 def test_hollow_triangle_horn_unfilled():
@@ -109,7 +110,7 @@ def test_hollow_triangle_horn_unfilled():
 
 
 def test_category_nerve_counts_and_horns():
-    t = nerve_table(chain_category(2), 3)
+    t = SimplexTable(CategoryNerveBackend(chain_category(2)), 3)
     assert t.counts() == [3, 3, 1, 0]
     r2 = horn_fill_check(t, 2, 1)
     assert r2["all_filled"] and set(r2["filler_counts"]) == {1}
@@ -121,16 +122,17 @@ def test_category_nerve_counts_and_horns():
 def test_walking_iso_nerve_faces_renormalize():
     # composing u;v yields an identity, so inner faces of the alternating
     # chains land on degenerate simplices, which the table lists as such
-    t = nerve_table(walking_iso(), 3)
+    t = SimplexTable(CategoryNerveBackend(walking_iso()), 3)
     assert t.counts() == [2, 2, 2, 2]
     chain = next(s for s in t.cells[2] if s[1] == ("u", "v"))
-    d1 = t.face(chain, 1)
+    d1 = t.boundary(chain)[1]
     assert d1 == (("a", "a"), ("ida",))
     assert d1 in t.degenerate[1]
     for s in t.simplices[3]:
+        fs = t.boundary(s)
         for i in range(3):
             for j in range(i + 1, 4):
-                assert t.face(t.face(s, j), i) == t.face(t.face(s, i), j - 1)
+                assert t.boundary(fs[j])[i] == t.boundary(fs[i])[j - 1]
 
 
 def _alpha_star_by_composition(cat, s, alpha):
@@ -171,13 +173,12 @@ def test_memoized_category_alpha_star_matches_a_fresh_backend():
 
 
 def test_table_reads_faces_the_closure_check_recorded():
-    t = nerve_table(walking_iso(), 3)
+    t = SimplexTable(CategoryNerveBackend(walking_iso()), 3)
     assert t.faces[0] == {}
     for k in (1, 2, 3):
         assert list(t.faces[k]) == t.simplices[k]
         for s in t.simplices[k]:
             assert t.boundary(s) is t.faces[k][s]
-            assert all(t.face(s, i) is f for i, f in enumerate(t.faces[k][s]))
     # a simplex outside the table gets its faces from alpha_star
     top = t.simplices[3][-1]
     above = t.backend.alpha_star(top, codegeneracy(0, 3))
@@ -186,18 +187,17 @@ def test_table_reads_faces_the_closure_check_recorded():
 
 
 def test_marked_edges():
-    iso_t = nerve_table(walking_iso(), 2)
-    assert len(iso_t.marked) == 2
-    plain = nerve_table(chain_category(2), 2)
-    assert len(plain.marked) == 0
+    iso_t = SimplexTable(CategoryNerveBackend(walking_iso()), 2)
+    assert sum(map(iso_t.backend.marked, iso_t.cells[1])) == 2
+    plain = SimplexTable(CategoryNerveBackend(chain_category(2)), 2)
+    assert not any(map(plain.backend.marked, plain.cells[1]))
     v = plain.cells[0][0]
-    assert plain.edge_marked(plain.backend.alpha_star(v, codegeneracy(0, 0)))
-    assert not plain.edge_marked(plain.cells[1][0])
-    assert all(plain.triangle_thin(s) for s in plain.simplices[2])
+    assert plain.backend.marked(plain.backend.alpha_star(v, codegeneracy(0, 0)))
+    assert all(map(plain.backend.thin, plain.simplices[2]))
 
 
 def test_inner_horns_of_walking_iso():
-    t = nerve_table(walking_iso(), 3)
+    t = SimplexTable(CategoryNerveBackend(walking_iso()), 3)
     for n, i in ((2, 1), (3, 1), (3, 2)):
         rep = horn_fill_check(t, n, i)
         assert rep["all_filled"], (n, i)
@@ -233,3 +233,40 @@ def test_backend_validation():
         horn_fill_check(simplex_table(1), 2, 1)
     with pytest.raises(ValueError):
         horn_fill_check(simplex_table(2), 2, 0)
+
+
+class _DoubledEdge(ComplexBackend):
+    """Lists the first edge twice."""
+
+    def simplices(self, k):
+        out = super().simplices(k)
+        return out + out[:1] if k == 1 else out
+
+
+class _DroppedDegeneracy(ComplexBackend):
+    """Leaves out the degenerate triangle (0, 0, 1)."""
+
+    def simplices(self, k):
+        return [s for s in super().simplices(k) if s != (0, 0, 1)]
+
+
+@pytest.mark.parametrize("broken, message", [
+    (_DoubledEdge, "duplicate simplices in dimension 1"),
+    (_DroppedDegeneracy, "degeneracies missing in dimension 2"),
+])
+def test_closure_errors(broken, message):
+    good, bad = ComplexBackend(closure((0, 1, 2))), broken(closure((0, 1, 2)))
+    with pytest.raises(ValueError, match=message):
+        SimplexTable(bad, 2)
+    with pytest.raises(ValueError, match=message):
+        list(map_by_dimension(bad, good, lambda z: z, 2))
+    with pytest.raises(ValueError, match=message):
+        list(map_by_dimension(good, bad, lambda z: z, 2))
+    assert [len(s) for s in SimplexTable(good, 2).simplices] == [3, 6, 10]
+
+
+def test_cells_are_sorted_on_first_read():
+    t = simplex_table(2)
+    assert "cells" not in vars(t)
+    assert t.counts() == [3, 3, 1]
+    assert t.cells is t.cells
