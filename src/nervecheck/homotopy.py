@@ -11,11 +11,14 @@ to more than MAX_INPUT_FACES simplices.  facets walks the strata from
 the top down and checks closure on the way: each level's set must
 contain every face of the level above, and those faces are discarded
 from it as they are generated, never held.  The verdict pipeline removes
-dominated vertices (strong collapse): on neighbourhood bitmasks when a
-walk over the cliques of the 1-skeleton meets the strata exactly, which
-proves closure too; else on the facet list.  A vertex's mask is no wider
-than a facet holding its largest neighbour, so these masks take at most
-dimension + 1 times the facet path's bits.  If more than one vertex
+dominated vertices (strong collapse): on neighbourhood bitmasks when
+the strata are the clique complex of their 1-skeleton, else on the
+facet list.  Flag models prove that as they are built and hand their
+neighbourhood masks in with the strata; for any other complex a walk
+over the cliques of the 1-skeleton must meet the strata exactly, which
+proves closure too.  A vertex's mask is no wider than a facet holding
+its largest neighbour, so these masks take at most dimension + 1 times
+the facet path's bits.  If more than one vertex
 survives, homology and an edge-path-group search run on the strong core.
 Homology works over Python ints, so no overflow exists: unit pivots
 eliminated sparsely, then Smith normal form on the residual row dicts in
@@ -56,17 +59,23 @@ class Complex:
     stratum is empty.  Outside simplices, in any order and with repeats,
     are grouped and sorted once, here.  A producer that already holds
     such lists, keyed by dimension, hands them in as strata; they are
-    kept as they are, not copied or checked.
+    kept as they are, not copied or checked.  A producer that has proved
+    its strata to be the clique complex of their 1-skeleton may also
+    hand in graph, the closed neighbourhood of each vertex as a mask over
+    positions in strata[0] (flag_model does); it is trusted, not checked,
+    and strong_collapse then skips its own clique walk.
     """
 
     def __init__(self, simplices: Iterable[tuple[int, ...]] = (),
-                 strata: dict[int, list[tuple[int, ...]]] | None = None):
+                 strata: dict[int, list[tuple[int, ...]]] | None = None,
+                 graph: list[int] | None = None):
         if strata is None:
             strata = {}
             for s in set(simplices):
                 strata.setdefault(len(s) - 1, []).append(s)
             strata = {d: sorted(strata[d]) for d in sorted(strata)}
         self.strata = strata
+        self.graph = graph
 
     def by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         """The strata themselves, not a copy: callers must not change them."""
@@ -370,13 +379,15 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
     Minian, Strong homotopy types, nerves and collapses, DCG 47 (2012)).
     Vertices are tried smallest first and tried again when a neighbour
     goes, so the surviving core does not depend on set iteration order.
-    On a clique complex (_clique_graph) v is dominated iff the closed
-    neighbourhoods over N[v] share another vertex, and the core is the
-    maximal cliques left; any other complex is collapsed on its facets.
+    On a clique complex v is dominated iff the closed neighbourhoods over
+    N[v] share another vertex, and the core is the maximal cliques left.
+    The neighbourhoods are a copy of cx.graph when its producer handed
+    one in, else _clique_graph's; a complex that walk refuses is
+    collapsed on its facets.
     """
     labels = [v for (v,) in cx.strata.get(0, [])]
     index = {v: i for i, v in enumerate(labels)}
-    nbr = _clique_graph(cx.strata, index)
+    nbr = _clique_graph(cx.strata, index) if cx.graph is None else list(cx.graph)
     drop, core = _on_facets(cx, index) if nbr is None else _on_graph(nbr)
     heap = list(range(len(labels)))
     queued = [True] * len(labels)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from operator import or_
+from itertools import count, product
+from operator import and_, or_
 from typing import Iterator
 
 from .bits import bit_list, bits, max_bit, min_bit, subsets_of
@@ -30,12 +30,17 @@ Flag = tuple[int, ...]
 
 @dataclass
 class FlagModel:
-    """Simplices of a mapping-space model, grouped by dimension."""
+    """Simplices of a mapping-space model, grouped by dimension.
+
+    graph, on an untruncated model only, is its 1-skeleton: the closed
+    neighbourhood of each vertex as a mask over positions in simplices[0].
+    """
 
     ambient: Poset
     source: int
     target: int
     simplices: dict[int, list[Flag]]
+    graph: list[int] | None = None
 
     def counts(self) -> list[int]:
         top = max(self.simplices, default=-1)
@@ -52,10 +57,13 @@ class FlagModel:
 
         Flags are strictly increasing mask tuples, closed under dropping
         levels, and each list is sorted.  The lists are shared with the
-        complex, not copied, so neither may change them afterwards.
+        complex, not copied, so neither may change them afterwards.  The
+        model is the clique complex of its 1-skeleton (flag_model checks
+        this), so its graph goes along too.
         """
         from .homotopy import Complex
-        return Complex(strata={d: fs for d, fs in self.simplices.items() if fs})
+        return Complex(strata={d: fs for d, fs in self.simplices.items() if fs},
+                       graph=self.graph)
 
     def same_simplices(self, other: "FlagModel") -> bool:
         keys = set(self.simplices) | set(other.simplices)
@@ -68,20 +76,6 @@ def _strict_supersets(admissible: list[int]) -> dict[int, list[int]]:
     # a strict superset is the larger int, so only later masks can be one
     return {m: [b for b in admissible[i + 1:] if m & ~b == 0]
             for i, m in enumerate(admissible)}
-
-
-def _flags_above(bottom: int, admissible: list[int],
-                 max_dim: int | None) -> Iterator[list[Flag]]:
-    """Strict inclusion flags in the sorted admissible family starting at
-    bottom, one level (flag length) at a time: the flags of dimension d
-    are the d-th list yielded, none of them empty."""
-    sups = _strict_supersets(admissible)
-    level: list[Flag] = [(bottom,)]
-    while level:
-        yield level
-        if max_dim is not None and len(level[0]) - 1 >= max_dim:
-            break
-        level = [f + (b,) for f in level for b in sups[f[-1]]]
 
 
 def _edge_paths(k: ChainSubcomplex, s_idx: int, t_idx: int,
@@ -128,13 +122,62 @@ def flag_model(k: ChainSubcomplex, s: int, t: int,
                max_dim: int | None = None) -> FlagModel:
     """Mapping-space model between comparable vertices S and T of K.
 
-    The lists come out sorted: bottoms ascend, and _flags_above yields
-    each bottom's levels in order."""
+    Its vertices are the bottoms b in ascending order, and up[b] masks
+    the vertices of A(b) other than b: the 1-skeleton.  A flag from b
+    is a strict chain in A(b), so the model is the clique complex of its
+    1-skeleton exactly when, for each edge b -> x, every vertex of A(b)
+    strictly above x lies in A(x).  That is checked here (_check_cliques)
+    and a failure raises ValueError; given it, the vertices of A(b)
+    strictly above x are up[b] & up[x].  Each bottom's flags are listed
+    one level (flag length) at a time, and the lists come out sorted:
+    bottoms ascend, and so does each superset list.  An untruncated
+    model keeps the closed neighbourhood masks as its graph.
+    """
+    found = list(_bottoms(k, s, t))
+    masks = [b for b, _ in found]
+    index = {b: i for i, b in enumerate(masks)}
+    # each chain of A(b) is an edge path of K, so itself a bottom
+    up = [sum(map((1).__lshift__, map(index.__getitem__, admissible))) & ~(1 << i)
+          for i, (_, admissible) in enumerate(found)]
+    del found
+    _check_cliques(masks, up)
     simplices: dict[int, list[Flag]] = {}
-    for bottom, admissible in _bottoms(k, s, t):
-        for d, level in enumerate(_flags_above(bottom, admissible, max_dim)):
+    for i, b in enumerate(masks):
+        sups = {masks[j]: [masks[m] for m in bits(up[i] & up[j])]
+                for j in bits(up[i])}
+        sups[b] = [masks[j] for j in bits(up[i])]
+        level: list[Flag] = [(b,)]
+        for d in count():
             simplices.setdefault(d, []).extend(level)
-    return FlagModel(k.ambient, s, t, simplices)
+            if max_dim is not None and d >= max_dim:
+                break
+            if not (level := [f + (m,) for f in level for m in sups[f[-1]]]):
+                break
+    graph = None
+    if max_dim is None:  # up becomes the closed neighbourhoods in place
+        for i in reversed(range(len(up))):  # up[i] gains bits below i only
+            for j in bits(up[i]):
+                up[j] |= 1 << i
+            up[i] |= 1 << i
+        graph = up
+    return FlagModel(k.ambient, s, t, simplices, graph)
+
+
+def _check_cliques(masks: list[int], up: list[int]) -> None:
+    """Raise ValueError unless, for each edge b -> x, the vertices of A(b)
+    strictly above x lie in A(x).  The vertices strictly above x are the
+    AND, over x's elements, of the vertices holding each element."""
+    holding: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        for e in bits(m):
+            holding[e] = holding.get(e, 0) | 1 << i
+    above = [reduce(and_, map(holding.__getitem__, bits(m))) ^ 1 << i
+             for i, m in enumerate(masks)]
+    for i, b in enumerate(masks):
+        for j in bits(up[i]):
+            if up[i] & above[j] & ~up[j]:
+                raise ValueError(f"flag model is not a clique complex: a vertex "
+                                 f"of A({b}) above {masks[j]} is not in A({masks[j]})")
 
 
 def flag_counts(k: ChainSubcomplex, s: int, t: int) -> list[int]:
@@ -182,8 +225,7 @@ def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
     This route never evaluates the segment condition directly.
     """
     p = k.ambient
-    n_vertices = sum(1 for c in k.chains if c.bit_count() == 1)
-    if n_vertices > NECKLACE_MAX_VERTICES:
+    if len(k.vertices()) > NECKLACE_MAX_VERTICES:
         raise ValueError(
             f"necklace oracle limited to {NECKLACE_MAX_VERTICES} vertices")
     s_idx, t_idx = p.index[s], p.index[t]

@@ -1062,16 +1062,27 @@ def test_the_facet_path_names_a_face_the_walk_misses(strata, message):
 
 
 def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monkeypatch):
+    # flag models hand over their graph; order complexes and outside
+    # input are walked by _clique_graph
     calls = facet_calls(monkeypatch)
-    for name, checks in (("theorem-contractible", 394), ("lemma-distant", 63)):
+    walks = []
+    walk = homotopy._clique_graph
+
+    def spy(strata, index):
+        walks.append(strata)
+        return walk(strata, index)
+    monkeypatch.setattr(homotopy, "_clique_graph", spy)
+    for name, checks, walked in (("theorem-contractible", 394, 0),
+                                 ("lemma-distant", 63, 63)):
         rep = run_suite(name)
         assert len(rep.checks) == checks
         assert {c.verdict for c in rep.checks} == {"PASS"}
+        assert len(walks) == walked, name
     assert calls == []
     make_inputs = _homology_inputs().make_inputs
     for seed in range(1, 9):
         for item in make_inputs(seed):
             cx = complex_from_json(item["input"])
             contractibility_verdict(cx)
-            assert calls[-1] is cx, (seed, item["name"])
-    assert len(calls) == 56
+            assert calls[-1] is cx and walks[-1] is cx.strata, (seed, item["name"])
+    assert len(calls) == 56 and len(walks) == 63 + 56

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nervecheck.bits import bit_list, from_digits
-from nervecheck.homotopy import contractibility_verdict
+from nervecheck.homotopy import Complex, _clique_graph, contractibility_verdict
 from nervecheck.horn import l_complex
-from nervecheck.mapping import (NECKLACE_MAX_VERTICES, flag_counts,
-                                flag_model, necklace_oracle,
-                                square_chain_poset)
+from nervecheck.mapping import (NECKLACE_MAX_VERTICES, _bottoms,
+                                _strict_supersets, flag_counts, flag_model,
+                                necklace_oracle, square_chain_poset)
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 from nervecheck.suites import _dp, _horn, _pairs
@@ -33,6 +33,106 @@ def tuples_of(model):
     for k, flags in model.simplices.items():
         out[k] = sorted(tuple(p.chain_tuple(m) for m in f) for f in flags)
     return out
+
+
+def _flags_above(bottom, admissible, max_dim):
+    """Strict inclusion flags in the sorted admissible family starting at
+    bottom, one level (flag length) at a time."""
+    sups = _strict_supersets(admissible)
+    level = [(bottom,)]
+    while level:
+        yield level
+        if max_dim is not None and len(level[0]) - 1 >= max_dim:
+            break
+        level = [f + (b,) for f in level for b in sups[f[-1]]]
+
+
+def flag_model_oracle(k, s, t, max_dim=None):
+    """flag_model's simplices as they were listed before it built its
+    1-skeleton: each bottom's strict supersets found by scanning its
+    admissible family, with no clique check; kept as its oracle."""
+    simplices = {}
+    for bottom, admissible in _bottoms(k, s, t):
+        for d, level in enumerate(_flags_above(bottom, admissible, max_dim)):
+            simplices.setdefault(d, []).extend(level)
+    return simplices
+
+
+def theorem_grid():
+    """(K, S, T) of the 394 n <= 4 theorem checks."""
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for s, t in _pairs(_dp(n), strict=False):
+                yield _horn(n, i), s, t
+
+
+# (i, S, T) of the theorem-n5 benchmark items at seed 1
+THEOREM_N5_SEED1 = [(1, "0", "0145"), (1, "01", "025"), (2, "0", "0345"),
+                    (3, "0", "0245"), (4, "0", "0145"), (4, "0123", "05")]
+
+# a few theorem checks, cut at max_dim 0..3
+TRUNCATED = [(3, 1, "0", "03"), (4, 1, "0", "04"), (4, 2, "01", "014"),
+             (4, 3, "0", "0234")]
+
+
+def test_flag_model_matches_its_oracle_and_clique_walk_on_the_theorem_grid():
+    checked = 0
+    for k, s, t in theorem_grid():
+        fm = flag_model(k, s, t)
+        assert fm.simplices == flag_model_oracle(k, s, t), (s, t)
+        cx = fm.to_complex()
+        index = {v: j for j, (v,) in enumerate(cx.strata[0])}
+        walked = _clique_graph(cx.strata, index)
+        assert walked is not None and cx.graph == walked, (s, t)
+        checked += 1
+    assert checked == 394
+
+
+def test_a_truncated_model_matches_its_oracle_and_carries_no_graph():
+    for n, i, s, t in TRUNCATED:
+        for cut in range(4):
+            fm = flag_model(_horn(n, i), D(s), D(t), max_dim=cut)
+            old = flag_model_oracle(_horn(n, i), D(s), D(t), cut)
+            assert fm.simplices == old, (n, i, s, t, cut)
+            cx = fm.to_complex()
+            assert fm.graph is None and cx.graph is None
+            # the verdict the model got before it carried a graph
+            want = contractibility_verdict(Complex(strata=old))
+            assert contractibility_verdict(cx) == want, (n, i, s, t, cut)
+
+
+def test_flag_model_matches_its_oracle_on_the_seeded_theorem_n5_rows():
+    for i, s, t in THEOREM_N5_SEED1:
+        k = _horn(5, i)
+        assert flag_model(k, D(s), D(t)).simplices == flag_model_oracle(k, D(s), D(t))
+
+
+@pytest.mark.slow
+def test_flag_model_matches_its_oracle_on_the_n5_rows_of_at_most_1e5_simplices():
+    rows = [r for r in n5_size_table()["rows"] if r["simplices"] <= 100_000]
+    assert len(rows) == 1156
+    for r in rows:
+        k, s, t = _horn(5, r["i"]), D(r["s"]), D(r["t"])
+        assert flag_model(k, s, t).simplices == flag_model_oracle(k, s, t), r
+
+
+def test_flag_model_raises_exactly_where_the_old_strata_are_no_clique_complex():
+    # each mutant horn lacks one triangle but keeps the tetrahedra on it,
+    # so some admissible families break the clique lemma
+    horn = _horn(4, 2)
+    refused = 0
+    for c in sorted(c for c in horn.chains if c.bit_count() == 3)[:40]:
+        k = ChainSubcomplex(horn.ambient, horn.chains - {c}, validate=False)
+        for s, t in _pairs(_dp(4), strict=False):
+            old = flag_model_oracle(k, s, t)
+            index = {v: j for j, (v,) in enumerate(old.get(0, []))}
+            if _clique_graph(old, index) is None:
+                refused += 1
+                with pytest.raises(ValueError, match="not a clique complex"):
+                    flag_model(k, s, t)
+            else:
+                assert flag_model(k, s, t).simplices == old, (c, s, t)
+    assert refused == 151
 
 
 def test_flag_model_full_d2_counts():
@@ -305,11 +405,15 @@ def test_flag_counts_property(data):
                 assert flag_counts(k, s, t) == flag_model(k, s, t).counts()
 
 
+def n5_size_table():
+    return json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                       / "n5_sizes.json").read_text())
+
+
 def test_flag_counts_match_the_n5_size_table():
     # the table was counted by its own copy of the DP and cross-checked
     # against flag_model up to 6e5 simplices; the small rows keep this quick
-    table = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
-                        / "n5_sizes.json").read_text())
+    table = n5_size_table()
     dp = d_poset(5)
     horns = {i: l_complex(5, i, dp) for i in range(1, 5)}
     rows = [r for r in table["rows"] if r["simplices"] <= 20_000]
