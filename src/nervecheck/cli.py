@@ -97,8 +97,8 @@ MAX_N_HORN = 7
 MAX_N_FULL_NERVE = 6
 # Largest flag model mapping-space builds, in simplices (through --dim),
 # counted first by mapping.flag_counts: ~1 GB.  D^5's full nerve from 0 to
-# 045 holds 7.58M (~7 s, 750-960 MB peak RSS); from 01 to 05 it holds
-# 16.2M (2.26 GB), and counting its 0-05 model's 192M takes ~8 s.
+# 045 holds 7.58M (~7 s, 750-960 MB peak RSS), from 01 to 05 16.2M (2.26 GB);
+# counting D^6's from 0 to 06, 3.2e11, takes ~0.4 s, mostly its segment index.
 MAX_FLAG_SIMPLICES = 8_000_000
 
 

@@ -61,9 +61,10 @@ class Complex:
     such lists, keyed by dimension, hands them in as strata; they are
     kept as they are, not copied or checked.  A producer that has proved
     its strata to be the clique complex of their 1-skeleton may also
-    hand in graph, the closed neighbourhood of each vertex as a mask over
-    positions in strata[0] (flag_model does); it is trusted, not checked,
-    and strong_collapse then skips its own clique walk.
+    hand in graph, that 1-skeleton as upward neighbour masks over
+    positions in strata[0]: bit j of graph[i], for j > i, marks the edge
+    between the i-th and j-th vertices (flag_model does).  It is
+    trusted, not checked, and strong_collapse then skips its clique walk.
     """
 
     def __init__(self, simplices: Iterable[tuple[int, ...]] = (),
@@ -76,10 +77,6 @@ class Complex:
             strata = {d: sorted(strata[d]) for d in sorted(strata)}
         self.strata = strata
         self.graph = graph
-
-    def by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        """The strata themselves, not a copy: callers must not change them."""
-        return self.strata
 
     def dimension(self) -> int:
         return max(self.strata, default=-1)
@@ -236,7 +233,7 @@ def homology(cx: Complex) -> HomologySummary:
     """
     if cx.is_empty():
         return HomologySummary([], [])
-    strata = cx.by_dim()
+    strata = cx.strata
     top = cx.dimension()
     index = {d: {s: i for i, s in enumerate(strata.get(d, []))} for d in range(top + 1)}
 
@@ -381,14 +378,14 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
     goes, so the surviving core does not depend on set iteration order.
     On a clique complex v is dominated iff the closed neighbourhoods over
     N[v] share another vertex, and the core is the maximal cliques left.
-    The neighbourhoods are a copy of cx.graph when its producer handed
-    one in, else _clique_graph's; a complex that walk refuses is
-    collapsed on its facets.
+    The upward neighbour masks are cx.graph when its producer handed them
+    in, else _clique_graph's; _closed closes a copy of them, and a complex
+    the walk refuses is collapsed on its facets.
     """
     labels = [v for (v,) in cx.strata.get(0, [])]
     index = {v: i for i, v in enumerate(labels)}
-    nbr = _clique_graph(cx.strata, index) if cx.graph is None else list(cx.graph)
-    drop, core = _on_facets(cx, index) if nbr is None else _on_graph(nbr)
+    up = _clique_graph(cx.strata, index) if cx.graph is None else list(cx.graph)
+    drop, core = _on_facets(cx, index) if up is None else _on_graph(_closed(up))
     heap = list(range(len(labels)))
     queued = [True] * len(labels)
     removed = 0
@@ -407,12 +404,12 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
 
 
 def _clique_graph(strata: dict, index: dict[int, int]) -> list[int] | None:
-    """Closed neighbourhood masks by vertex id if the strata are exactly
-    the clique complex of their 1-skeleton, else None.  A depth-first walk
-    over upward neighbour masks lists the cliques by increasing ids, each
-    dimension in lexicographic order, and stops at the first that is not
-    the next simplex of its stratum.  Faces of cliques are cliques, so a
-    walk that meets every stratum to its end also proves closure.
+    """Upward neighbour masks by vertex id, as Complex.graph holds them, if
+    the strata are exactly the clique complex of their 1-skeleton, else
+    None.  A depth-first walk over those masks lists the cliques by
+    increasing ids, each dimension in lexicographic order, and stops at
+    the first that is not the next simplex of its stratum.  Faces of
+    cliques are cliques, so meeting every stratum to its end proves closure.
     """
     n = len(index)
     up = [0] * n
@@ -439,9 +436,14 @@ def _clique_graph(strata: dict, index: dict[int, int]) -> list[int] | None:
             return None
     except (KeyError, IndexError):
         return None
-    for a, b in levels[1]:
-        up[index[b]] |= 1 << index[a]
-    for i in range(n):  # in place, so one list of masks is held at a time
+    return up
+
+
+def _closed(up: list[int]) -> list[int]:
+    """up, upward neighbour masks, made closed neighbourhoods in place."""
+    for i in reversed(range(len(up))):  # up[i] gains bits below i only
+        for j in bits(up[i]):
+            up[j] |= 1 << i
         up[i] |= 1 << i
     return up
 
@@ -535,10 +537,9 @@ def pi1_trivial(cx: Complex) -> bool | None:
     nontriviality (that is homology's job through the abelianization).
     A missing face in the 2-skeleton raises ValueError naming it.
     """
-    strata = cx.by_dim()
-    vertices = [s[0] for s in strata.get(0, [])]
-    edges = strata.get(1, [])
-    triangles = strata.get(2, [])
+    vertices = [s[0] for s in cx.strata.get(0, [])]
+    edges = cx.strata.get(1, [])
+    triangles = cx.strata.get(2, [])
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for e in edges:
         for v in e:

@@ -15,9 +15,11 @@ vertex set of the necklace.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count, product
+from math import comb
 from operator import and_, or_
 from typing import Iterator
 
@@ -32,8 +34,9 @@ Flag = tuple[int, ...]
 class FlagModel:
     """Simplices of a mapping-space model, grouped by dimension.
 
-    graph, on an untruncated model only, is its 1-skeleton: the closed
-    neighbourhood of each vertex as a mask over positions in simplices[0].
+    graph, on an untruncated model only, is its 1-skeleton as upward
+    neighbour masks: bit j of graph[i] is set, for j > i, when the model
+    has the edge between the vertices at positions i and j of simplices[0].
     """
 
     ambient: Poset
@@ -48,9 +51,6 @@ class FlagModel:
 
     def vertices(self) -> list[int]:
         return [f[0] for f in self.simplices.get(0, [])]
-
-    def is_empty(self) -> bool:
-        return not self.simplices.get(0)
 
     def to_complex(self):
         """The model as a Complex whose strata are this model's nonempty lists.
@@ -71,27 +71,20 @@ class FlagModel:
                    sorted(other.simplices.get(k, [])) for k in keys)
 
 
-def _strict_supersets(admissible: list[int]) -> dict[int, list[int]]:
-    """Each mask of the sorted family with its strict supersets there."""
-    # a strict superset is the larger int, so only later masks can be one
-    return {m: [b for b in admissible[i + 1:] if m & ~b == 0]
-            for i, m in enumerate(admissible)}
-
-
-def _edge_paths(k: ChainSubcomplex, s_idx: int, t_idx: int,
-                interval: set[int]) -> list[int]:
+def _edge_paths(k: ChainSubcomplex, s_idx: int, t_idx: int) -> list[int]:
     """Chains from S to T all of whose consecutive pairs are edges of K."""
     p = k.ambient
     if s_idx == t_idx:
         return [1 << s_idx] if (1 << s_idx) in k.chains else []
+    interval = p.between(s_idx, t_idx)
     found: list[int] = []
 
     def walk(mask: int, last: int) -> None:
         if last == t_idx:
             found.append(mask)
             return
-        for nxt in bits(p.up_masks[last] & ~(1 << last)):
-            if nxt in interval and ((1 << last) | (1 << nxt)) in k.chains:
+        for nxt in bits(p.up_masks[last] & interval & ~(1 << last)):
+            if ((1 << last) | (1 << nxt)) in k.chains:
                 walk(mask | (1 << nxt), nxt)
 
     walk(1 << s_idx, s_idx)
@@ -105,17 +98,11 @@ def _bottoms(k: ChainSubcomplex, s: int, t: int) -> Iterator[tuple[int, list[int
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.up_masks[s_idx] >> t_idx & 1:
         raise ValueError("source must be below target")
-    interval = set(bits(p.between(s_idx, t_idx)))
-    for bottom in _edge_paths(k, s_idx, t_idx, interval):
+    for bottom in _edge_paths(k, s_idx, t_idx):
         tup = p.chain_tuple(bottom)
         per_segment = [k.segments.get((a, b), ()) for a, b in zip(tup, tup[1:])]
-        if any(not ch for ch in per_segment):
-            continue
-        if per_segment:
-            yield bottom, sorted(set(
-                reduce(or_, choice) for choice in product(*per_segment)))
-        else:
-            yield bottom, [bottom]
+        if all(per_segment):  # each union holds the bottom's elements
+            yield bottom, sorted({reduce(or_, c, bottom) for c in product(*per_segment)})
 
 
 def flag_model(k: ChainSubcomplex, s: int, t: int,
@@ -131,7 +118,7 @@ def flag_model(k: ChainSubcomplex, s: int, t: int,
     strictly above x are up[b] & up[x].  Each bottom's flags are listed
     one level (flag length) at a time, and the lists come out sorted:
     bottoms ascend, and so does each superset list.  An untruncated
-    model keeps the closed neighbourhood masks as its graph.
+    model keeps up as its graph.
     """
     found = list(_bottoms(k, s, t))
     masks = [b for b, _ in found]
@@ -153,14 +140,7 @@ def flag_model(k: ChainSubcomplex, s: int, t: int,
                 break
             if not (level := [f + (m,) for f in level for m in sups[f[-1]]]):
                 break
-    graph = None
-    if max_dim is None:  # up becomes the closed neighbourhoods in place
-        for i in reversed(range(len(up))):  # up[i] gains bits below i only
-            for j in bits(up[i]):
-                up[j] |= 1 << i
-            up[i] |= 1 << i
-        graph = up
-    return FlagModel(k.ambient, s, t, simplices, graph)
+    return FlagModel(k.ambient, s, t, simplices, up if max_dim is None else None)
 
 
 def _check_cliques(masks: list[int], up: list[int]) -> None:
@@ -183,31 +163,35 @@ def _check_cliques(masks: list[int], up: list[int]) -> None:
 def flag_counts(k: ChainSubcomplex, s: int, t: int) -> list[int]:
     """flag_model(k, s, t).counts(), counted without building a flag.
 
-    For each bottom, a dynamic programme over its admissible chains from
-    the largest down counts the flags starting at each chain, per
-    dimension: one for the chain alone, plus those of every strict
-    superset shifted up a dimension.
+    A(b) is the product of its segments' chain families, each closed
+    downwards, so a weak chain b <= M1 <= ... <= Mi in it is fixed by
+    each segment's top chain and the step at which each interior element
+    of that chain enters: W_b(i) = prod_j sum_m f_{j,m} i^m, where
+    f_{j,m} counts segment j's K-chains with m interior elements.  One
+    pass up the interval sums these polynomials over the edge paths b,
+    each edge a -> b of K multiplying by its segment's f-vector; the
+    sum's degree is the largest height of an A(b).  The strict chains
+    from b are the binomial inverse S(d) = sum_i (-1)^(d-i) C(d, i) W(i)
+    (Stanley, Enumerative Combinatorics I, 3.12).
     """
-    total: list[int] = []
-    for bottom, admissible in _bottoms(k, s, t):
-        sups = _strict_supersets(admissible)
-        counts: dict[int, list[int]] = {}
-        for m in reversed(admissible):
-            acc = [1]
-            for b in sups[m]:
-                _add_shifted(acc, counts[b], 1)
-            counts[m] = acc
-        _add_shifted(total, counts[bottom], 0)
-    return total
-
-
-def _add_shifted(acc: list[int], counts: list[int], shift: int) -> None:
-    """acc[d + shift] += counts[d] for every d, lengthening acc as needed."""
-    for d, n in enumerate(counts, shift):
-        if d == len(acc):
-            acc.append(n)
-        else:
-            acc[d] += n
+    p = k.ambient
+    s_idx, t_idx = p.index[s], p.index[t]
+    if not p.up_masks[s_idx] >> t_idx & 1:
+        raise ValueError("source must be below target")
+    # weak[b]: the coefficients of W summed over the edge paths from S to b
+    weak: dict[int, Counter] = {}
+    for b in sorted(bits(p.between(s_idx, t_idx)), key=p.topo_rank.__getitem__):
+        poly = Counter({0: 1} if b == s_idx and (1 << b) in k.chains else ())
+        for a, w in weak.items():  # earlier in a linear extension, so below b
+            if (1 << a | 1 << b) in k.chains:
+                f = Counter(c.bit_count() - 2 for c in k.segments.get((a, b), ()))
+                for (m, x), (e, n) in product(w.items(), f.items()):
+                    poly[m + e] += x * n
+        weak[b] = poly
+    at = [sum(x * i ** m for m, x in weak[t_idx].items())
+          for i in range(max(weak[t_idx], default=-1) + 1)]
+    return [sum((-1) ** (d - i) * comb(d, i) * at[i] for i in range(d + 1))
+            for d in range(len(at))]
 
 
 # The oracle enumerates every bead sequence; D^4's full nerve (16

@@ -456,8 +456,7 @@ def _square_check(n, i, j):
 def _square_shape_check():
     poset, _, _ = square_chain_poset(1, 0, 1)
     cx = _poset_complex(poset)
-    by_dim = cx.by_dim()
-    counts = [len(by_dim.get(k, [])) for k in range(cx.dimension() + 1)]
+    counts = [len(cx.strata.get(k, [])) for k in range(cx.dimension() + 1)]
     bottom = poset.minimum()
     ok = counts == [3, 2] and bottom == frozenset({(0, 0), (1, 1)})
     cert = {"counts": counts, "minimum": sorted(bottom) if bottom else None}

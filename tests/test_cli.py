@@ -362,6 +362,15 @@ def test_flag_model_above_the_simplex_ceiling_is_refused(monkeypatch, capsys):
         f"simplices, more than {cli.MAX_FLAG_SIMPLICES}\n")
 
 
+def test_d6_full_nerve_flag_model_is_counted_and_refused(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "flag_model", _refuse_to_build)
+    assert main(["mapping-space", "--n", "6", "--from", "0", "--to", "06",
+                 "--model", "flag"]) == 64
+    assert capsys.readouterr().err == (
+        "usage error: --model flag: the flag model from 0 to 06 has 320079999371 "
+        f"simplices, more than {cli.MAX_FLAG_SIMPLICES}\n")
+
+
 def test_simplex_ceiling_counts_only_through_dim(monkeypatch, capsys):
     # D^3's full nerve from 0 to 03: [32, 157, 294, 240, 72] by dimension
     monkeypatch.setattr(cli, "MAX_FLAG_SIMPLICES", 200)

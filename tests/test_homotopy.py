@@ -73,7 +73,7 @@ def test_strata_match_a_recount_from_a_plain_set(family):
         by_dim.setdefault(len(s) - 1, set()).add(s)
     cx = Complex(iter(family))
     # sorted and duplicate-free per dimension, no empty dimension
-    assert cx.by_dim() == {d: sorted(v) for d, v in by_dim.items()}
+    assert cx.strata == {d: sorted(v) for d, v in by_dim.items()}
     assert len(cx) == len(plain)
     assert cx.dimension() == max(by_dim, default=-1)
     assert cx.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in plain)
@@ -217,7 +217,7 @@ DUNCE_HAT = [(0, 1, 3), (0, 1, 4), (0, 1, 7), (0, 2, 4), (0, 2, 5), (0, 2, 6),
 
 def test_verdict_dunce_hat_is_acyclic_and_simply_connected():
     cx = generate(DUNCE_HAT)
-    assert len(cx.by_dim()[0]) == 8 and len(cx.by_dim()[1]) == 24
+    assert len(cx.strata[0]) == 8 and len(cx.strata[1]) == 24
     assert not collapse(cx).success
     v = contractibility_verdict(cx)
     assert v.status == "Contractible"
@@ -582,7 +582,7 @@ def test_verdict_rejects_a_family_with_a_face_removed(cx, pick):
 
 def full_matrix_homology(cx):
     """Betti numbers and torsion from smith_diagonal on whole boundary matrices."""
-    strata = cx.by_dim()
+    strata = cx.strata
     top = cx.dimension()
     index = {d: {s: i for i, s in enumerate(strata.get(d, []))} for d in range(top + 1)}
     ranks, torsions = {}, {}
@@ -599,7 +599,7 @@ def full_matrix_homology(cx):
 
 def pi1_trivial_oracle(cx: Complex) -> bool | None:
     """The quadratic Tietze loop that pi1_trivial replaced, kept as its oracle."""
-    strata = cx.by_dim()
+    strata = cx.strata
     vertices = [s[0] for s in strata.get(0, [])]
     edges = strata.get(1, [])
     triangles = strata.get(2, [])
@@ -799,7 +799,7 @@ def test_smith_diagonal_matches_determinantal_divisors(dense):
 
 def test_closed_surface_top_matrix_is_eliminated_by_columns(monkeypatch):
     cx = barycentric(RP2)
-    vertices, edges, triangles = (len(cx.by_dim()[d]) for d in range(3))
+    vertices, edges, triangles = (len(cx.strata[d]) for d in range(3))
     assert (vertices, edges, triangles) == (31, 90, 60)
     shapes = []
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from nervecheck.bits import bit_list, from_digits
 from nervecheck.homotopy import Complex, _clique_graph, contractibility_verdict
 from nervecheck.horn import l_complex
-from nervecheck.mapping import (NECKLACE_MAX_VERTICES, _bottoms,
-                                _strict_supersets, flag_counts, flag_model,
-                                necklace_oracle, square_chain_poset)
+from nervecheck.mapping import (NECKLACE_MAX_VERTICES, _bottoms, flag_counts,
+                                flag_model, necklace_oracle, square_chain_poset)
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 from nervecheck.suites import _dp, _horn, _pairs
@@ -33,6 +32,13 @@ def tuples_of(model):
     for k, flags in model.simplices.items():
         out[k] = sorted(tuple(p.chain_tuple(m) for m in f) for f in flags)
     return out
+
+
+def _strict_supersets(admissible):
+    """Each mask of the sorted family with its strict supersets there."""
+    # a strict superset is the larger int, so only later masks can be one
+    return {m: [b for b in admissible[i + 1:] if m & ~b == 0]
+            for i, m in enumerate(admissible)}
 
 
 def _flags_above(bottom, admissible, max_dim):
@@ -257,7 +263,7 @@ def test_necklace_vertex_limit():
     d4 = d_poset(4)
     k = full_nerve(d4)
     assert len(k.vertices()) == top
-    assert not necklace_oracle(k, D("0"), D("04"), max_dim=0).is_empty()
+    assert necklace_oracle(k, D("0"), D("04"), max_dim=0).counts()
 
 
 def test_max_dim_truncates():
@@ -293,7 +299,7 @@ def test_max_dim_cuts_the_model_after_whole_levels():
 def test_to_complex_hands_over_the_model_lists():
     for k, s, t in small_grid():
         fm = flag_model(k, s, t)
-        strata = fm.to_complex().by_dim()
+        strata = fm.to_complex().strata
         assert strata == {d: fs for d, fs in fm.simplices.items() if fs}
         assert all(strata[d] is fm.simplices[d] for d in strata)
 
@@ -381,7 +387,8 @@ def test_flag_vs_necklace_property(data):
 
 
 def test_flag_counts_equal_the_built_model_counts():
-    for n in (2, 3):
+    pairs = 0
+    for n in (2, 3, 4):
         dp = d_poset(n)
         p = dp.poset
         for k in [full_nerve(dp)] + [l_complex(n, i, dp) for i in range(1, n)]:
@@ -389,8 +396,16 @@ def test_flag_counts_equal_the_built_model_counts():
                 for t in p.elements:
                     if p.less_eq(s, t):
                         assert flag_counts(k, s, t) == flag_model(k, s, t).counts()
+                        pairs += 1
+    # the full nerve and the n - 1 inner horns, times D^n's comparable pairs
+    assert pairs == 2 * 10 + 3 * 33 + 4 * 106
+    k = full_nerve(d_poset(3))
     with pytest.raises(ValueError):
-        flag_counts(full_nerve(d_poset(3)), D("02"), D("013"))
+        flag_counts(k, D("02"), D("013"))
+    assert flag_counts(k, D("02"), D("02")) == [1]
+    # 0 < 01 < 03 in D^3, but K keeps only the three vertices: no edge path
+    points = ChainSubcomplex(k.ambient, [1 << k.ambient.index[D(e)] for e in ("0", "01", "03")])
+    assert flag_counts(points, D("0"), D("03")) == flag_model(points, D("0"), D("03")).counts() == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -411,12 +426,12 @@ def n5_size_table():
 
 
 def test_flag_counts_match_the_n5_size_table():
-    # the table was counted by its own copy of the DP and cross-checked
-    # against flag_model up to 6e5 simplices; the small rows keep this quick
+    # perfbench counted the table with its own superset DP, not this closed
+    # form, and cross-checked it against flag_model up to 6e5 simplices
     table = n5_size_table()
     dp = d_poset(5)
     horns = {i: l_complex(5, i, dp) for i in range(1, 5)}
-    rows = [r for r in table["rows"] if r["simplices"] <= 20_000]
-    assert len(rows) > 1000
+    rows = table["rows"]
+    assert len(rows) == 1204
     for r in rows:
         assert flag_counts(horns[r["i"]], D(r["s"]), D(r["t"])) == r["counts"]
