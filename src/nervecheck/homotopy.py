@@ -4,22 +4,23 @@ Complexes here are abstract: a simplex is a strictly increasing tuple of
 int vertex ids and the family is closed under nonempty subsets.  A
 Complex holds its simplices as per-dimension strata, each the sorted
 list of the distinct simplices of one dimension.  Flag models hand in
-their dimension lists unchanged; other producers hand in families closed
-by construction, grouped and sorted once when the Complex is built, and
-generate interns and closes outside input, refusing input that may close
-to more than MAX_INPUT_FACES simplices.  facets walks the strata from
-the top down and checks closure on the way: each level's set must
-contain every face of the level above, and those faces are discarded
-from it as they are generated, never held.  The verdict pipeline removes
-dominated vertices (strong collapse): on neighbourhood bitmasks when
-the strata are the clique complex of their 1-skeleton, else on the
-facet list.  Flag models prove that as they are built and hand their
-neighbourhood masks in with the strata; for any other complex a walk
-over the cliques of the 1-skeleton must meet the strata exactly, which
-proves closure too.  A vertex's mask is no wider than a facet holding
-its largest neighbour, so these masks take at most dimension + 1 times
-the facet path's bits.  If more than one vertex
-survives, homology and an edge-path-group search run on the strong core.
+their labels, 1-skeleton and counts, and their strata are listed only
+when read; other producers hand in families closed by construction,
+grouped and sorted once when the Complex is built, and generate interns
+and closes outside input, refusing input that may close to more than
+MAX_INPUT_FACES simplices.  facets walks the strata from the top down
+and checks closure on the way: each level's set must contain every face
+of the level above, and those faces are discarded from it as they are
+generated, never held.  The verdict pipeline removes dominated vertices
+(strong collapse): on neighbourhood bitmasks when the strata are the
+clique complex of their 1-skeleton, else on the facet list.  Flag models
+prove that as they are built, so a verdict on one lists no flag unless
+no vertex goes; for any other complex a walk over the cliques of the
+1-skeleton must meet the strata exactly, which proves closure too.  A
+vertex's mask is no wider than a facet holding its largest neighbour,
+so these masks take at most dimension + 1 times the facet path's bits.
+If more than one vertex survives, homology and an edge-path-group search
+run on the strong core.
 Homology works over Python ints, so no overflow exists: unit pivots
 eliminated sparsely, then Smith normal form on the residual row dicts in
 place (least-entry pivots, floor remainders), with torsion as invariant
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
+from functools import cached_property
+from itertools import accumulate, chain, combinations, count, repeat
 from math import gcd
 from operator import and_
 from typing import Hashable, Iterable, Sequence
@@ -60,35 +62,68 @@ class Complex:
     are grouped and sorted once, here.  A producer that already holds
     such lists, keyed by dimension, hands them in as strata; they are
     kept as they are, not copied or checked.  A producer that has proved
-    its strata to be the clique complex of their 1-skeleton may also
-    hand in graph, that 1-skeleton as upward neighbour masks over
-    positions in strata[0]: bit j of graph[i], for j > i, marks the edge
-    between the i-th and j-th vertices (flag_model does).  It is
-    trusted, not checked, and strong_collapse then skips its clique walk.
+    its simplices to be the clique complex of a graph may instead hand in
+    the ascending vertex labels, that graph as upward neighbour masks
+    over positions in labels (bit j of graph[i], for j > i, marks the
+    edge between the i-th and j-th vertices) and the number of simplices
+    in each dimension, as flag_model does.  These are trusted, not
+    checked; the strata are then listed (clique_strata) only when read.
     """
 
     def __init__(self, simplices: Iterable[tuple[int, ...]] = (),
                  strata: dict[int, list[tuple[int, ...]]] | None = None,
-                 graph: list[int] | None = None):
-        if strata is None:
-            strata = {}
-            for s in set(simplices):
-                strata.setdefault(len(s) - 1, []).append(s)
-            strata = {d: sorted(strata[d]) for d in sorted(strata)}
-        self.strata = strata
-        self.graph = graph
+                 graph: list[int] | None = None, labels: list[int] | None = None,
+                 counts: list[int] | None = None):
+        if labels is None:
+            if strata is None:
+                strata = {}
+                for s in set(simplices):
+                    strata.setdefault(len(s) - 1, []).append(s)
+                strata = {d: sorted(strata[d]) for d in sorted(strata)}
+            self.strata = strata
+            labels = [v for (v,) in strata.get(0, [])]
+            counts = [len(strata.get(d, [])) for d in range(max(strata, default=-1) + 1)]
+        self.labels, self.counts, self.graph = labels, counts, graph
+
+    @cached_property
+    def strata(self) -> dict[int, list[tuple[int, ...]]]:
+        return clique_strata(self.labels, self.graph)
 
     def dimension(self) -> int:
-        return max(self.strata, default=-1)
+        return len(self.counts) - 1
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(v) for d, v in self.strata.items())
+        return sum((-1) ** d * n for d, n in enumerate(self.counts))
 
     def __len__(self) -> int:
-        return sum(map(len, self.strata.values()))
+        return sum(self.counts)
 
     def is_empty(self) -> bool:
-        return not self.strata
+        return not self.counts
+
+
+def clique_strata(labels: list[int], up: list[int],
+                  top: int | None = None) -> dict[int, list[tuple[int, ...]]]:
+    """The cliques of a flag graph through dimension top, as sorted strata.
+
+    up holds upward neighbour masks over positions in the ascending
+    labels.  A clique from i whose last vertex is j grows by up[i] & up[j],
+    one level at a time, which lists every clique only in a flag graph: one
+    where a vertex above a clique joined to its ends is joined to all of it.
+    """
+    strata: dict[int, list[tuple[int, ...]]] = {}
+    for i, b in enumerate(labels):
+        sups = {labels[j]: [labels[m] for m in bits(up[i] & up[j])]
+                for j in bits(up[i])}
+        sups[b] = [labels[j] for j in bits(up[i])]
+        level: list[tuple[int, ...]] = [(b,)]
+        for d in count():
+            strata.setdefault(d, []).extend(level)
+            if top is not None and d >= top:
+                break
+            if not (level := [f + (m,) for f in level for m in sups[f[-1]]]):
+                break
+    return strata
 
 
 def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
@@ -382,7 +417,7 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
     in, else _clique_graph's; _closed closes a copy of them, and a complex
     the walk refuses is collapsed on its facets.
     """
-    labels = [v for (v,) in cx.strata.get(0, [])]
+    labels = cx.labels
     index = {v: i for i, v in enumerate(labels)}
     up = _clique_graph(cx.strata, index) if cx.graph is None else list(cx.graph)
     drop, core = _on_facets(cx, index) if up is None else _on_graph(_closed(up))

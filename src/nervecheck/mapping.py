@@ -6,6 +6,8 @@ M0 c M1 c ... c Mk of chains from S to T such that for each pair of
 consecutive elements a < b of M0 the segment of Mk between a and b
 (endpoints included) is a chain of K.  Faces drop flag levels, so the
 family is an abstract simplicial complex on the set of such chains.
+flag_model builds its 1-skeleton and counts it in closed form
+(flag_counts); its flags are listed only when something reads them.
 
 The necklace oracle recomputes the same simplices along a different
 route: sequences of beads (K-chains with matching endpoints) glued end
@@ -18,12 +20,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count, product
+from itertools import product
 from math import comb
 from operator import and_, or_
 from typing import Iterator
 
 from .bits import bit_list, bits, max_bit, min_bit, subsets_of
+from .homotopy import Complex, clique_strata
 from .oriental import build_d, interval_mask
 from .poset import ChainSubcomplex, MonotoneMap, Poset
 
@@ -32,38 +35,29 @@ Flag = tuple[int, ...]
 
 @dataclass
 class FlagModel:
-    """Simplices of a mapping-space model, grouped by dimension.
-
-    graph, on an untruncated model only, is its 1-skeleton as upward
-    neighbour masks: bit j of graph[i] is set, for j > i, when the model
-    has the edge between the vertices at positions i and j of simplices[0].
-    """
+    """A mapping-space model between source and target, as a Complex,
+    whose strata are the model's simplices.  An untruncated flag model
+    lists them only when they are read (see flag_model)."""
 
     ambient: Poset
     source: int
     target: int
-    simplices: dict[int, list[Flag]]
-    graph: list[int] | None = None
+    complex: Complex
+
+    @property
+    def simplices(self) -> dict[int, list[Flag]]:
+        return self.complex.strata
 
     def counts(self) -> list[int]:
-        top = max(self.simplices, default=-1)
-        return [len(self.simplices.get(k, [])) for k in range(top + 1)]
+        return list(self.complex.counts)
 
     def vertices(self) -> list[int]:
-        return [f[0] for f in self.simplices.get(0, [])]
+        return list(self.complex.labels)
 
-    def to_complex(self):
-        """The model as a Complex whose strata are this model's nonempty lists.
-
-        Flags are strictly increasing mask tuples, closed under dropping
-        levels, and each list is sorted.  The lists are shared with the
-        complex, not copied, so neither may change them afterwards.  The
-        model is the clique complex of its 1-skeleton (flag_model checks
-        this), so its graph goes along too.
-        """
-        from .homotopy import Complex
-        return Complex(strata={d: fs for d, fs in self.simplices.items() if fs},
-                       graph=self.graph)
+    def to_complex(self) -> Complex:
+        """The model as a Complex; its strata are this model's lists,
+        which neither may change afterwards."""
+        return self.complex
 
     def same_simplices(self, other: "FlagModel") -> bool:
         keys = set(self.simplices) | set(other.simplices)
@@ -115,10 +109,11 @@ def flag_model(k: ChainSubcomplex, s: int, t: int,
     1-skeleton exactly when, for each edge b -> x, every vertex of A(b)
     strictly above x lies in A(x).  That is checked here (_check_cliques)
     and a failure raises ValueError; given it, the vertices of A(b)
-    strictly above x are up[b] & up[x].  Each bottom's flags are listed
-    one level (flag length) at a time, and the lists come out sorted:
-    bottoms ascend, and so does each superset list.  An untruncated
-    model keeps up as its graph.
+    strictly above x are up[b] & up[x], so up is a flag graph and
+    clique_strata lists the flags.  An untruncated model is handed to
+    its Complex as labels, graph and flag_counts, and no flag is listed
+    here; a model cut at max_dim lists its flags through that dimension
+    and carries no graph.
     """
     found = list(_bottoms(k, s, t))
     masks = [b for b, _ in found]
@@ -128,19 +123,11 @@ def flag_model(k: ChainSubcomplex, s: int, t: int,
           for i, (_, admissible) in enumerate(found)]
     del found
     _check_cliques(masks, up)
-    simplices: dict[int, list[Flag]] = {}
-    for i, b in enumerate(masks):
-        sups = {masks[j]: [masks[m] for m in bits(up[i] & up[j])]
-                for j in bits(up[i])}
-        sups[b] = [masks[j] for j in bits(up[i])]
-        level: list[Flag] = [(b,)]
-        for d in count():
-            simplices.setdefault(d, []).extend(level)
-            if max_dim is not None and d >= max_dim:
-                break
-            if not (level := [f + (m,) for f in level for m in sups[f[-1]]]):
-                break
-    return FlagModel(k.ambient, s, t, simplices, up if max_dim is None else None)
+    if max_dim is None:
+        cx = Complex(labels=masks, graph=up, counts=flag_counts(k, s, t))
+    else:
+        cx = Complex(strata=clique_strata(masks, up, max_dim))
+    return FlagModel(k.ambient, s, t, cx)
 
 
 def _check_cliques(masks: list[int], up: list[int]) -> None:
@@ -161,7 +148,7 @@ def _check_cliques(masks: list[int], up: list[int]) -> None:
 
 
 def flag_counts(k: ChainSubcomplex, s: int, t: int) -> list[int]:
-    """flag_model(k, s, t).counts(), counted without building a flag.
+    """The flags of flag_model(k, s, t) in each dimension, counted, not listed.
 
     A(b) is the product of its segments' chain families, each closed
     downwards, so a weak chain b <= M1 <= ... <= Mi in it is fixed by
@@ -254,7 +241,7 @@ def necklace_oracle(k: ChainSubcomplex, s: int, t: int,
             simplices.setdefault(len(flag) - 1, []).append(flag)
     for v in simplices.values():
         v.sort()
-    return FlagModel(p, s, t, simplices)
+    return FlagModel(p, s, t, Complex(strata=simplices))
 
 
 def _interior_flags(bottom: int, free: int, max_dim: int | None) -> list[Flag]:

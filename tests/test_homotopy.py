@@ -916,6 +916,7 @@ def test_facets_hold_no_copy_of_the_faces():
     try:
         before = tracemalloc.get_traced_memory()[0]
         cx = flag_model(horn, s, t).to_complex()
+        cx.strata  # a flag model's complex lists its strata on first read
         strata = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
@@ -1030,6 +1031,22 @@ def test_clique_path_keeps_a_torus_core_under_a_whisker():
     assert (got.removed, got.core) == (1, tris)
     v = contractibility_verdict(cx)
     assert (v.method, v.homology.betti) == ("homology", [0, 2, 1])
+
+
+def test_a_lazy_clique_complex_that_does_not_collapse_lists_its_strata():
+    # the octahedral 2-sphere, the clique complex of K_{2,2,2}: no vertex
+    # is dominated, so the verdict needs the strata
+    edges = [(a, b) for a, b in combinations(range(6), 2) if b != a ^ 1]
+    eager = clique_complex(6, edges)
+    up = [sum(1 << b for a, b in edges if a == v) for v in range(6)]
+    lazy = Complex(labels=list(range(6)), graph=up, counts=[6, 12, 8])
+    assert (len(lazy), lazy.dimension(), lazy.euler_characteristic()) == (26, 2, 2)
+    assert "strata" not in vars(lazy)
+    v = contractibility_verdict(lazy)
+    assert lazy.strata == eager.strata
+    assert (v.status, v.homology.betti) == ("NotContractible", [0, 0, 1])
+    assert v == contractibility_verdict(eager)
+    assert homology(lazy) == homology(eager)
 
 
 def strata_out_of_order():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nervecheck import homotopy
 from nervecheck.bits import bit_list, from_digits
 from nervecheck.homotopy import Complex, _clique_graph, contractibility_verdict
 from nervecheck.horn import l_complex
@@ -13,7 +14,7 @@ from nervecheck.mapping import (NECKLACE_MAX_VERTICES, _bottoms, flag_counts,
                                 flag_model, necklace_oracle, square_chain_poset)
 from nervecheck.oriental import build_d, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
-from nervecheck.suites import _dp, _horn, _pairs
+from nervecheck.suites import _dp, _horn, _pairs, run_suite
 
 D = from_digits
 
@@ -64,6 +65,11 @@ def flag_model_oracle(k, s, t, max_dim=None):
     return simplices
 
 
+def listed_counts(fm):
+    """The lengths of fm's listed dimension lists, dimension 0 first."""
+    return [len(fs) for _, fs in sorted(fm.simplices.items())]
+
+
 def theorem_grid():
     """(K, S, T) of the 394 n <= 4 theorem checks."""
     for n in (2, 3, 4):
@@ -101,7 +107,7 @@ def test_a_truncated_model_matches_its_oracle_and_carries_no_graph():
             old = flag_model_oracle(_horn(n, i), D(s), D(t), cut)
             assert fm.simplices == old, (n, i, s, t, cut)
             cx = fm.to_complex()
-            assert fm.graph is None and cx.graph is None
+            assert cx.graph is None
             # the verdict the model got before it carried a graph
             want = contractibility_verdict(Complex(strata=old))
             assert contractibility_verdict(cx) == want, (n, i, s, t, cut)
@@ -120,6 +126,38 @@ def test_flag_model_matches_its_oracle_on_the_n5_rows_of_at_most_1e5_simplices()
     for r in rows:
         k, s, t = _horn(5, r["i"]), D(r["s"]), D(r["t"])
         assert flag_model(k, s, t).simplices == flag_model_oracle(k, s, t), r
+
+
+# the n=5 rows whose verdict strong collapse does not decide: (i, S, T,
+# simplices, core_cells)
+N5_PAST_COLLAPSE = [(1, "02", "05", 7599, 257), (1, "023", "05", 1391, 249),
+                    (2, "013", "05", 1391, 249)]
+
+
+def test_the_n5_rows_past_strong_collapse_get_the_eager_certificate():
+    for i, s, t, size, cells in N5_PAST_COLLAPSE:
+        k = _horn(5, i)
+        cx = flag_model(k, D(s), D(t)).to_complex()
+        got = contractibility_verdict(cx)
+        assert "strata" not in vars(cx)  # the core is closed from its facets
+        assert (len(cx), got.method, got.detail) == (
+            size, "acyclic-simply-connected", {"core_cells": cells})
+        want = contractibility_verdict(Complex(strata=flag_model_oracle(k, D(s), D(t))))
+        assert got == want, (i, s, t)
+
+
+def test_a_verdict_that_strong_collapse_decides_lists_no_flag(monkeypatch):
+    listed = []
+    monkeypatch.setattr(homotopy, "clique_strata",
+                        lambda *args: listed.append(args) or {})
+    report = run_suite("theorem-contractible")
+    assert len(report.checks) == 394
+    assert all(c.certificate["method"] == "strong-collapse" for c in report.checks)
+    for i, s, t in THEOREM_N5_SEED1:
+        cx = flag_model(_horn(5, i), D(s), D(t)).to_complex()
+        assert contractibility_verdict(cx).method == "strong-collapse"
+        assert "strata" not in vars(cx)
+    assert listed == []
 
 
 def test_flag_model_raises_exactly_where_the_old_strata_are_no_clique_complex():
@@ -291,9 +329,9 @@ def small_grid():
 
 def test_max_dim_cuts_the_model_after_whole_levels():
     for k, s, t in small_grid():
-        full = flag_model(k, s, t).counts()
+        full = listed_counts(flag_model(k, s, t))
         for d in range(len(full) + 1):
-            assert flag_model(k, s, t, max_dim=d).counts() == full[:d + 1], (s, t, d)
+            assert listed_counts(flag_model(k, s, t, max_dim=d)) == full[:d + 1], (s, t, d)
 
 
 def test_to_complex_hands_over_the_model_lists():
@@ -310,8 +348,7 @@ def assert_lists_strictly_increase(fm, where):
 
 
 def test_flag_model_lists_come_out_strictly_increasing():
-    # flag_model does not sort: Complex(strata=...) takes the lists as
-    # they are, and strong_collapse reads its vertex labels from strata[0]
+    # clique_strata does not sort: the Complex takes the lists as they come
     lists = 0
     for n in (2, 3, 4):
         for i in range(1, n):
@@ -395,7 +432,7 @@ def test_flag_counts_equal_the_built_model_counts():
             for s in p.elements:
                 for t in p.elements:
                     if p.less_eq(s, t):
-                        assert flag_counts(k, s, t) == flag_model(k, s, t).counts()
+                        assert flag_counts(k, s, t) == listed_counts(flag_model(k, s, t))
                         pairs += 1
     # the full nerve and the n - 1 inner horns, times D^n's comparable pairs
     assert pairs == 2 * 10 + 3 * 33 + 4 * 106
@@ -405,7 +442,7 @@ def test_flag_counts_equal_the_built_model_counts():
     assert flag_counts(k, D("02"), D("02")) == [1]
     # 0 < 01 < 03 in D^3, but K keeps only the three vertices: no edge path
     points = ChainSubcomplex(k.ambient, [1 << k.ambient.index[D(e)] for e in ("0", "01", "03")])
-    assert flag_counts(points, D("0"), D("03")) == flag_model(points, D("0"), D("03")).counts() == []
+    assert flag_counts(points, D("0"), D("03")) == listed_counts(flag_model(points, D("0"), D("03"))) == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -417,7 +454,7 @@ def test_flag_counts_property(data):
         for ti in k.vertices():
             if p.leq[si, ti]:
                 s, t = p.elements[si], p.elements[ti]
-                assert flag_counts(k, s, t) == flag_model(k, s, t).counts()
+                assert flag_counts(k, s, t) == listed_counts(flag_model(k, s, t))
 
 
 def n5_size_table():

@@ -1,5 +1,6 @@
 import os
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -36,6 +37,20 @@ def test_theorem_grid_at_n2():
     assert rep.exit_code() == 0
     assert all(c.verdict == PASS for c in rep.checks)
     assert rep.parameters["n"] == 2
+
+
+# every (horn, strict pair) row of D^5: 301 strict pairs times i = 1..4
+FULL_N5 = "7d1bab2a1b6857f88f8fee12ab58f6766b76c85fd4731a694dadd640150922e8"
+
+
+@pytest.mark.slow
+def test_the_full_n5_theorem_grid_passes():
+    rep = run_suite("theorem-contractible", {"deep": True, "n": 5, "samples": 301}, jobs=2)
+    assert len(rep.checks) == 1204
+    assert all(c.verdict == PASS for c in rep.checks)
+    methods = Counter(c.certificate["method"] for c in rep.checks)
+    assert methods == {"strong-collapse": 1201, "acyclic-simply-connected": 3}
+    assert rep.digest() == FULL_N5
 
 
 def test_theorem_needs_deep_for_large_n():
