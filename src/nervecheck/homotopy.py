@@ -412,7 +412,10 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
     Vertices are tried smallest first and tried again when a neighbour
     goes, so the surviving core does not depend on set iteration order.
     On a clique complex v is dominated iff the closed neighbourhoods over
-    N[v] share another vertex, and the core is the maximal cliques left.
+    N[v] share another vertex, and the core is the maximal cliques left;
+    there v is tried again only when a neighbour goes at or below the one
+    where its last test stopped.  No other removal can unblock v, so the
+    vertices go in the order that retrying every neighbour gives.
     The upward neighbour masks are cx.graph when its producer handed them
     in, else _clique_graph's; _closed closes a copy of them, and a complex
     the walk refuses is collapsed on its facets.
@@ -484,16 +487,31 @@ def _closed(up: list[int]) -> list[int]:
 
 
 def _on_graph(nbr: list[int]):
-    """strong_collapse's drop and core on closed neighbourhood masks."""
-    def drop(v: int) -> Iterable[int] | None:
-        bit, near = 1 << v, nbr[v] ^ 1 << v
-        # as on facets: the running AND of N[u] over N[v] only shrinks
-        if bit in accumulate(map(nbr.__getitem__, bits(near)), and_, initial=nbr[v]):
+    """strong_collapse's drop and core on closed neighbourhood masks.
+
+    A failed test of v stops at the neighbour stop[v] where the running
+    AND of N[u], over N[v] in ascending order, becomes {v}.  Masks only
+    shrink, so that AND stays {v} until a neighbour at or below stop[v]
+    goes, and drop hands back only the neighbours it may have unblocked.
+    """
+    stop = [-1] * len(nbr)  # a vertex with no neighbour is never unblocked
+
+    def drop(v: int) -> list[int] | None:
+        bit, common, near = 1 << v, nbr[v], []
+        for u in bits(common ^ bit):
+            if (common := common & nbr[u]) == bit:
+                stop[v] = u
+                return None
+            near.append(u)
+        if not near:  # no other vertex can dominate an isolated one
             return None
         nbr[v] = 0
-        for u in bits(near):
+        unblocked = []
+        for u in near:
             nbr[u] ^= bit
-        return bits(near)
+            if v <= stop[u]:
+                unblocked.append(u)
+        return unblocked
 
     def cliques(ids: tuple[int, ...], common: int):
         if common.bit_count() == len(ids):  # no vertex extends the clique

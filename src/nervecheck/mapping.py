@@ -138,11 +138,14 @@ def _check_cliques(masks: list[int], up: list[int]) -> None:
     for i, m in enumerate(masks):
         for e in bits(m):
             holding[e] = holding.get(e, 0) | 1 << i
-    above = [reduce(and_, map(holding.__getitem__, bits(m))) ^ 1 << i
-             for i, m in enumerate(masks)]
+    # the vertices strictly above x outside A(x): an edge into x can fail
+    # only where this is nonempty
+    outside = [(reduce(and_, map(holding.__getitem__, bits(m))) ^ 1 << i) & ~up[i]
+               for i, m in enumerate(masks)]
+    some = sum(1 << j for j, o in enumerate(outside) if o)
     for i, b in enumerate(masks):
-        for j in bits(up[i]):
-            if up[i] & above[j] & ~up[j]:
+        for j in bits(up[i] & some):
+            if up[i] & outside[j]:
                 raise ValueError(f"flag model is not a clique complex: a vertex "
                                  f"of A({b}) above {masks[j]} is not in A({masks[j]})")
 

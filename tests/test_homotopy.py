@@ -1008,6 +1008,61 @@ def test_clique_path_matches_the_oracle_on_random_order_complexes(cx):
     assert_clique_path_matches_the_facet_path(cx)
 
 
+def retry_every_neighbour(nbr):
+    """_on_graph's drop as it was before a failed test kept where it
+    stopped: every neighbour of a removed vertex is tried again."""
+    def drop(v):
+        bit, near = 1 << v, nbr[v] ^ 1 << v
+        if bit in accumulate(map(nbr.__getitem__, bits(near)), and_, initial=nbr[v]):
+            return None
+        nbr[v] = 0
+        for u in bits(near):
+            nbr[u] ^= bit
+        return bits(near)
+    return drop
+
+
+def removal_order(cx, make_drop=None):
+    """strong_collapse(cx) and the vertex ids its drop removed, in order,
+    with drop replaced by make_drop(nbr) when that is given."""
+    order = []
+    real = homotopy._on_graph
+
+    def spy(nbr):
+        drop, core = real(nbr)
+        drop = make_drop(nbr) if make_drop else drop
+
+        def recorded(v):
+            if (near := drop(v)) is not None:
+                order.append(v)
+            return near
+        return recorded, core
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "_on_graph", spy)
+        got = strong_collapse(cx)
+    return got, order
+
+
+def assert_pruned_retries_remove_what_every_retry_removes(cx):
+    got, order = removal_order(cx)
+    want, want_order = removal_order(cx, retry_every_neighbour)
+    assert order == want_order
+    assert len(order) == got.removed
+    assert (got.removed, got.core) == (want.removed, want.core)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs())
+def test_pruned_retries_remove_the_same_vertices_in_order_on_random_graphs(graph):
+    assert_pruned_retries_remove_what_every_retry_removes(clique_complex(*graph))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_order_complexes())
+def test_pruned_retries_remove_the_same_vertices_in_order_on_order_complexes(cx):
+    assert_pruned_retries_remove_what_every_retry_removes(cx)
+
+
 OCTAHEDRON = [(a, b) for a, b in combinations(range(6), 2) if b != a + 1 or a % 2]
 
 

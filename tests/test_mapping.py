@@ -1,13 +1,14 @@
 import json
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervecheck import homotopy
-from nervecheck.bits import bit_list, from_digits
+from nervecheck import homotopy, mapping
+from nervecheck.bits import bit_list, bits, from_digits
 from nervecheck.homotopy import Complex, _clique_graph, contractibility_verdict
 from nervecheck.horn import l_complex
 from nervecheck.mapping import (NECKLACE_MAX_VERTICES, _bottoms, flag_counts,
@@ -146,6 +147,24 @@ def test_the_n5_rows_past_strong_collapse_get_the_eager_certificate():
         assert got == want, (i, s, t)
 
 
+def test_strong_collapse_retries_only_what_a_removal_can_unblock(monkeypatch):
+    # a failed domination test keeps the neighbour where it stopped, and
+    # only the removal of that neighbour or an earlier one sends it back
+    calls = []
+    real = homotopy._on_graph
+
+    def spy(nbr):
+        drop, core = real(nbr)
+        return lambda v: calls.append(v) or drop(v), core
+    monkeypatch.setattr(homotopy, "_on_graph", spy)
+    removed = 0
+    for i, s, t in THEOREM_N5_SEED1:
+        got = homotopy.strong_collapse(flag_model(_horn(5, i), D(s), D(t)).to_complex())
+        assert got.success
+        removed += got.removed
+    assert (removed, len(calls)) == (2_520, 9_977)
+
+
 def test_a_verdict_that_strong_collapse_decides_lists_no_flag(monkeypatch):
     listed = []
     monkeypatch.setattr(homotopy, "clique_strata",
@@ -160,9 +179,30 @@ def test_a_verdict_that_strong_collapse_decides_lists_no_flag(monkeypatch):
     assert listed == []
 
 
-def test_flag_model_raises_exactly_where_the_old_strata_are_no_clique_complex():
+def first_failing_edge(masks, up):
+    """_check_cliques' message as its scan of every edge b -> x found it
+    before the edges that cannot fail were skipped, or None."""
+    holding = {}
+    for i, m in enumerate(masks):
+        for e in bits(m):
+            holding[e] = holding.get(e, 0) | 1 << i
+    above = [reduce(and_, map(holding.__getitem__, bits(m))) ^ 1 << i
+             for i, m in enumerate(masks)]
+    for i, b in enumerate(masks):
+        for j in bits(up[i]):
+            if up[i] & above[j] & ~up[j]:
+                return (f"flag model is not a clique complex: a vertex "
+                        f"of A({b}) above {masks[j]} is not in A({masks[j]})")
+    return None
+
+
+def test_flag_model_raises_exactly_where_the_old_strata_are_no_clique_complex(monkeypatch):
     # each mutant horn lacks one triangle but keeps the tetrahedra on it,
     # so some admissible families break the clique lemma
+    checked = []
+    real = mapping._check_cliques
+    monkeypatch.setattr(mapping, "_check_cliques",
+                        lambda masks, up: checked.append((masks, up)) or real(masks, up))
     horn = _horn(4, 2)
     refused = 0
     for c in sorted(c for c in horn.chains if c.bit_count() == 3)[:40]:
@@ -172,10 +212,13 @@ def test_flag_model_raises_exactly_where_the_old_strata_are_no_clique_complex():
             index = {v: j for j, (v,) in enumerate(old.get(0, []))}
             if _clique_graph(old, index) is None:
                 refused += 1
-                with pytest.raises(ValueError, match="not a clique complex"):
+                with pytest.raises(ValueError, match="not a clique complex") as got:
                     flag_model(k, s, t)
+                # the same edge b -> x is named as by the scan of every edge
+                assert str(got.value) == first_failing_edge(*checked[-1]), (c, s, t)
             else:
                 assert flag_model(k, s, t).simplices == old, (c, s, t)
+                assert first_failing_edge(*checked[-1]) is None, (c, s, t)
     assert refused == 151
 
 

@@ -4,9 +4,11 @@ from collections import Counter
 
 import pytest
 
+from nervecheck.bits import from_digits
 from nervecheck.report import FAIL, PASS
 from nervecheck.suites import (SUITES, Check, UsageError, _execute,
-                               build_suite, normalize_params, run_suite)
+                               _theorem_check, build_suite, normalize_params,
+                               run_suite)
 
 
 def test_registry_names():
@@ -51,6 +53,16 @@ def test_the_full_n5_theorem_grid_passes():
     methods = Counter(c.certificate["method"] for c in rep.checks)
     assert methods == {"strong-collapse": 1201, "acyclic-simply-connected": 3}
     assert rep.digest() == FULL_N5
+
+
+@pytest.mark.slow
+def test_the_n6_row_012_056_collapses_to_its_certificate():
+    # 10,517 vertices: the first n=6 row under test, where retrying only
+    # what a removal can unblock saves the most
+    verdict, cert = _theorem_check(6, 3, from_digits("012"), from_digits("056"))
+    assert verdict == PASS
+    assert (cert["method"], cert["removed"], cert["vertex"]) == (
+        "strong-collapse", 10_516, 15060318631051165832)
 
 
 def test_theorem_needs_deep_for_large_n():
