@@ -3,22 +3,20 @@
 Complexes here are abstract: a simplex is a strictly increasing tuple of
 int vertex ids and the family is closed under nonempty subsets.  A
 Complex holds its simplices as per-dimension strata, each the sorted
-list of the distinct simplices of one dimension.  Flag models hand in
-their labels, 1-skeleton and counts, and their strata are listed only
-when read; other producers hand in families closed by construction,
-grouped and sorted once when the Complex is built, and generate interns
-and closes outside input, refusing input that may close to more than
-MAX_INPUT_FACES simplices.  facets walks the strata from the top down
-and checks closure on the way: each level's set must contain every face
-of the level above, and those faces are discarded from it as they are
-generated, never held.  The verdict pipeline removes dominated vertices
-(strong collapse): on neighbourhood bitmasks when the strata are the
-clique complex of their 1-skeleton, else on the facet list.  Flag models
-prove that as they are built, so a verdict on one lists no flag unless
-no vertex goes; for any other complex a walk over the cliques of the
-1-skeleton must meet the strata exactly, which proves closure too.  A
-vertex's mask is no wider than a facet holding its largest neighbour,
-so these masks take at most dimension + 1 times the facet path's bits.
+list of the distinct simplices of one dimension.  Flag models and order
+complexes, proved clique complexes, hand in only labels, graph and
+counts, and none of their simplices is listed here.  Other producers
+hand in families closed by construction, grouped and sorted once, and
+generate interns and closes outside input, refusing input that may
+close to more than MAX_INPUT_FACES simplices.  facets walks the strata
+from the top down and checks closure on the way: each level's set must
+hold every face of the level above, and those faces are discarded from
+it as they are generated, never held.  Strong collapse removes
+dominated vertices on neighbourhood bitmasks of that graph, or of the
+1-skeleton when a walk over its cliques meets the strata exactly (which
+proves closure too), else on the facet list.  A vertex's mask is no
+wider than a facet holding its largest neighbour, so these masks take at
+most dimension + 1 times the facet path's bits.
 If more than one vertex survives, homology and an edge-path-group search
 run on the strong core.
 Homology works over Python ints, so no overflow exists: unit pivots
@@ -45,8 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, combinations, count, repeat
+from itertools import accumulate, chain, combinations, repeat
 from math import gcd
 from operator import and_
 from typing import Hashable, Iterable, Sequence
@@ -66,8 +63,8 @@ class Complex:
     the ascending vertex labels, that graph as upward neighbour masks
     over positions in labels (bit j of graph[i], for j > i, marks the
     edge between the i-th and j-th vertices) and the number of simplices
-    in each dimension, as flag_model does.  These are trusted, not
-    checked; the strata are then listed (clique_strata) only when read.
+    in each dimension, as flag models and order complexes do.  These are
+    trusted, not checked, and strata is then None.
     """
 
     def __init__(self, simplices: Iterable[tuple[int, ...]] = (),
@@ -80,14 +77,9 @@ class Complex:
                 for s in set(simplices):
                     strata.setdefault(len(s) - 1, []).append(s)
                 strata = {d: sorted(strata[d]) for d in sorted(strata)}
-            self.strata = strata
             labels = [v for (v,) in strata.get(0, [])]
             counts = [len(strata.get(d, [])) for d in range(max(strata, default=-1) + 1)]
-        self.labels, self.counts, self.graph = labels, counts, graph
-
-    @cached_property
-    def strata(self) -> dict[int, list[tuple[int, ...]]]:
-        return clique_strata(self.labels, self.graph)
+        self.strata, self.labels, self.counts, self.graph = strata, labels, counts, graph
 
     def dimension(self) -> int:
         return len(self.counts) - 1
@@ -100,30 +92,6 @@ class Complex:
 
     def is_empty(self) -> bool:
         return not self.counts
-
-
-def clique_strata(labels: list[int], up: list[int],
-                  top: int | None = None) -> dict[int, list[tuple[int, ...]]]:
-    """The cliques of a flag graph through dimension top, as sorted strata.
-
-    up holds upward neighbour masks over positions in the ascending
-    labels.  A clique from i whose last vertex is j grows by up[i] & up[j],
-    one level at a time, which lists every clique only in a flag graph: one
-    where a vertex above a clique joined to its ends is joined to all of it.
-    """
-    strata: dict[int, list[tuple[int, ...]]] = {}
-    for i, b in enumerate(labels):
-        sups = {labels[j]: [labels[m] for m in bits(up[i] & up[j])]
-                for j in bits(up[i])}
-        sups[b] = [labels[j] for j in bits(up[i])]
-        level: list[tuple[int, ...]] = [(b,)]
-        for d in count():
-            strata.setdefault(d, []).extend(level)
-            if top is not None and d >= top:
-                break
-            if not (level := [f + (m,) for f in level for m in sups[f[-1]]]):
-                break
-    return strata
 
 
 def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
@@ -690,7 +658,8 @@ def contractibility_verdict(cx: Complex) -> Verdict:
     """Strong collapse; else homology and pi_1 on the strong core.
 
     The core is homotopy equivalent to cx, so its homology, padded with
-    zero groups up to the dimension of cx, is the homology of cx.
+    zero groups up to the dimension of cx, is the homology of cx.  It is
+    closed from its facets unless cx holds strata and no vertex went.
     """
     if cx.is_empty():
         return Verdict("NotContractible", "empty",
@@ -703,7 +672,7 @@ def contractibility_verdict(cx: Complex) -> Verdict:
         return Verdict("Contractible", "strong-collapse",
                        {"removed": strong.removed, "vertex": strong.core[0][0]}, zero)
     # the core keeps the input's labels: the Tietze search depends on them
-    core = _close(strong.core) if strong.removed else cx
+    core = _close(strong.core) if strong.removed or cx.strata is None else cx
     h = homology(core)
     d = len(h.betti)
     h = HomologySummary(h.betti + zero.betti[d:], h.torsion + zero.torsion[d:])
@@ -760,11 +729,6 @@ def _close(family: Iterable[tuple[int, ...]]) -> Complex:
                     family.add(f)
                     stack.append(f)
     return Complex(family)
-
-
-def complex_from_chains(chains: Iterable[int]) -> Complex:
-    """Abstract complex of a subchain-closed family of chain masks."""
-    return Complex(tuple(bits(c)) for c in chains)
 
 
 def complex_from_json(data: dict) -> Complex:

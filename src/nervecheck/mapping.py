@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
+from functools import cached_property, reduce
+from itertools import count, product
 from math import comb
 from operator import and_, or_
 from typing import Iterator
 
 from .bits import bit_list, bits, max_bit, min_bit, subsets_of
-from .homotopy import Complex, clique_strata
+from .homotopy import Complex
 from .oriental import build_d, interval_mask
 from .poset import ChainSubcomplex, MonotoneMap, Poset
 
@@ -35,18 +35,19 @@ Flag = tuple[int, ...]
 
 @dataclass
 class FlagModel:
-    """A mapping-space model between source and target, as a Complex,
-    whose strata are the model's simplices.  An untruncated flag model
-    lists them only when they are read (see flag_model)."""
+    """A mapping-space model between source and target, as a Complex.
+    An untruncated flag model hands its Complex a graph, and its
+    simplices are listed (clique_strata) only when they are read."""
 
     ambient: Poset
     source: int
     target: int
     complex: Complex
 
-    @property
+    @cached_property
     def simplices(self) -> dict[int, list[Flag]]:
-        return self.complex.strata
+        cx = self.complex
+        return clique_strata(cx.labels, cx.graph) if cx.strata is None else cx.strata
 
     def counts(self) -> list[int]:
         return list(self.complex.counts)
@@ -55,8 +56,8 @@ class FlagModel:
         return list(self.complex.labels)
 
     def to_complex(self) -> Complex:
-        """The model as a Complex; its strata are this model's lists,
-        which neither may change afterwards."""
+        """The model as a Complex: its graph and counts if untruncated,
+        else its lists, which neither may change afterwards."""
         return self.complex
 
     def same_simplices(self, other: "FlagModel") -> bool:
@@ -148,6 +149,31 @@ def _check_cliques(masks: list[int], up: list[int]) -> None:
             if up[i] & outside[j]:
                 raise ValueError(f"flag model is not a clique complex: a vertex "
                                  f"of A({b}) above {masks[j]} is not in A({masks[j]})")
+
+
+def clique_strata(labels: list[int], up: list[int],
+                  top: int | None = None) -> dict[int, list[Flag]]:
+    """The cliques of a flag graph through dimension top, as sorted strata.
+
+    up holds upward neighbour masks over positions in the ascending
+    labels.  A clique from i whose last vertex is j grows by up[i] & up[j],
+    one level at a time, which lists every clique only in a flag graph: one
+    where a vertex above a clique joined to its ends is joined to all of it,
+    as _check_cliques proves of a flag model's graph.
+    """
+    strata: dict[int, list[Flag]] = {}
+    for i, b in enumerate(labels):
+        sups = {labels[j]: [labels[m] for m in bits(up[i] & up[j])]
+                for j in bits(up[i])}
+        sups[b] = [labels[j] for j in bits(up[i])]
+        level: list[Flag] = [(b,)]
+        for d in count():
+            strata.setdefault(d, []).extend(level)
+            if top is not None and d >= top:
+                break
+            if not (level := [f + (m,) for f in level for m in sups[f[-1]]]):
+                break
+    return strata
 
 
 def flag_counts(k: ChainSubcomplex, s: int, t: int) -> list[int]:

@@ -15,6 +15,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable
 
 from .battery import (DEFAULT_SEED, functor_battery, lifting_battery,
@@ -22,7 +23,7 @@ from .battery import (DEFAULT_SEED, functor_battery, lifting_battery,
 from .bits import bits, digits, interval_mask, max_bit
 from .category import CatFunctor, FiniteCategory, chain_category
 from .groth import grothendieck_poset
-from .homotopy import (Verdict, complex_from_chains, contractibility_verdict)
+from .homotopy import Complex, Verdict, contractibility_verdict
 from .horn import (a_elements, admissible_and_superior, is_admissible,
                    l_complex, phi_on_objects)
 from .lifting import reduced_lifting_check
@@ -63,8 +64,17 @@ def _horn(n: int, i: int) -> ChainSubcomplex:
     return l_complex(n, i, _dp(n))
 
 
-def _poset_complex(p: Poset):
-    return complex_from_chains(nerve_chains(p))
+def _poset_complex(p: Poset) -> Complex:
+    """The order complex of p: the clique complex of its comparability
+    graph.  sizes[i][m] counts the chains of m + 1 elements topped by i,
+    summed up a linear extension, so no chain is listed."""
+    downs, sizes = p.down_masks, [[]] * len(p)
+    for i in sorted(range(len(p)), key=p.topo_rank.__getitem__):
+        below = (sizes[j] for j in bits(downs[i] ^ 1 << i))
+        sizes[i] = [1, *map(sum, zip_longest(*below, fillvalue=0))]
+    graph = [(u | d) >> (i + 1) << (i + 1) for i, (u, d) in enumerate(zip(p.up_masks, downs))]
+    return Complex(labels=list(range(len(p))), graph=graph,
+                   counts=list(map(sum, zip_longest(*sizes, fillvalue=0))))
 
 
 def _poset_verdict(p: Poset) -> Verdict:
@@ -243,7 +253,7 @@ def _admissible_check(n, i, s, t, u):
         members = [v for v in _interval(dp, s, t) if v not in (s, t)
                    and all(v in amem[j] for j in jbar)]
         g = dp.poset.full_subposet(members)
-        v = contractibility_verdict(_poset_complex(g))
+        v = _poset_verdict(g)
         label = "+".join(digits(j) for j in jbar) or "none"
         verdicts[label] = v.status
         if v.status == "NotContractible":
@@ -455,8 +465,7 @@ def _square_check(n, i, j):
 
 def _square_shape_check():
     poset, _, _ = square_chain_poset(1, 0, 1)
-    cx = _poset_complex(poset)
-    counts = [len(cx.strata.get(k, [])) for k in range(cx.dimension() + 1)]
+    counts = _poset_complex(poset).counts
     bottom = poset.minimum()
     ok = counts == [3, 2] and bottom == frozenset({(0, 0), (1, 1)})
     cert = {"counts": counts, "minimum": sorted(bottom) if bottom else None}

@@ -5,7 +5,8 @@ import pytest
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from nervecheck.funcspec import FunctorSpec, pair_mask
 from nervecheck.groth import grothendieck_classical, grothendieck_poset
-from nervecheck.homotopy import complex_from_chains, contractibility_verdict
+from nervecheck.bits import bits
+from nervecheck.homotopy import Complex, contractibility_verdict
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 
 
@@ -92,7 +93,7 @@ def test_total_poset_nerve_contractible_when_values_have_maxima():
                 else {e: values[a].maximum() for e in values[b].elements}
     total = grothendieck_poset(base, values, transport)
     sub = ChainSubcomplex.closure(total, nerve_chains(total))
-    assert contractibility_verdict(complex_from_chains(sub.chains)).status == "Contractible"
+    assert contractibility_verdict(Complex(tuple(bits(c)) for c in sub.chains)).status == "Contractible"
 
 
 def test_total_poset_transport_validation():

@@ -1,5 +1,6 @@
 import heapq
 import importlib.util
+import sys
 import tracemalloc
 from itertools import accumulate, chain, combinations, permutations, repeat
 from math import gcd
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nervecheck import homotopy
+from nervecheck import homotopy, suites
 from nervecheck.bits import bits, from_digits
 from nervecheck.homotopy import (Complex, HomologySummary,
                                  StrongCollapseResult, _cyclic_reduce,
                                  _eliminate_units, collapse,
-                                 complex_from_chains, complex_from_json,
+                                 complex_from_json,
                                  contractibility_verdict, facets, generate,
                                  homology, pi1_trivial, smith_diagonal,
                                  strong_collapse)
@@ -29,6 +30,11 @@ from nervecheck.suites import _dp, _horn, _pairs, run_suite
 def simplex_set(cx):
     """The simplices of cx as one flat set."""
     return set(chain.from_iterable(cx.strata.values()))
+
+
+def order_complex(chains):
+    """The complex of a subchain-closed family of chain masks, listed."""
+    return Complex(tuple(bits(c)) for c in chains)
 
 
 def full_simplex(n):
@@ -371,9 +377,9 @@ def test_theorem_grid_is_strong_and_greedy_collapsible():
     for n in (2, 3, 4):
         for i in range(1, n):
             for s, t in _pairs(_dp(n), strict=False):
-                cx = flag_model(_horn(n, i), s, t).to_complex()
-                assert strong_collapse(cx).success, (n, i, s, t)
-                assert collapse(cx).success, (n, i, s, t)
+                fm = flag_model(_horn(n, i), s, t)
+                assert strong_collapse(fm.to_complex()).success, (n, i, s, t)
+                assert collapse(Complex(strata=fm.simplices)).success, (n, i, s, t)
 
 
 def strong_collapse_oracle(cx):
@@ -440,8 +446,10 @@ def strong_collapse_oracle(cx):
     return StrongCollapseResult(removed, core, max(map(len, tops), default=0) - 1)
 
 
-def assert_strong_collapse_matches_its_oracle(cx):
-    got, want = strong_collapse(cx), strong_collapse_oracle(cx)
+def assert_strong_collapse_matches_its_oracle(cx, listed=None):
+    """strong_collapse(cx) equals its oracle's result on cx, or on listed
+    (the same complex with its strata listed) when cx holds none."""
+    got, want = strong_collapse(cx), strong_collapse_oracle(listed or cx)
     assert (got.removed, got.core, got.dimension) == (
         want.removed, want.core, want.dimension)
 
@@ -451,8 +459,9 @@ def test_strong_collapse_matches_its_oracle_on_the_theorem_grid():
     for n in (2, 3, 4):
         for i in range(1, n):
             for s, t in _pairs(_dp(n), strict=False):
+                fm = flag_model(_horn(n, i), s, t)
                 assert_strong_collapse_matches_its_oracle(
-                    flag_model(_horn(n, i), s, t).to_complex())
+                    fm.to_complex(), Complex(strata=fm.simplices))
                 checked += 1
     assert checked == 394
 
@@ -483,19 +492,20 @@ def test_flag_models_are_closed():
             for s in p.elements:
                 for t in p.elements:
                     if p.less_eq(s, t):
-                        assert_closed(simplex_set(flag_model(k, s, t).to_complex()))
+                        fm = flag_model(k, s, t)
+                        assert_closed(simplex_set(Complex(strata=fm.simplices)))
 
 
 def test_poset_nerves_are_closed():
     for n in (1, 2, 3, 4):
         p = build_d(standard_interval(n)).poset
-        assert_closed(simplex_set(complex_from_chains(nerve_chains(p))))
+        assert_closed(simplex_set(order_complex(nerve_chains(p))))
 
 
 def test_verdict_on_poset_nerve():
     d3 = build_d(standard_interval(3))
     full = ChainSubcomplex(d3.poset, nerve_chains(d3.poset), validate=False)
-    v = contractibility_verdict(complex_from_chains(full.chains))
+    v = contractibility_verdict(order_complex(full.chains))
     assert v.status == "Contractible"
 
 
@@ -877,7 +887,8 @@ def test_facets_match_their_oracle_on_the_theorem_grid():
     for n in (2, 3, 4):
         for i in range(1, n):
             for s, t in _pairs(_dp(n), strict=False):
-                assert_facets_match_their_oracle(flag_model(_horn(n, i), s, t).to_complex())
+                fm = flag_model(_horn(n, i), s, t)
+                assert_facets_match_their_oracle(Complex(strata=fm.simplices))
                 checked += 1
     assert checked == 394
 
@@ -891,7 +902,8 @@ def test_facets_match_their_oracle_on_the_seeded_homology_inputs():
 
 def test_facets_match_their_oracle_on_two_n5_pairs():
     for i, s, t, size in ((1, "0", "0145", 58_809), (1, "01", "025", 121_717)):
-        cx = flag_model(_horn(5, i), from_digits(s), from_digits(t)).to_complex()
+        fm = flag_model(_horn(5, i), from_digits(s), from_digits(t))
+        cx = Complex(strata=fm.simplices)
         assert len(cx) == size
         assert_facets_match_their_oracle(cx)
 
@@ -915,8 +927,8 @@ def test_facets_hold_no_copy_of_the_faces():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cx = flag_model(horn, s, t).to_complex()
-        cx.strata  # a flag model's complex lists its strata on first read
+        # a flag model lists its simplices on first read
+        cx = Complex(strata=flag_model(horn, s, t).simplices)
         strata = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
@@ -966,7 +978,7 @@ def random_order_complexes(draw):
     for i in reversed(range(n)):  # transitive closure, top down
         for j in bits(ups[i] & ~(1 << i)):
             ups[i] |= ups[j]
-    return complex_from_chains(nerve_chains(Poset(range(n), ups)))
+    return order_complex(nerve_chains(Poset(range(n), ups)))
 
 
 def facet_calls(monkeypatch):
@@ -1088,20 +1100,25 @@ def test_clique_path_keeps_a_torus_core_under_a_whisker():
     assert (v.method, v.homology.betti) == ("homology", [0, 2, 1])
 
 
-def test_a_lazy_clique_complex_that_does_not_collapse_lists_its_strata():
+def test_a_lazy_clique_complex_that_does_not_collapse_closes_its_core(monkeypatch):
     # the octahedral 2-sphere, the clique complex of K_{2,2,2}: no vertex
-    # is dominated, so the verdict needs the strata
+    # is dominated, so the verdict closes the core from its facets
     edges = [(a, b) for a, b in combinations(range(6), 2) if b != a ^ 1]
     eager = clique_complex(6, edges)
     up = [sum(1 << b for a, b in edges if a == v) for v in range(6)]
     lazy = Complex(labels=list(range(6)), graph=up, counts=[6, 12, 8])
     assert (len(lazy), lazy.dimension(), lazy.euler_characteristic()) == (26, 2, 2)
-    assert "strata" not in vars(lazy)
+    assert lazy.strata is None
+    closed = []
+    real = homotopy._close
+    monkeypatch.setattr(homotopy, "_close",
+                        lambda family: closed.append(real(family)) or closed[-1])
     v = contractibility_verdict(lazy)
-    assert lazy.strata == eager.strata
+    assert strong_collapse(lazy).removed == 0
+    assert len(closed) == 1 and closed[0].strata == eager.strata
     assert (v.status, v.homology.betti) == ("NotContractible", [0, 0, 1])
     assert v == contractibility_verdict(eager)
-    assert homology(lazy) == homology(eager)
+    assert homology(closed[0]) == homology(eager)
 
 
 def strata_out_of_order():
@@ -1134,8 +1151,8 @@ def test_the_facet_path_names_a_face_the_walk_misses(strata, message):
 
 
 def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monkeypatch):
-    # flag models hand over their graph; order complexes and outside
-    # input are walked by _clique_graph
+    # flag models and order complexes hand over their graph; outside
+    # input is walked by _clique_graph
     calls = facet_calls(monkeypatch)
     walks = []
     walk = homotopy._clique_graph
@@ -1144,17 +1161,24 @@ def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monk
         walks.append(strata)
         return walk(strata, index)
     monkeypatch.setattr(homotopy, "_clique_graph", spy)
-    for name, checks, walked in (("theorem-contractible", 394, 0),
-                                 ("lemma-distant", 63, 63)):
+    listers = []
+    list_chains = suites.nerve_chains
+
+    def chains_spy(p):
+        listers.append(sys._getframe(1).f_code.co_name)
+        return list_chains(p)
+    monkeypatch.setattr(suites, "nerve_chains", chains_spy)
+    for name in suites.SUITES:
         rep = run_suite(name)
-        assert len(rep.checks) == checks
-        assert {c.verdict for c in rep.checks} == {"PASS"}
-        assert len(walks) == walked, name
+        assert {c.verdict for c in rep.checks} == {"PASS"}, name
+        assert walks == [], name
+    assert len(suites.SUITES) == 11
     assert calls == []
+    assert listers and set(listers) == {"_oracle"}  # no order complex lists a chain
     make_inputs = _homology_inputs().make_inputs
     for seed in range(1, 9):
         for item in make_inputs(seed):
             cx = complex_from_json(item["input"])
             contractibility_verdict(cx)
             assert calls[-1] is cx and walks[-1] is cx.strata, (seed, item["name"])
-    assert len(calls) == 56 and len(walks) == 63 + 56
+    assert len(calls) == 56 and len(walks) == 56

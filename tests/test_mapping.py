@@ -93,10 +93,9 @@ def test_flag_model_matches_its_oracle_and_clique_walk_on_the_theorem_grid():
     for k, s, t in theorem_grid():
         fm = flag_model(k, s, t)
         assert fm.simplices == flag_model_oracle(k, s, t), (s, t)
-        cx = fm.to_complex()
-        index = {v: j for j, (v,) in enumerate(cx.strata[0])}
-        walked = _clique_graph(cx.strata, index)
-        assert walked is not None and cx.graph == walked, (s, t)
+        index = {v: j for j, (v,) in enumerate(fm.simplices[0])}
+        walked = _clique_graph(fm.simplices, index)
+        assert walked is not None and fm.to_complex().graph == walked, (s, t)
         checked += 1
     assert checked == 394
 
@@ -140,7 +139,7 @@ def test_the_n5_rows_past_strong_collapse_get_the_eager_certificate():
         k = _horn(5, i)
         cx = flag_model(k, D(s), D(t)).to_complex()
         got = contractibility_verdict(cx)
-        assert "strata" not in vars(cx)  # the core is closed from its facets
+        assert cx.strata is None  # the core is closed from its facets
         assert (len(cx), got.method, got.detail) == (
             size, "acyclic-simply-connected", {"core_cells": cells})
         want = contractibility_verdict(Complex(strata=flag_model_oracle(k, D(s), D(t))))
@@ -167,7 +166,7 @@ def test_strong_collapse_retries_only_what_a_removal_can_unblock(monkeypatch):
 
 def test_a_verdict_that_strong_collapse_decides_lists_no_flag(monkeypatch):
     listed = []
-    monkeypatch.setattr(homotopy, "clique_strata",
+    monkeypatch.setattr(mapping, "clique_strata",
                         lambda *args: listed.append(args) or {})
     report = run_suite("theorem-contractible")
     assert len(report.checks) == 394
@@ -175,7 +174,7 @@ def test_a_verdict_that_strong_collapse_decides_lists_no_flag(monkeypatch):
     for i, s, t in THEOREM_N5_SEED1:
         cx = flag_model(_horn(5, i), D(s), D(t)).to_complex()
         assert contractibility_verdict(cx).method == "strong-collapse"
-        assert "strata" not in vars(cx)
+        assert cx.strata is None
     assert listed == []
 
 
@@ -378,11 +377,18 @@ def test_max_dim_cuts_the_model_after_whole_levels():
 
 
 def test_to_complex_hands_over_the_model_lists():
+    # an untruncated model hands over its graph and counts, a truncated
+    # one its lists
     for k, s, t in small_grid():
         fm = flag_model(k, s, t)
-        strata = fm.to_complex().strata
+        cx = fm.to_complex()
+        assert cx.strata is None and cx.graph is not None
+        assert cx.labels == [v for (v,) in fm.simplices.get(0, [])]
+        assert cx.counts == [len(fm.simplices[d]) for d in range(len(cx.counts))]
+        cut = flag_model(k, s, t, max_dim=len(fm.counts()))
+        strata = cut.to_complex().strata
         assert strata == {d: fs for d, fs in fm.simplices.items() if fs}
-        assert all(strata[d] is fm.simplices[d] for d in strata)
+        assert all(strata[d] is cut.simplices[d] for d in strata)
 
 
 def assert_lists_strictly_increase(fm, where):

@@ -1,14 +1,20 @@
 import os
 import pickle
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nervecheck.bits import from_digits
+from nervecheck.bits import bits, from_digits
+from nervecheck.homotopy import (Complex, _clique_graph, contractibility_verdict,
+                                 strong_collapse)
+from nervecheck.poset import Poset, nerve_chains, strict_interval
 from nervecheck.report import FAIL, PASS
-from nervecheck.suites import (SUITES, Check, UsageError, _execute,
-                               _theorem_check, build_suite, normalize_params,
-                               run_suite)
+from nervecheck.suites import (SUITES, Check, UsageError, _dp, _execute, _pairs,
+                               _poset_complex, _theorem_check, build_suite,
+                               normalize_params, run_suite)
 
 
 def test_registry_names():
@@ -63,6 +69,69 @@ def test_the_n6_row_012_056_collapses_to_its_certificate():
     assert verdict == PASS
     assert (cert["method"], cert["removed"], cert["vertex"]) == (
         "strong-collapse", 10_516, 15060318631051165832)
+
+
+def listed_order_complex(p):
+    """The order complex of p with every chain listed."""
+    return Complex(tuple(bits(c)) for c in nerve_chains(p))
+
+
+@st.composite
+def small_posets(draw):
+    """A poset on 0..n-1, n <= 8: the transitive closure of random pairs
+    a < b of a random order, so the index order is often no linear
+    extension."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    order = draw(st.permutations(range(n)))
+    ups = [1 << i for i in range(n)]
+    for a, b in combinations(range(n), 2):
+        if draw(st.booleans()):
+            ups[order[a]] |= 1 << order[b]
+    for i in reversed(order):  # the elements above i are closed already
+        for j in bits(ups[i] & ~(1 << i)):
+            ups[i] |= ups[j]
+    return Poset(range(n), ups)
+
+
+def test_order_complexes_from_counts_match_the_listed_route():
+    unsorted = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_posets())
+    def check(p):
+        unsorted.append(any(up & ((1 << i) - 1) for i, up in enumerate(p.up_masks)))
+        lazy, eager = _poset_complex(p), listed_order_complex(p)
+        assert lazy.strata is None
+        assert lazy.counts == eager.counts
+        if len(p):  # the walk refuses a complex with no strata
+            index = {v: i for i, v in enumerate(eager.labels)}
+            assert lazy.graph == _clique_graph(eager.strata, index)
+        assert contractibility_verdict(lazy) == contractibility_verdict(eager)
+    check()
+    assert any(unsorted)
+
+
+def test_the_crown_closes_its_core_on_both_routes():
+    # a1, a2 < b1, b2: the order complex is a 4-cycle with no dominated
+    # vertex, so the verdict on the graph alone closes the core itself
+    crown = Poset(["a1", "a2", "b1", "b2"], [0b1101, 0b1110, 0b0100, 0b1000])
+    lazy = _poset_complex(crown)
+    assert lazy.strata is None and strong_collapse(lazy).removed == 0
+    for cx in (lazy, listed_order_complex(crown)):
+        v = contractibility_verdict(cx)
+        assert (v.status, v.method, v.detail) == ("NotContractible", "homology", {
+            "degree": 1, "betti": 1, "torsion": [], "core_cells": 8})
+
+
+@pytest.mark.slow
+def test_the_n6_distant_intervals_get_the_listed_route_verdicts():
+    dp = _dp(6)
+    distant = [(s, t) for s, t in _pairs(dp) if not dp.geometry.close(s, t)]
+    assert len(distant) == 503
+    for s, t in distant:
+        g = strict_interval(dp.poset, s, t)
+        assert contractibility_verdict(_poset_complex(g)) == \
+            contractibility_verdict(listed_order_complex(g)), (s, t)
 
 
 def test_theorem_needs_deep_for_large_n():
