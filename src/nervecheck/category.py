@@ -53,26 +53,36 @@ class FiniteCategory:
             e = self.ident.get(x)
             if e is None or self.src[e] != x or self.tgt[e] != x:
                 raise ValueError(f"bad identity at {x!r}")
+        idx, src, tgt, comp = self.mor_index, self.src, self.tgt, self.comp
+        out: dict[Label, list] = {x: [] for x in self.objects}
         for f in self.morphisms:
-            for g in self.morphisms:
-                composable = self.tgt[f] == self.src[g]
-                if composable != ((f, g) in self.comp):
+            out[src[f]].append(f)
+        # Failures are raised in the order of a scan over all pairs (f, g):
+        # the first table entry on a pair that does not compose, found among
+        # the keys, unless a composable pair before it is missing or lands
+        # on the wrong endpoints.
+        extra = min(((idx[f], idx[g]) for f, g in comp
+                     if f in idx and g in idx and tgt[f] != src[g]),
+                    default=(len(idx), 0))
+        for i, f in enumerate(self.morphisms):
+            for g in out[tgt[f]]:
+                if (i, idx[g]) > extra:
+                    break
+                if (f, g) not in comp:
                     raise ValueError(f"composition table mismatch at ({f!r}, {g!r})")
-                if composable:
-                    h = self.comp[(f, g)]
-                    if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
-                        raise ValueError(f"composite endpoints wrong at ({f!r}, {g!r})")
+                h = comp[(f, g)]
+                if src[h] != src[f] or tgt[h] != tgt[g]:
+                    raise ValueError(f"composite endpoints wrong at ({f!r}, {g!r})")
+        if extra[0] < len(idx):
+            f, g = self.morphisms[extra[0]], self.morphisms[extra[1]]
+            raise ValueError(f"composition table mismatch at ({f!r}, {g!r})")
         for f in self.morphisms:
-            if self.then(self.ident[self.src[f]], f) != f or self.then(f, self.ident[self.tgt[f]]) != f:
+            if self.then(self.ident[src[f]], f) != f or self.then(f, self.ident[tgt[f]]) != f:
                 raise ValueError(f"unit law fails at {f!r}")
         for f in self.morphisms:
-            for g in self.morphisms:
-                if self.tgt[f] != self.src[g]:
-                    continue
+            for g in out[tgt[f]]:
                 fg = self.then(f, g)
-                for h in self.morphisms:
-                    if self.tgt[g] != self.src[h]:
-                        continue
+                for h in out[tgt[g]]:
                     if self.then(fg, h) != self.then(f, self.then(g, h)):
                         raise ValueError(f"associativity fails at ({f!r}, {g!r}, {h!r})")
 

@@ -85,10 +85,10 @@ def _parse(path: str, what: str, build):
         raise UsageError(f"{path} is not {what}: {err!r}") from None
 
 
-# Largest --n per subcommand: dn --n 12 takes ~3.3 s and 30 MB (~1 s and
-# 25 MB at n=11), most of it walking the 4096-bit rows in Poset validation
-# and covers; horn --i 2 at n=7 takes ~7 s and 640 MB (0.4 s and 43 MB at
-# n=6).
+# Largest --n per subcommand: dn --n 12 takes ~0.9 s and 32 MB (~0.4 s and
+# 24 MB at n=11), over half of it in the one walk of the 4096-bit rows that
+# Poset validation and covers share, the rest printing 22,529 covers;
+# horn --i 2 at n=7 takes ~7 s and 640 MB (0.4 s and 43 MB at n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7
 # Largest --n at which mapping-space without --i builds D^n's full nerve:

@@ -8,11 +8,12 @@ S <= T iff max(S) <= max(T) and T is contained in S together with the
 integer interval [max(S), max(T)].
 
 `d_leq` is that two-condition predicate.  `build_d` does not call it:
-it lists each row of D^I pair by pair, the sets T above S for every
-top max(T) >= max(S), so its cost grows with the related pairs rather
-than with the square of the element count.  `d_leq` stays as the
-predicate `Geometry` and `rho_fully_faithful` read and as the oracle
-the rows are tested against.
+it builds each row of D^I from whole-row bit operations, one shifted
+mask for the sets T above S at each top max(T) >= max(S), so a row
+costs a few big-int operations per top rather than one step per
+related pair.  `d_leq` stays as the predicate `Geometry` and
+`rho_fully_faithful` read and as the oracle the rows are tested
+against.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class DPoset:
     def build(cls, ground: int) -> "DPoset":
         if ground == 0:
             raise ValueError("empty ground set")
-        els = d_elements(ground)
-        return cls(ground, Poset(els, _up_rows(ground, els)))
+        # relabelling I monotonically onto [0, n] keeps the order of the
+        # elements and the relation, so D^I has the rows of D^[0,n]
+        return cls(ground, Poset(d_elements(ground), _up_rows(ground.bit_count() - 1)))
 
     @property
     def n(self) -> int:
@@ -71,23 +73,26 @@ def d_elements(ground: int) -> list[int]:
     return [lo_bit | rest for rest in sorted(subsets_of(ground & ~lo_bit))]
 
 
-def _up_rows(ground: int, els: list[int]) -> list[int]:
-    """Up-mask rows of D^ground over els, listed pair by pair.
+def _up_rows(n: int) -> list[int]:
+    """Up-mask rows of D^[0,n], whose element k is S = 1 | k << 1.
 
-    The sets T >= S with max(T) = mt are min(I) | mt | x, where x runs
-    over the subsets of (S | [max(S), mt]) & I strictly below mt,
-    min(I) left out."""
-    index = {e: i for i, e in enumerate(els)}
-    lo_bit = ground & -ground
+    The sets T >= S with max(T) = mt are {0, mt} | x for each x inside
+    free = (S | [max(S), mt]) & [1, mt - 1], at index (1 << mt >> 1) + (x >> 1).
+    So a row holds one block per top mt: the mask with bit y set for every
+    y inside free >> 1, shifted left by 1 << mt >> 1.  That mask is built
+    by doubling, m |= m << (1 << f) for each bit f of free >> 1, and the
+    step from mt to mt + 1 adds mt to free, one more doubling."""
     rows = []
-    for s in els:
-        ms = max_bit(s)
+    for k in range(1 << n):
+        ms = k.bit_length()  # max(S)
+        m = 1
+        for f in bits(k & ~(1 << ms >> 1)):
+            m |= m << (1 << f)
         row = 0
-        for mt in bits(ground >> ms << ms):
-            ends = lo_bit | 1 << mt
-            free = (s | interval_mask(ms, mt)) & ground & ~lo_bit & ((1 << mt) - 1)
-            for x in subsets_of(free):
-                row |= 1 << index[ends | x]
+        for mt in range(ms, n + 1):
+            shift = 1 << mt >> 1
+            row |= m << shift
+            m |= m << shift
         rows.append(row)
     return rows
 

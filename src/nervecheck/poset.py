@@ -49,15 +49,19 @@ class Poset:
             self._validate()
 
     def _validate(self) -> None:
+        """Antisymmetric at i iff i is not in reach[i], transitive at i iff
+        reach[i] lies inside up[i]; a failure is named by the first broken
+        pair of the first failing element."""
         ups = self.up_masks
-        for i, up in enumerate(ups):
+        for i, (up, reach) in enumerate(zip(ups, self._reach)):
             if not up >> i & 1:
                 raise ValueError("relation not reflexive")
-            for j in bits(up & ~(1 << i)):
-                if ups[j] >> i & 1:
-                    raise ValueError("relation not antisymmetric")
-                if ups[j] & ~up:
-                    raise ValueError("relation not transitive")
+            if reach >> i & 1 or reach & ~up:
+                for j in bits(up & ~(1 << i)):
+                    if ups[j] >> i & 1:
+                        raise ValueError("relation not antisymmetric")
+                    if ups[j] & ~up:
+                        raise ValueError("relation not transitive")
 
     @classmethod
     def from_relation(cls, elements: Sequence[Label], related: Callable[[Label, Label], bool]) -> "Poset":
@@ -100,14 +104,16 @@ class Poset:
                       key=lambda ij: self.between(*ij).bit_count())
 
     @cached_property
+    def _reach(self) -> list[int]:
+        """reach[i] = OR of the strict up-rows of the elements strictly above i."""
+        above = [up & ~(1 << i) for i, up in enumerate(self.up_masks)]
+        return [reduce(or_, map(above.__getitem__, bits(a)), 0) for a in above]
+
+    @cached_property
     def covers(self) -> list[tuple[int, int]]:
         """Hasse diagram as index pairs (i, j) with i covered by j, ascending."""
-        above = [up & ~(1 << i) for i, up in enumerate(self.up_masks)]
-        out = []
-        for i, up in enumerate(above):
-            reach = reduce(or_, (above[j] for j in bits(up)), 0)
-            out.extend((i, j) for j in bits(up & ~reach))
-        return out
+        return [(i, j) for i, (up, reach) in enumerate(zip(self.up_masks, self._reach))
+                for j in bits(up & ~(1 << i) & ~reach)]
 
     @cached_property
     def topo_rank(self) -> list[int]:

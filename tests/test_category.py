@@ -1,11 +1,14 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nervecheck.battery import parallel_pair
+from nervecheck.battery import functor_battery, parallel_pair
 from nervecheck.category import (CatFunctor, FiniteCategory, chain_category,
                                  extend_covers, is_natural,
                                  poset_functors, walking_iso)
+from nervecheck.groth import grothendieck_classical
 from nervecheck.oriental import build_d
 from nervecheck.poset import Poset
 
@@ -75,6 +78,76 @@ def test_validation_catches_missing_composite():
     comp = {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("ix", "f"): "f"}
     with pytest.raises(ValueError):
         FiniteCategory(objects, morphisms, src, tgt, ident, comp)
+
+
+def validate_all_pairs(c):
+    """Oracle for the composition checks of FiniteCategory validation:
+    every pair and triple of morphisms visited in turn."""
+    for f in c.morphisms:
+        for g in c.morphisms:
+            composable = c.tgt[f] == c.src[g]
+            if composable != ((f, g) in c.comp):
+                raise ValueError(f"composition table mismatch at ({f!r}, {g!r})")
+            if composable:
+                h = c.comp[(f, g)]
+                if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
+                    raise ValueError(f"composite endpoints wrong at ({f!r}, {g!r})")
+    for f in c.morphisms:
+        if c.then(c.ident[c.src[f]], f) != f or c.then(f, c.ident[c.tgt[f]]) != f:
+            raise ValueError(f"unit law fails at {f!r}")
+    for f in c.morphisms:
+        for g in c.morphisms:
+            if c.tgt[f] != c.src[g]:
+                continue
+            fg = c.then(f, g)
+            for h in c.morphisms:
+                if c.tgt[g] != c.src[h]:
+                    continue
+                if c.then(fg, h) != c.then(f, c.then(g, h)):
+                    raise ValueError(f"associativity fails at ({f!r}, {g!r}, {h!r})")
+
+
+def failure(check):
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+CATEGORIES = {"chain2": chain_category(2), "walking-iso": walking_iso(),
+              "parallel-pair": parallel_pair(),
+              "total-two-chain-mixed": grothendieck_classical(
+                  dict(functor_battery())["two-chain-mixed"])}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CATEGORIES)), st.data())
+def test_validation_fails_first_where_the_all_pairs_scan_does(name, data):
+    good = CATEGORIES[name]
+    mor = st.sampled_from(good.morphisms)
+    comp = dict(good.comp)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if data.draw(st.booleans()) and comp:
+            del comp[data.draw(st.sampled_from(sorted(comp, key=repr)))]
+        else:  # a wrong value, or an entry on a pair that does not compose
+            comp[(data.draw(mor), data.draw(mor))] = data.draw(mor)
+    c = FiniteCategory(good.objects, good.morphisms, good.src, good.tgt,
+                       good.ident, comp, validate=False)
+    assert failure(c._validate) == failure(lambda: validate_all_pairs(c))
+
+
+def test_validation_reports_the_first_of_an_extra_entry_and_a_missing_one():
+    c = chain_category(1)  # morphisms (0, 0), (0, 1), (1, 1)
+    comp = dict(c.comp)
+    del comp[((0, 1), (1, 1))]
+    comp[((1, 1), (0, 0))] = (1, 1)
+    with pytest.raises(ValueError, match=r"mismatch at \(\(0, 1\), \(1, 1\)\)"):
+        FiniteCategory(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
+    comp[((0, 1), (1, 1))] = (0, 1)
+    comp[((0, 1), (0, 0))] = (0, 1)
+    with pytest.raises(ValueError, match=r"mismatch at \(\(0, 1\), \(0, 0\)\)"):
+        FiniteCategory(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
 
 
 def test_from_poset_hom_sets():

@@ -25,6 +25,16 @@ def test_dn_prints_poset(capsys):
     assert "012 < 02" in out
 
 
+# SHA-256 of `dn --n 12` stdout: 4,096 elements and 22,529 covers
+DN12_SHA = "3dc88032446cbd8746373864bf5b45d3282879d43de137a23865283ac829fd03"
+
+
+@pytest.mark.slow
+def test_dn_n12_output_is_pinned(capsys):
+    assert main(["dn", "--n", "12"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DN12_SHA
+
+
 def test_dn_requires_a_ground_set(capsys):
     assert main(["dn"]) == 64
     assert "usage error" in capsys.readouterr().err

@@ -3,7 +3,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nervecheck import oriental
-from nervecheck.bits import digits, from_digits, mask_of
+from nervecheck.bits import (bits, digits, from_digits, interval_mask, mask_of,
+                             max_bit, subsets_of)
 from nervecheck.oriental import (build_d, d_elements, d_leq,
                                  d_via_under_category, rho_fully_faithful,
                                  rho_image, rho_preimage, standard_interval,
@@ -75,6 +76,35 @@ def test_rows_match_the_d_leq_relation(g):
     # grounds inside [0, 9], gaps and a minimum above 0 included
     want = Poset.from_relation(d_elements(g), d_leq).up_masks
     assert build_d(g).poset.up_masks == want
+
+
+def pairwise_up_rows(ground, els):
+    """Oracle for the up-rows of D^ground: each set T above S looked up
+    by its index, one related pair at a time.
+
+    The sets T >= S with max(T) = mt are min(I) | mt | x, where x runs
+    over the subsets of (S | [max(S), mt]) & I strictly below mt,
+    min(I) left out."""
+    index = {e: i for i, e in enumerate(els)}
+    lo_bit = ground & -ground
+    rows = []
+    for s in els:
+        ms = max_bit(s)
+        row = 0
+        for mt in bits(ground >> ms << ms):
+            ends = lo_bit | 1 << mt
+            free = (s | interval_mask(ms, mt)) & ground & ~lo_bit & ((1 << mt) - 1)
+            for x in subsets_of(free):
+                row |= 1 << index[ends | x]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [11, 12])
+def test_large_d_posets_match_the_pairwise_listing(n):
+    g = standard_interval(n)
+    assert build_d(g).poset.up_masks == pairwise_up_rows(g, d_elements(g))
 
 
 def test_build_d_never_calls_d_leq(monkeypatch):

@@ -34,6 +34,68 @@ def test_validation_names_each_broken_axiom(ups, axiom):
         Poset(["a", "b", "c"][:len(ups)], ups)
 
 
+def validate_pairwise(ups):
+    """Oracle for Poset validation: every related pair checked in turn."""
+    for i, up in enumerate(ups):
+        if not up >> i & 1:
+            raise ValueError("relation not reflexive")
+        for j in bits(up & ~(1 << i)):
+            if ups[j] >> i & 1:
+                raise ValueError("relation not antisymmetric")
+            if ups[j] & ~up:
+                raise ValueError("relation not transitive")
+
+
+def validation_message(check, ups):
+    try:
+        check(ups)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def build(ups):
+    Poset(list(range(len(ups))), ups)
+
+
+@pytest.mark.parametrize("ups, axiom", [
+    # at 0, 0 <= 0 fails, and so does antisymmetry: 0 <= 1 <= 0
+    ([0b10, 0b11], "reflexive"),
+    # at 0, the pair (0, 1) breaks both: 1 <= 0, and 1 <= 2 but not 0 <= 2
+    ([0b011, 0b111, 0b100], "antisymmetric"),
+    # at 0, (0, 1) breaks transitivity (1 <= 3) before (0, 2) breaks
+    # antisymmetry (2 <= 0)
+    ([0b0111, 0b1010, 0b0101, 0b1000], "transitive"),
+    # at 1, both fail through (1, 2), and element 0 is fine
+    ([0b1111, 0b0110, 0b1110, 0b1000], "antisymmetric"),
+])
+def test_two_axioms_failing_at_one_element_name_the_first_broken_pair(ups, axiom):
+    assert validation_message(validate_pairwise, ups) == f"relation not {axiom}"
+    assert validation_message(build, ups) == f"relation not {axiom}"
+
+
+@st.composite
+def perturbed_posets(draw):
+    """The rows of a random poset with a few bits flipped."""
+    ups = list(draw(random_posets()).up_masks)
+    n = len(ups)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        ups[i] ^= 1 << draw(st.integers(min_value=0, max_value=n - 1))
+    return ups
+
+
+any_rows = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_rows, perturbed_posets()))
+def test_validation_raises_as_the_pairwise_oracle_does(ups):
+    assert validation_message(build, ups) == validation_message(validate_pairwise, ups)
+
+
 def test_rows_must_fit_the_elements():
     with pytest.raises(ValueError):
         Poset(["a", "b"], [0b01])
@@ -172,12 +234,27 @@ def test_opposite_involution(p):
 @settings(max_examples=60, deadline=None)
 @given(random_posets())
 def test_covers_match_the_definition(p):
+    assert p.covers == covers_by_definition(p)
+
+
+def covers_by_definition(p):
     n = len(p)
-    want = [(i, j) for i in range(n) for j in range(n)
+    return [(i, j) for i in range(n) for j in range(n)
             if strictly_below(p, i, j)
             and not any(strictly_below(p, i, k) and strictly_below(p, k, j)
                         for k in range(n))]
-    assert p.covers == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_posets(), st.data())
+def test_covers_of_unvalidated_posets_match_the_definition(p, data):
+    # opposite() and full_subposet() skip validation, so covers are their
+    # first walk over the rows
+    q = p.opposite()
+    assert q.covers == covers_by_definition(q)
+    keep = data.draw(st.lists(st.sampled_from(p.elements), unique=True))
+    r = p.full_subposet(keep)
+    assert r.covers == covers_by_definition(r)
 
 
 @settings(max_examples=60, deadline=None)
