@@ -85,9 +85,9 @@ def _parse(path: str, what: str, build):
         raise UsageError(f"{path} is not {what}: {err!r}") from None
 
 
-# Largest --n per subcommand: dn --n 12 takes ~0.9 s and 32 MB (~0.4 s and
-# 24 MB at n=11), over half of it in the one walk of the 4096-bit rows that
-# Poset validation and covers share, the rest printing 22,529 covers;
+# Largest --n per subcommand: dn --n 12 takes ~0.6 s and 28 MB (~0.2 s and
+# 22 MB at n=11), nearly all of it in the one walk of the 4096-bit rows that
+# Poset validation and covers share; printing its 22,529 covers takes ~0.03 s;
 # horn --i 2 at n=7 takes ~7 s and 640 MB (0.4 s and 43 MB at n=6).
 MAX_N_DN = 12
 MAX_N_HORN = 7
@@ -127,17 +127,18 @@ def _dim_histogram(chains) -> dict[int, int]:
 
 def cmd_dn(args) -> int:
     ground = _ground_of(args)
-    dp = build_d(ground)
-    p = dp.poset
+    p = build_d(ground).poset
+    labels = [digits(e) for e in p.elements]
     print(f"D-poset on {{{digits(ground)}}}: {len(p)} elements")
     for a, b in p.covers:
-        print(f"  {digits(p.elements[a])} < {digits(p.elements[b])}")
-    payload = {"ground": digits(ground),
-               "elements": [digits(e) for e in p.elements],
-               "covers": [[digits(p.elements[a]), digits(p.elements[b])]
-                          for a, b in p.covers],
-               "minimum": digits(p.minimum()) if p.minimum() is not None else None,
-               "maximum": digits(p.maximum()) if p.maximum() is not None else None}
+        print(f"  {labels[a]} < {labels[b]}")
+    payload = {}
+    if args.json:
+        lo, hi = p.minimum(), p.maximum()
+        payload = {"ground": digits(ground), "elements": labels,
+                   "covers": [[labels[a], labels[b]] for a, b in p.covers],
+                   "minimum": None if lo is None else digits(lo),
+                   "maximum": None if hi is None else digits(hi)}
     _emit(args, payload, lambda: p.to_dot(digits))
     return 0
 

@@ -25,6 +25,7 @@ def grothendieck_classical(spec: FunctorSpec) -> FiniteCategory:
     morphisms = []
     src: dict = {}
     tgt: dict = {}
+    out: dict = {o: [] for o in objects}
     for f in base.morphisms:
         c, cp = base.src[f], base.tgt[f]
         e = spec.values[c]
@@ -37,20 +38,17 @@ def grothendieck_classical(spec: FunctorSpec) -> FiniteCategory:
                     morphisms.append(label)
                     src[label] = (c, x)
                     tgt[label] = (cp, xp)
+                    out[(c, x)].append(label)
     ident = {(c, x): (base.ident[c], spec.values[c].ident[x], x)
              for (c, x) in objects}
+    # composable pairs only, each object's outgoing morphisms in list order
     comp = {}
     for m1 in morphisms:
-        f, eta, xp = m1
-        c = base.src[f]
-        e = spec.values[c]
-        for m2 in morphisms:
-            if tgt[m1] != src[m2]:
-                continue
+        f, eta, _ = m1
+        e, trans = spec.values[base.src[f]], spec.functor(f)
+        for m2 in out[tgt[m1]]:
             g, zeta, xpp = m2
-            comp[(m1, m2)] = (base.then(f, g),
-                              e.then(eta, spec.functor(f).on_mor(zeta)),
-                              xpp)
+            comp[(m1, m2)] = (base.then(f, g), e.then(eta, trans.on_mor(zeta)), xpp)
     return FiniteCategory(objects, morphisms, src, tgt, ident, comp)
 
 

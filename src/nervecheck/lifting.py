@@ -6,7 +6,9 @@ along a levelwise transformation p: F -> G; a solution is a filler
 simplex whose image is the prescribed one.  The reduced form trades
 the filler for a single functor out of the subset poset on the simplex
 positions: the sphere pins the functor on the subposets swept out by
-the boundary faces, and the G-simplex pins its composite with p.  Both
+the boundary faces, and the G-simplex pins its composite with p.  The
+boundary pins are read off the same plan of the union map rho
+(nerves.rho_plan) that the nerve's transport squares walk.  Both
 solution sets are enumerated and compared through the explicit map
 sending a filler to its position-subset functor.
 """
@@ -18,8 +20,8 @@ from typing import Mapping
 from .bits import digits, max_bit, min_bit
 from .category import CatFunctor, FiniteCategory, poset_functors
 from .funcspec import FunctorSpec, constant_spec, pair_mask
-from .nerves import Rel2Backend, pair_order, relative_nerve_2
-from .oriental import d_leq, rho_image, rho_preimage
+from .nerves import Rel2Backend, pair_order, relative_nerve_2, rho_plan
+from .oriental import d_leq, rho_image
 from .simplicial import SimplexTable, sphere_maps
 
 
@@ -156,14 +158,15 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
     """Partial functor on the subset poset assembled from the boundary.
 
     Every proper position subset J contributes its face functor pushed
-    through the pullback pairing: an element splits as a hom part below
-    min(J) and a subset part inside J, the face functor is applied to
-    the subset part, and the result is transported along the hom part.
-    On arrows the hom part moves contravariantly, so the transported
-    face value is composed with the two-cell comparing the two paths.
+    through the pullback pairing, read off the full-mode rho plan of J:
+    an element s1|s2 takes the face value at s2 transported along the
+    hom part s1.  On arrows the hom part moves contravariantly, so the
+    transported face value is composed with the two-cell comparing the
+    two paths.  Reflexive pairs are left to the identities.
     """
     spec = back.spec
-    e0 = back.value_at(zv[0], 0)
+    s = zv[0]
+    e0 = back.value_at(s, 0)
     full = (1 << (n + 1)) - 1
     obj: dict = {}
     mor: dict = {}
@@ -171,25 +174,21 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
         th = back.theta_of(zv, jm)
         if th is None:
             raise ValueError("boundary data is path dependent")
-        elems = rho_image(full, jm)
-        pre = {m: rho_preimage(jm, m) for m in elems}
-        for m in elems:
-            s1, s2 = pre[m]
-            val = spec.functor(back.path_cell(zv[0], s1)).obj[th[0][s2]]
-            if obj.setdefault(m, val) != val:
-                raise ValueError("boundary functors disagree on an element")
-        for m in elems:
-            for mp in elems:
-                if m == mp or not d_leq(m, mp):
-                    continue
-                s1, s2 = pre[m]
-                t1, t2 = pre[mp]
-                big = back.path_cell(zv[0], s1)
-                small = back.path_cell(zv[0], t1)
-                arrow = e0.then(spec.functor(big).on_mor(th[1][(s2, t2)]),
-                                spec.tau(small, big)[th[0][t2]])
-                if mor.setdefault((m, mp), arrow) != arrow:
-                    raise ValueError("boundary functors disagree on an arrow")
+        th_obj, th_mor = th
+        for s1, elems, steps in rho_plan(full, jm, True):
+            f_s1 = spec.functor(back.path_cell(s, s1))
+            for m, s2 in elems:
+                val = f_s1.obj[th_obj[s2]]
+                if obj.setdefault(m, val) != val:
+                    raise ValueError("boundary functors disagree on an element")
+            for s1p, pairs in steps:
+                tau = spec.tau(back.path_cell(s, s1p), back.path_cell(s, s1))
+                for key, (s2, t2) in pairs:
+                    if key[0] == key[1]:
+                        continue
+                    arrow = e0.then(f_s1.on_mor(th_mor[(s2, t2)]), tau[th_obj[t2]])
+                    if mor.setdefault(key, arrow) != arrow:
+                        raise ValueError("boundary functors disagree on an arrow")
     return obj, mor
 
 
@@ -200,28 +199,13 @@ def reduced_solutions(nat: NatTrans, back: Rel2Backend, zv, gbar) -> list[dict]:
     over the functor induced by the prescribed G-simplex.
     """
     n = len(zv[1]) - 1
-    full = (1 << (n + 1)) - 1
-    dp = back.dpos(full)
-    e0 = back.value_at(zv[0], 0)
+    dp = back.dpos((1 << (n + 1)) - 1)
     obj_pin, edge_pin = boundary_functor(back, zv, n)
-    cover_pin = {}
-    for ia, ib in dp.covers:
-        key = (dp.elements[ia], dp.elements[ib])
-        if key in edge_pin:
-            cover_pin[key] = edge_pin[key]
     p0 = nat.component(zv[0][0][0])
     g_obj, g_mor = gbar
-    out = []
-    for cand in poset_functors(dp, e0, obj_pin, cover_pin):
-        mor = cand["mor"]
-        if any(mor[k] != v for k, v in edge_pin.items()):
-            continue
-        if any(p0.obj[cand["obj"][m]] != g_obj[m] for m in dp.elements):
-            continue
-        if any(p0.on_mor(v) != g_mor[k] for k, v in mor.items()):
-            continue
-        out.append(cand)
-    return out
+    return [cand for cand in poset_functors(dp, back.value_at(zv[0], 0), obj_pin, edge_pin)
+            if all(p0.obj[cand["obj"][m]] == g_obj[m] for m in dp.elements)
+            and all(p0.on_mor(v) == g_mor[k] for k, v in cand["mor"].items())]
 
 
 def _freeze(obj: Mapping, mor: Mapping) -> tuple:

@@ -261,6 +261,35 @@ class Rel2Backend:
         return len(z[1]) - 1
 
 
+@lru_cache(maxsize=None)
+def rho_plan(imask: int, jmask: int, full: bool) -> tuple:
+    """Keys of the transport squares of the union map rho for J inside I.
+
+    Per connector s1, a subset of I from min I to min J: the element
+    keys (s1|s2, s2) over D^J, and per s1p inside s1 that the mode
+    reads, the pair keys ((s1|s2, s1p|s2p), (s2, s2p)).  Full mode reads
+    every comparable pair, so, rho being an order embedding, every
+    comparable pair of its image; reduced mode reads the covers of D^J
+    at s1p = s1 and the reflexive pairs where s1p is s1 less one element.
+    """
+    p_j = build_d(jmask).poset
+    els = p_j.elements
+    if full:
+        j_pairs = [(a, b) for a in els for b in els if p_j.less_eq(a, b)]
+    else:
+        j_pairs = [(els[ia], els[ib]) for ia, ib in p_j.covers]
+    refl = [(a, a) for a in els]
+    connectors = list(subsets_with_min_max(imask, min_bit(imask), min_bit(jmask)))
+    plan = []
+    for s1 in connectors:
+        steps = [(s1p, tuple(((s1 | a, s1p | b), (a, b))
+                             for a, b in (j_pairs if full or s1p == s1 else refl)))
+                 for s1p in connectors
+                 if s1p & s1 == s1p and (full or (s1 & ~s1p).bit_count() <= 1)]
+        plan.append((s1, tuple((s1 | a, a) for a in els), tuple(steps)))
+    return tuple(plan)
+
+
 def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
     """Transport square of the union map for J inside I.
 
@@ -273,35 +302,19 @@ def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
     every comparable pair, which full mode checks outright.
     """
     spec = back.spec
-    i0, j0 = min_bit(imask), min_bit(jmask)
-    e = back.value_at(s, i0)
+    e = back.value_at(s, min_bit(imask))
     obj_j, mor_j = th_j
     obj_i, mor_i = th_i
-    p_j = back.dpos(jmask)
-    connectors = list(subsets_with_min_max(imask, i0, j0))
-    if full:
-        j_pairs = [(a, b) for a in p_j.elements for b in p_j.elements
-                   if p_j.less_eq(a, b)]
-    else:
-        j_pairs = [(p_j.elements[ia], p_j.elements[ib])
-                   for ia, ib in p_j.covers]
-    refl = [(a, a) for a in p_j.elements]
-    for s1 in connectors:
+    for s1, elems, steps in rho_plan(imask, jmask, full):
         f_s1 = spec.functor(back.path_cell(s, s1))
-        for s2 in p_j.elements:
-            if obj_i[s1 | s2] != f_s1.obj[obj_j[s2]]:
+        for m, s2 in elems:
+            if obj_i[m] != f_s1.obj[obj_j[s2]]:
                 return False
-        for s1p in connectors:
-            if s1p & s1 != s1p:
-                continue
-            one_step = (s1 & ~s1p).bit_count() == 1
-            if not full and s1 != s1p and not one_step:
-                continue
+        for s1p, pairs in steps:
             tau = spec.tau(back.path_cell(s, s1p), back.path_cell(s, s1))
-            pairs = j_pairs if (full or s1 == s1p) else refl
-            for s2, s2p in pairs:
-                want = e.then(f_s1.on_mor(mor_j[(s2, s2p)]), tau[obj_j[s2p]])
-                if mor_i[(s1 | s2, s1p | s2p)] != want:
+            for ikey, jkey in pairs:
+                want = e.then(f_s1.on_mor(mor_j[jkey]), tau[obj_j[jkey[1]]])
+                if mor_i[ikey] != want:
                     return False
     return True
 

@@ -47,14 +47,6 @@ class DPoset:
     ground: int
     poset: Poset
 
-    @classmethod
-    def build(cls, ground: int) -> "DPoset":
-        if ground == 0:
-            raise ValueError("empty ground set")
-        # relabelling I monotonically onto [0, n] keeps the order of the
-        # elements and the relation, so D^I has the rows of D^[0,n]
-        return cls(ground, Poset(d_elements(ground), _up_rows(ground.bit_count() - 1)))
-
     @property
     def n(self) -> int:
         return max_bit(self.ground)
@@ -98,7 +90,11 @@ def _up_rows(n: int) -> list[int]:
 
 
 def build_d(ground: int) -> DPoset:
-    return DPoset.build(ground)
+    if ground == 0:
+        raise ValueError("empty ground set")
+    # relabelling I monotonically onto [0, n] keeps the order of the
+    # elements and the relation, so D^I has the rows of D^[0,n]
+    return DPoset(ground, Poset(d_elements(ground), _up_rows(ground.bit_count() - 1)))
 
 
 def witness_set(ground: int, s: int, t: int) -> list[int]:
@@ -209,18 +205,6 @@ def rho_image(ground: int, sub: int) -> list[int]:
         for s2 in d_sub:
             out.add(s1 | s2)
     return sorted(out)
-
-
-def rho_preimage(sub: int, element: int) -> tuple[int, int]:
-    """Split an image element back into its unique (s1, s2) pair.
-
-    The first component collects the bits at or below min(sub), the
-    second the bits at or above; they overlap exactly in min(sub).
-    """
-    sub_lo = min_bit(sub)
-    s1 = element & ((1 << (sub_lo + 1)) - 1)
-    s2 = element & ~((1 << sub_lo) - 1)
-    return s1, s2
 
 
 def rho_fully_faithful(ground: int, sub: int) -> bool:

@@ -40,6 +40,21 @@ def test_dn_requires_a_ground_set(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_dn_json_is_built_only_for_json(tmp_path, monkeypatch):
+    out = tmp_path / "d2.json"
+    assert main(["dn", "--n", "2", "--json", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "ground": "012", "elements": ["0", "01", "02", "012"],
+        "covers": [["0", "01"], ["01", "012"], ["012", "02"]],
+        "minimum": "0", "maximum": "02"}
+
+    def refuse(self):
+        raise AssertionError("JSON payload built without --json")
+    monkeypatch.setattr(cli.Poset, "minimum", refuse)
+    monkeypatch.setattr(cli.Poset, "maximum", refuse)
+    assert main(["dn", "--n", "2"]) == 0
+
+
 def test_dn_dot_export(tmp_path):
     dot = tmp_path / "d2.dot"
     assert main(["dn", "--n", "2", "--dot", str(dot)]) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nervecheck.battery import functor_battery
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from nervecheck.funcspec import FunctorSpec, pair_mask
 from nervecheck.groth import grothendieck_classical, grothendieck_poset
@@ -50,6 +51,13 @@ def test_total_category_keeps_isomorphisms():
     assert g.src[up] == (0, "a") and g.tgt[up] == (0, "b")
     assert g.is_iso(up)
     assert not g.is_iso(((0, 1), "ida", "*"))
+
+
+@pytest.mark.parametrize("item", functor_battery(), ids=lambda it: it[0])
+def test_composition_table_is_filled_in_all_pairs_order(item):
+    g = grothendieck_classical(item[1])
+    assert list(g.comp) == [(f, h) for f in g.morphisms for h in g.morphisms
+                            if g.tgt[f] == g.src[h]]
 
 
 def test_total_category_rejects_oriental_base():

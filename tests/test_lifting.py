@@ -1,12 +1,15 @@
 import pytest
 
+from nervecheck.battery import lifting_battery
+from nervecheck.bits import min_bit
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category
 from nervecheck.funcspec import FunctorSpec, pair_mask
-from nervecheck.lifting import (NatTrans, boundary_functor, collapse_nat,
-                                identity_nat, point_spec, reduced_lifting_check,
-                                sn_cells)
-from nervecheck.nerves import relative_nerve_2
-from nervecheck.oriental import build_d
+from nervecheck.lifting import (NatTrans, _sphere_xf, boundary_functor,
+                                collapse_nat, identity_nat, image_simplex,
+                                point_spec, reduced_lifting_check, sn_cells)
+from nervecheck.nerves import pair_order, relative_nerve_2
+from nervecheck.oriental import build_d, d_leq, rho_image
+from nervecheck.simplicial import sphere_maps
 
 
 C1 = chain_category(1)
@@ -84,6 +87,79 @@ def test_boundary_functor_matches_filler_restriction():
         assert set(mor) == edges
         assert all(th_obj[m] == v for m, v in obj.items())
         assert all(th_mor[k] == v for k, v in mor.items())
+
+
+def rho_preimage(sub, element):
+    """Split an element of rho's image into its (s1, s2) pair: s1 holds
+    the bits at or below min(sub), s2 those at or above."""
+    sub_lo = min_bit(sub)
+    return element & ((1 << (sub_lo + 1)) - 1), element & ~((1 << sub_lo) - 1)
+
+
+def elementwise_boundary_functor(back, zv, n):
+    """Oracle for boundary_functor: each face's image under rho listed by
+    rho_image, split back by rho_preimage, and its arrows found by a scan
+    of all pairs through d_leq."""
+    spec = back.spec
+    e0 = back.value_at(zv[0], 0)
+    full = (1 << (n + 1)) - 1
+    obj, mor = {}, {}
+    for jm in range(1, full):
+        th_obj, th_mor = back.theta_of(zv, jm)
+        elems = rho_image(full, jm)
+        pre = {m: rho_preimage(jm, m) for m in elems}
+        for m in elems:
+            s1, s2 = pre[m]
+            val = spec.functor(back.path_cell(zv[0], s1)).obj[th_obj[s2]]
+            assert obj.setdefault(m, val) == val
+        for m in elems:
+            for mp in elems:
+                if m == mp or not d_leq(m, mp):
+                    continue
+                (s1, s2), (t1, t2) = pre[m], pre[mp]
+                big = back.path_cell(zv[0], s1)
+                small = back.path_cell(zv[0], t1)
+                arrow = e0.then(spec.functor(big).on_mor(th_mor[(s2, t2)]),
+                                spec.tau(small, big)[th_obj[t2]])
+                assert mor.setdefault((m, mp), arrow) == arrow
+    return obj, mor
+
+
+SPHERES_WITH_PROBLEMS = {"identity-oriental-two": 49, "collapse-oriental-two": 49,
+                         "collapse-two-chain": 32, "collapse-parallel": 100,
+                         "collapse-three-chain": 125}
+
+
+@pytest.mark.parametrize("name, nat, n", lifting_battery(),
+                         ids=[name for name, _, _ in lifting_battery()])
+def test_boundary_functor_matches_elementwise_oracle(name, nat, n):
+    # every sphere that some target simplex lies under, i.e. every
+    # lifting problem of the sweep, with the base simplex of that target
+    tf = relative_nerve_2(nat.source, n)
+    tg = relative_nerve_2(nat.target, n)
+    under = {}
+    for y in tg.simplices[n]:
+        under.setdefault(tg.boundary(y), []).append(y)
+    compared = 0
+    for sphere in sphere_maps(tf, n):
+        ws = under.get(tuple(image_simplex(nat, tg, sphere[t]) for t in range(n + 1)))
+        if not ws:
+            continue
+        x, f = _sphere_xf(sphere, n)
+        zv = (ws[0][0], x, tuple(f[pq] for pq in pair_order(n)))
+        assert boundary_functor(tf.backend, zv, n) == \
+            elementwise_boundary_functor(tf.backend, zv, n)
+        compared += 1
+    assert compared == SPHERES_WITH_PROBLEMS[name]
+
+
+@pytest.mark.parametrize("make_nat", [identity_nat, collapse_nat])
+def test_oriental_two_level_three(make_nat):
+    rep = reduced_lifting_check(make_nat(oriental2_spec()), 3)
+    assert rep["bijective"]
+    assert rep["problems"] == 116
+    assert rep["solution_histogram"] == {1: 116}
+    assert rep["original_total"] == rep["reduced_total"] == 116
 
 
 def test_identity_sweep_counts_the_simplices():

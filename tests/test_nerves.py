@@ -6,7 +6,7 @@ import pytest
 
 from nervecheck import nerves, suites
 from nervecheck.battery import chain3_spec, functor_battery, oriental_two_spec
-from nervecheck.bits import bit_list, mask_of
+from nervecheck.bits import bit_list, mask_of, subsets_of
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from nervecheck.funcspec import FunctorSpec, constant_spec, pair_mask
 from nervecheck.groth import grothendieck_classical
@@ -24,7 +24,9 @@ from nervecheck.nerves import (
     relative2_simplices_literal,
     relative_nerve_1,
     relative_nerve_2,
+    rho_plan,
 )
+from nervecheck.oriental import d_leq, rho_image
 from nervecheck.report import FAIL
 from nervecheck.simplicial import (
     CategoryNerveBackend,
@@ -524,3 +526,23 @@ def test_oriental_thin_rule():
     back = OrientalScaledBackend(2)
     assert back.thin(((0, 1, 2), (0b011, 0b111, 0b110)))
     assert not back.thin(((0, 1, 2), (0b011, 0b101, 0b110)))
+
+
+def test_rho_plan_keys_are_the_image_of_rho():
+    for imask in range(1, 1 << 5):
+        for jmask in subsets_of(imask):
+            if jmask == 0:
+                continue
+            image = rho_image(imask, jmask)
+            comparable = {(a, b) for a in image for b in image if d_leq(a, b)}
+            for full in (True, False):
+                plan = rho_plan(imask, jmask, full)
+                elems = [m for _, keys, _ in plan for m, _ in keys]
+                pairs = [ikey for _, _, steps in plan
+                         for _, keys in steps for ikey, _ in keys]
+                assert sorted(elems) == image
+                assert len(set(pairs)) == len(pairs)
+                if full:
+                    assert set(pairs) == comparable
+                else:
+                    assert set(pairs) <= comparable

@@ -7,7 +7,7 @@ from nervecheck.bits import (bits, digits, from_digits, interval_mask, mask_of,
                              max_bit, subsets_of)
 from nervecheck.oriental import (build_d, d_elements, d_leq,
                                  d_via_under_category, rho_fully_faithful,
-                                 rho_image, rho_preimage, standard_interval,
+                                 rho_image, standard_interval,
                                  witness_set)
 from nervecheck.poset import Poset
 
@@ -205,8 +205,6 @@ def test_embedding_injective(n):
 def test_rho_basic():
     g = standard_interval(3)
     assert D("0123") in rho_image(g, D("23"))
-    s1, s2 = rho_preimage(D("23"), D("0123"))
-    assert (s1, s2) == (D("012"), D("23"))
 
 
 def test_rho_image_known_families():
