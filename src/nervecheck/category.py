@@ -8,6 +8,7 @@ enough that unit and associativity laws are checked on construction.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Hashable, Iterable, Mapping
 
 from .poset import Poset
@@ -92,16 +93,9 @@ class FiniteCategory:
     def then(self, f: Label, g: Label) -> Label:
         return self.comp[(f, g)]
 
-    def compose_path(self, fs: Iterable[Label], at: Label | None = None) -> Label:
-        """Composite of a diagram-order list; identity at `at` if empty."""
-        out = None
-        for f in fs:
-            out = f if out is None else self.then(out, f)
-        if out is None:
-            if at is None:
-                raise ValueError("empty path needs an object")
-            out = self.ident[at]
-        return out
+    def compose_path(self, fs: Iterable[Label], at: Label) -> Label:
+        """Composite of a diagram-order list starting at object `at`."""
+        return reduce(self.then, fs, self.ident[at])
 
     def hom(self, x: Label, y: Label) -> tuple:
         return self._hom.get((x, y), ())

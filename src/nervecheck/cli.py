@@ -50,10 +50,12 @@ def _emit(args, payload: dict, dot: Callable[[], str] | None = None) -> None:
         Path(args.dot).write_text(dot())
 
 
-def _at_least(lo: int):
+def _at_least(lo: int, most: int | None = None):
     def parse(text: str) -> int:
         if int(text) < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        if most is not None and int(text) > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
         return int(text)
     return parse
 
@@ -100,6 +102,23 @@ MAX_N_FULL_NERVE = 6
 # 045 holds 7.58M (~7 s, 750-960 MB peak RSS), from 01 to 05 16.2M (2.26 GB);
 # counting D^6's from 0 to 06, 3.2e11, takes ~0.4 s, mostly its segment index.
 MAX_FLAG_SIMPLICES = 8_000_000
+# Largest --dim of nerve2, compare-nerves and base-change, --n of lift-check and
+# --count of verify: each takes at most about 10 s on its slowest battery spec
+# (2 cores, CPython 3.11).
+# nerve2 on oriental-two takes 0.5-0.8, 4.8-8.6 and 68 s at dim 4-6 (at most
+# 28 MB); no category-base spec takes over 0.12 s at dim 5.
+MAX_DIM_NERVE2 = 5
+# compare-nerves on three-chain takes 2.9, 9.7 and 24 s at dim 7-9 (100, 259 and
+# 706 MB); arrow-fold peaks at 345 MB at dim 8 and 1.3 GB at dim 9.
+MAX_DIM_COMPARE = 8
+# base-change along the identity of three-chain takes 3.4, 4.5 and 10 s at dim
+# 8-10, at most 64 MB.
+MAX_DIM_BASE_CHANGE = 10
+# lift-check on identity-oriental-two takes 0.17, 1.5 and 16 s at n = 3-5.
+MAX_N_LIFT = 4
+# verify lemma-colimit takes 1.4-1.6 ms per diagram: 1.4 s at --count 1000,
+# 16 s and 85 MB at 10000; oracle-flag-necklace takes half that.
+MAX_COUNT = 5_000
 
 
 def _check_n(n: int, top: int) -> None:
@@ -363,7 +382,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("nerve2", help="enumerate the functor-family nerve")
     p.add_argument("--spec", required=True, metavar="F.json")
-    p.add_argument("--dim", type=_at_least(0), required=True)
+    p.add_argument("--dim", type=_at_least(0, MAX_DIM_NERVE2), required=True)
     p.add_argument("--out", required=True, metavar="T.json")
     _common(p)
     p.set_defaults(func=cmd_nerve2)
@@ -371,12 +390,12 @@ def build_parser() -> Parser:
     p = sub.add_parser("compare-nerves",
                        help="family nerve vs total-category nerve")
     p.add_argument("--spec", required=True, metavar="F.json")
-    p.add_argument("--dim", type=_at_least(0), required=True)
+    p.add_argument("--dim", type=_at_least(0, MAX_DIM_COMPARE), required=True)
     _common(p)
     p.set_defaults(func=cmd_compare_nerves)
 
     p = sub.add_parser("lift-check", help="original vs reduced lifting sweep")
-    p.add_argument("--n", type=_at_least(2), required=True)
+    p.add_argument("--n", type=_at_least(2, MAX_N_LIFT), required=True)
     p.add_argument("--spec", required=True, metavar="P.json")
     _common(p)
     p.set_defaults(func=cmd_lift_check)
@@ -384,14 +403,14 @@ def build_parser() -> Parser:
     p = sub.add_parser("base-change", help="restriction along a base functor")
     p.add_argument("--f", required=True, metavar="f.json")
     p.add_argument("--spec", required=True, metavar="F.json")
-    p.add_argument("--dim", type=_at_least(0), default=3)
+    p.add_argument("--dim", type=_at_least(0, MAX_DIM_BASE_CHANGE), default=3)
     _common(p)
     p.set_defaults(func=cmd_base_change)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--count", type=_at_least(1), default=None,
+    p.add_argument("--count", type=_at_least(1, MAX_COUNT), default=None,
                    help="seeded instance count where applicable")
     p.add_argument("--samples", type=_at_least(1), default=None,
                    help="sampled pairs per deep grid point")

@@ -95,9 +95,8 @@ def _bottoms(k: ChainSubcomplex, s: int, t: int) -> Iterator[tuple[int, list[int
         raise ValueError("source must be below target")
     for bottom in _edge_paths(k, s_idx, t_idx):
         tup = p.chain_tuple(bottom)
-        per_segment = [k.segments.get((a, b), ()) for a, b in zip(tup, tup[1:])]
-        if all(per_segment):  # each union holds the bottom's elements
-            yield bottom, sorted({reduce(or_, c, bottom) for c in product(*per_segment)})
+        per_segment = [k.segments[a, b] for a, b in zip(tup, tup[1:])]
+        yield bottom, sorted({reduce(or_, c, bottom) for c in product(*per_segment)})
 
 
 def flag_model(k: ChainSubcomplex, s: int, t: int,

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from nervecheck import cli, homotopy, suites
-from nervecheck.battery import functor_battery
+from nervecheck.battery import DEFAULT_SEED, functor_battery
 from nervecheck.category import chain_category, label_str
 from nervecheck.cli import main
 from nervecheck.report import PASS
@@ -92,6 +92,40 @@ def test_verify_writes_report_json(capsys, tmp_path):
     assert len(data["digest"]) == 64
     assert data["counts"]["PASS"] == 3
     assert all("wall_ms" in c for c in data["checks"])
+
+
+# each suite's report at its defaults and with every flag it takes set:
+# a parameter is named when its value is not None, so the oracle's deep
+# shows only when set and the theorem's deep always
+@pytest.mark.parametrize("suite, flags, shown", [
+    ("theorem-contractible", [], {"deep": False, "seed": DEFAULT_SEED, "samples": 6}),
+    ("theorem-contractible", ["--n", "2", "--deep", "--seed", "3", "--samples", "2"],
+     {"n": 2, "deep": True, "seed": 3, "samples": 2}),
+    *((name, [], {}) for name in ("lemma-distant", "lemma-close", "lemma-admissible",
+                                  "adjoint-lambda", "straightening-fragment",
+                                  "reduced-lifting", "nerve-comparison", "base-change")),
+    *((name, ["--n", "2"], {"n": 2}) for name in (
+        "lemma-distant", "lemma-close", "lemma-admissible", "adjoint-lambda",
+        "straightening-fragment", "reduced-lifting")),
+    ("lemma-colimit", [], {"count": 25, "seed": DEFAULT_SEED}),
+    ("lemma-colimit", ["--count", "2", "--seed", "3"], {"count": 2, "seed": 3}),
+    ("oracle-flag-necklace", [], {"count": 20, "seed": DEFAULT_SEED}),
+    ("oracle-flag-necklace", ["--deep"], {"count": 20, "seed": DEFAULT_SEED, "deep": True}),
+    ("oracle-flag-necklace", ["--n", "3", "--count", "2", "--seed", "3", "--deep"],
+     {"n": 3, "count": 2, "seed": 3, "deep": True}),
+])
+def test_verify_reports_the_parameters_it_ran(suite, flags, shown, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, *flags, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["parameters"] == shown
+
+
+def test_suite_parameters_are_the_verify_flags():
+    args = vars(cli.build_parser().parse_args(["verify", "lemma-close"]))
+    flags = set(args) - {"command", "suite", "jobs", "json", "func"}
+    assert flags == {"n", "deep", "seed", "count", "samples"}
+    assert set().union(*(build.params for build in suites.SUITES.values())) == flags
 
 
 def test_verify_rejects_n_above_ceiling(capsys):
@@ -317,6 +351,13 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
      "--model", "both"],
     ["homology", "--input", "{simplex24}"],
     ["verify", "lemma-close", "--dot", "x"],
+    ["nerve2", "--spec", "{oriental}", "--dim", str(cli.MAX_DIM_NERVE2 + 1),
+     "--out", "{dir}/T.json"],
+    ["compare-nerves", "--spec", "{mixed}", "--dim", str(cli.MAX_DIM_COMPARE + 1)],
+    ["base-change", "--f", "{edge}", "--spec", "{mixed}",
+     "--dim", str(cli.MAX_DIM_BASE_CHANGE + 1)],
+    ["lift-check", "--n", str(cli.MAX_N_LIFT + 1), "--spec", "{mixed}"],
+    ["verify", "lemma-colimit", "--count", str(cli.MAX_COUNT + 1)],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -326,13 +367,16 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
         "homology-simplices-string", "homology-simplex-object",
         "compare-nerves-oriental-base", "base-change-oriental-base",
         "lift-check-n-1", "mapping-necklace-n5", "mapping-both-n7",
-        "homology-simplex-24-vertices", "verify-dot"])
+        "homology-simplex-24-vertices", "verify-dot", "nerve2-dim-above-ceiling",
+        "compare-dim-above-ceiling", "base-change-dim-above-ceiling",
+        "lift-check-n-above-ceiling", "count-above-ceiling"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",
              "object_simplex": tmp_path / "object.json",
              "oriental": tmp_path / "oriental.json",
              "edge": _edge02_file(tmp_path),
+             "mixed": _spec_file(tmp_path, "two-chain-mixed"),
              "simplex24": tmp_path / "simplex24.json"}
     paths["binary"].write_bytes(b"\xff\xfe\x00bad")
     paths["oriental"].write_text(json.dumps(oriental2_spec().to_json()))
