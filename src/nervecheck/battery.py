@@ -14,7 +14,7 @@ from .bits import bit_list
 from .category import CatFunctor, FiniteCategory, chain_category, walking_iso
 from .funcspec import FunctorSpec, pair_mask
 from .lifting import NatTrans, collapse_nat, identity_nat
-from .oriental import build_d, standard_interval
+from .oriental import build_d, comparable_pairs, standard_interval
 from .poset import ChainSubcomplex, Poset
 
 C1 = chain_category(1)
@@ -248,8 +248,6 @@ def seeded_diagrams(count: int = 25, seed: int = DEFAULT_SEED
 def seeded_pairs(n: int, count: int, seed: int = DEFAULT_SEED
                  ) -> list[tuple[int, int]]:
     """Random comparable pairs in the subset poset on [0..n]."""
-    dp = build_d(standard_interval(n)).poset
-    pairs = [(s, t) for s in dp.elements for t in dp.elements
-             if s != t and dp.less_eq(s, t)]
+    pairs = comparable_pairs(build_d(standard_interval(n)))
     rng = random.Random(seed)
     return rng.sample(pairs, min(count, len(pairs)))

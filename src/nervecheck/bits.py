@@ -81,12 +81,18 @@ def subsets_with_min_max(mask: int, lo: int, hi: int) -> Iterator[int]:
         yield sub | ends
 
 
+DIGITS = "0123456789abc"
+
+
 def digits(mask: int) -> str:
-    """Render a subset as a digit string, e.g. {0,1,3} -> "013"."""
-    return "".join(str(j) for j in bits(mask))
+    """Render a subset of {0, ..., 12} as a digit string, 10-12 as a-c,
+    e.g. {0,1,3} -> "013" and {0,12} -> "0c"."""
+    if mask >> len(DIGITS):
+        raise ValueError(f"elements past {len(DIGITS) - 1} have no digit")
+    return "".join(DIGITS[j] for j in bits(mask))
 
 
 def from_digits(s: str) -> int:
-    if not s:
-        raise ValueError("empty digit string")
-    return mask_of(int(c) for c in s)
+    if not s or not set(s) <= set(DIGITS):
+        raise ValueError(f"not a digit string: {s!r}")
+    return mask_of(map(DIGITS.index, s))

@@ -105,8 +105,9 @@ MAX_FLAG_SIMPLICES = 8_000_000
 # Largest --dim of nerve2, compare-nerves and base-change, --n of lift-check and
 # --count of verify: each takes at most about 10 s on its slowest battery spec
 # (2 cores, CPython 3.11).
-# nerve2 on oriental-two takes 0.5-0.8, 4.8-8.6 and 68 s at dim 4-6 (at most
-# 28 MB); no category-base spec takes over 0.12 s at dim 5.
+# nerve2 on oriental-two takes 0.35-0.37, 3.1-3.6 and 34 s at dim 4-6 (at most
+# 26 MB), each candidate's squares checked once, over the whole position set;
+# no category-base spec takes over 0.12 s at dim 5.
 MAX_DIM_NERVE2 = 5
 # compare-nerves on three-chain takes 2.9, 9.7 and 24 s at dim 7-9 (100, 259 and
 # 706 MB); arrow-fold peaks at 345 MB at dim 8 and 1.3 GB at dim 9.

@@ -158,7 +158,7 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
     """Partial functor on the subset poset assembled from the boundary.
 
     Every proper position subset J contributes its face functor pushed
-    through the pullback pairing, read off the full-mode rho plan of J:
+    through the pullback pairing, read off the rho plan of J:
     an element s1|s2 takes the face value at s2 transported along the
     hom part s1.  On arrows the hom part moves contravariantly, so the
     transported face value is composed with the two-cell comparing the
@@ -175,7 +175,7 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
         if th is None:
             raise ValueError("boundary data is path dependent")
         th_obj, th_mor = th
-        for s1, elems, steps in rho_plan(full, jm, True):
+        for s1, elems, steps in rho_plan(full, jm):
             f_s1 = spec.functor(back.path_cell(s, s1))
             for m, s2 in elems:
                 val = f_s1.obj[th_obj[s2]]

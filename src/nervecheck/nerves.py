@@ -24,10 +24,10 @@ from .bits import (bit_list, mask_of, max_bit, min_bit, subsets_of,
 from .category import CatFunctor, FiniteCategory, extend_covers, poset_functors
 from .funcspec import FunctorSpec, one_cells, pair_mask
 from .groth import grothendieck_classical
-from .oriental import build_d
+from .oriental import build_d, comparable_pairs
 from .poset import Poset
 from .simplicial import (CategoryNerveBackend, SimplexTable, codegeneracy,
-                         map_by_dimension)
+                         delta, map_by_dimension)
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -118,6 +118,7 @@ class Rel2Backend:
             else CategoryNerveBackend(spec.base)
         self._dps: dict[int, Poset] = {}
         self._path_cells: dict = {}
+        self._valid: dict = {}
 
     def dpos(self, ground: int) -> Poset:
         if ground not in self._dps:
@@ -200,17 +201,6 @@ class Rel2Backend:
             return None
         return (obj, mor)
 
-    def thetas_of(self, z) -> dict | None:
-        """theta_of over every nonempty position subset; None on any failure."""
-        k = len(z[1]) - 1
-        out = {}
-        for imask in range(1, 1 << (k + 1)):
-            th = self.theta_of(z, imask)
-            if th is None:
-                return None
-            out[imask] = th
-        return out
-
     def _cover_value(self, s, x, f, sm: int, tm: int):
         base, spec = self.base, self.spec
         added = tm & ~sm
@@ -227,19 +217,29 @@ class Rel2Backend:
         return spec.functor(self.path_cell(s, below)).on_mor(
             spec.tau(small, big)[comp_at])
 
-    def simplex_valid(self, z, full: bool = False) -> bool:
-        thetas = self.thetas_of(z)
-        if thetas is None:
+    def simplex_valid(self, z) -> bool:
+        """The faces are valid, theta of the whole position set exists and
+        every square (whole set, J) holds.
+
+        A square (I, J) with I proper reads only positions in I, so it is
+        the relabelled square of the face d_i z for any i outside I.
+        Validity is memoised per backend, so each face is proved once.
+        """
+        ok = self._valid.get(z)
+        if ok is None:
+            ok = self._valid[z] = self._valid_from_faces(z)
+        return ok
+
+    def _valid_from_faces(self, z) -> bool:
+        k = len(z[1]) - 1
+        if k and not all(self.simplex_valid(self.alpha_star(z, delta(i, k)))
+                         for i in range(k + 1)):
             return False
-        s = z[0]
-        for imask, th_i in thetas.items():
-            for jmask in subsets_of(imask):
-                if jmask == 0 or jmask == imask:
-                    continue
-                if not square_holds(self, s, imask, jmask, th_i,
-                                    thetas[jmask], full):
-                    return False
-        return True
+        whole = (1 << (k + 1)) - 1
+        th = self.theta_of(z, whole)
+        return th is not None and all(
+            square_holds(self, z[0], whole, jm, th, self.theta_of(z, jm))
+            for jm in range(1, whole))
 
     # --- simplicial structure -------------------------------------------
 
@@ -262,50 +262,36 @@ class Rel2Backend:
 
 
 @lru_cache(maxsize=None)
-def rho_plan(imask: int, jmask: int, full: bool) -> tuple:
+def rho_plan(imask: int, jmask: int) -> tuple:
     """Keys of the transport squares of the union map rho for J inside I.
 
     Per connector s1, a subset of I from min I to min J: the element
-    keys (s1|s2, s2) over D^J, and per s1p inside s1 that the mode
-    reads, the pair keys ((s1|s2, s1p|s2p), (s2, s2p)).  Full mode reads
-    every comparable pair, so, rho being an order embedding, every
-    comparable pair of its image; reduced mode reads the covers of D^J
-    at s1p = s1 and the reflexive pairs where s1p is s1 less one element.
+    keys (s1|s2, s2) over D^J, and per s1p inside s1 the pair keys
+    ((s1|s2, s1p|s2p), (s2, s2p)) over every comparable pair of D^J, so,
+    rho being an order embedding, every comparable pair of its image.
     """
-    p_j = build_d(jmask).poset
-    els = p_j.elements
-    if full:
-        j_pairs = [(a, b) for a in els for b in els if p_j.less_eq(a, b)]
-    else:
-        j_pairs = [(els[ia], els[ib]) for ia, ib in p_j.covers]
-    refl = [(a, a) for a in els]
+    dp_j = build_d(jmask)
+    j_pairs = comparable_pairs(dp_j, strict=False)
     connectors = list(subsets_with_min_max(imask, min_bit(imask), min_bit(jmask)))
-    plan = []
-    for s1 in connectors:
-        steps = [(s1p, tuple(((s1 | a, s1p | b), (a, b))
-                             for a, b in (j_pairs if full or s1p == s1 else refl)))
-                 for s1p in connectors
-                 if s1p & s1 == s1p and (full or (s1 & ~s1p).bit_count() <= 1)]
-        plan.append((s1, tuple((s1 | a, a) for a in els), tuple(steps)))
-    return tuple(plan)
+    return tuple((s1, tuple((s1 | a, a) for a in dp_j.poset.elements),
+                  tuple((s1p, tuple(((s1 | a, s1p | b), (a, b)) for a, b in j_pairs))
+                        for s1p in connectors if s1p & s1 == s1p))
+                 for s1 in connectors)
 
 
-def square_holds(back, s, imask, jmask, th_i, th_j, full=False) -> bool:
-    """Transport square of the union map for J inside I.
+def square_holds(back, s, imask, jmask, th_i, th_j) -> bool:
+    """Transport square of the union map for J inside I, on every
+    comparable pair.
 
     Families built from free data satisfy the object components
     automatically, but they are cheap and guard the literal
-    enumeration, where objects are genuinely unconstrained.  The
-    reduced mode checks morphisms on the two cover directions of the
-    product ordering; naturality, vertical composition and interchange
-    of the two-cell data (validated on the diagram) extend them to
-    every comparable pair, which full mode checks outright.
+    enumeration, where objects are genuinely unconstrained.
     """
     spec = back.spec
     e = back.value_at(s, min_bit(imask))
     obj_j, mor_j = th_j
     obj_i, mor_i = th_i
-    for s1, elems, steps in rho_plan(imask, jmask, full):
+    for s1, elems, steps in rho_plan(imask, jmask):
         f_s1 = spec.functor(back.path_cell(s, s1))
         for m, s2 in elems:
             if obj_i[m] != f_s1.obj[obj_j[s2]]:
@@ -350,8 +336,7 @@ def relative2_simplices_literal(spec: FunctorSpec, s, k: int) -> list:
             return
         imask = imasks[t]
         for cand in per_i[imask]:
-            ok = all(square_holds(back, s, imask, jmask, cand,
-                                  chosen[jmask], full=True)
+            ok = all(square_holds(back, s, imask, jmask, cand, chosen[jmask])
                      for jmask in subsets_of(imask)
                      if jmask not in (0, imask))
             if ok:

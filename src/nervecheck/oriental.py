@@ -97,6 +97,13 @@ def build_d(ground: int) -> DPoset:
     return DPoset(ground, Poset(d_elements(ground), _up_rows(ground.bit_count() - 1)))
 
 
+def comparable_pairs(dp: DPoset, strict: bool = True) -> list[tuple[int, int]]:
+    """Pairs (s, t) of elements with s <= t (s < t when strict), sorted."""
+    els = dp.poset.elements
+    return [(els[i], els[j]) for i, up in enumerate(dp.poset.up_masks)
+            for j in bits(up & ~(1 << i) if strict else up)]
+
+
 def witness_set(ground: int, s: int, t: int) -> list[int]:
     """Subsets U of ground with min(U) = max(s), max(U) = max(t), t <= s | U."""
     out = []

@@ -30,7 +30,7 @@ from .lifting import reduced_lifting_check
 from .mapping import flag_model, necklace_oracle, square_chain_poset
 from .nerves import (base_change_check, chi_groth_comparison, pi_star_check,
                      relative_nerve_2)
-from .oriental import DPoset, build_d, standard_interval
+from .oriental import DPoset, build_d, comparable_pairs, standard_interval
 from .poset import ChainSubcomplex, Poset, nerve_chains, strict_interval
 from .report import FAIL, INCONCLUSIVE, PASS, CheckResult, Report
 from .simplicial import horn_fill_check
@@ -98,12 +98,6 @@ def _no_instances() -> tuple[str, dict]:
     return PASS, {"instances": 0}
 
 
-def _pairs(dp: DPoset, strict: bool = True) -> list[tuple[int, int]]:
-    els = dp.poset.elements
-    return sorted((els[i], els[j]) for i, up in enumerate(dp.poset.up_masks)
-                  for j in bits(up & ~(1 << i) if strict else up))
-
-
 def _interval(dp: DPoset, s: int, t: int) -> list[int]:
     p = dp.poset
     return [p.elements[k] for k in bits(p.between(p.index[s], p.index[t]))]
@@ -134,7 +128,7 @@ def _theorem(params: dict) -> list[Check]:
     checks = []
     for n in _ns(params, 2, 4, deep_hi=5):
         if n <= 4:
-            pairs = _pairs(_dp(n), strict=False)
+            pairs = comparable_pairs(_dp(n), strict=False)
         else:
             pairs = sorted(seeded_pairs(n, params["samples"], params["seed"]))
         for i in range(1, n):
@@ -159,7 +153,7 @@ def _distant(params: dict) -> list[Check]:
     checks = []
     for n in _ns(params, 2, 4):
         dp = _dp(n)
-        found = [(s, t) for s, t in _pairs(dp) if not dp.geometry.close(s, t)]
+        found = [(s, t) for s, t in comparable_pairs(dp) if not dp.geometry.close(s, t)]
         if not found:
             checks.append(Check(
                 f"n{n}", "no distant comparable pairs at this size",
@@ -184,7 +178,7 @@ def _close(params: dict) -> list[Check]:
     checks = []
     for n in _ns(params, 2, 4):
         dp = _dp(n)
-        for s, t in _pairs(dp):
+        for s, t in comparable_pairs(dp):
             if dp.geometry.close(s, t):
                 checks.append(Check(
                     f"n{n}/{digits(s)}-{digits(t)}", CLAIM_CLOSE,
@@ -222,7 +216,7 @@ def _admissible(params: dict) -> list[Check]:
         for i in range(1, n):
             sup = admissible_and_superior(n, i).superior
             amem = {j: frozenset(a_elements(dp, j)) for j in sup}
-            for s, t in _pairs(dp):
+            for s, t in comparable_pairs(dp):
                 interval = set(_interval(dp, s, t))
                 u = [j for j in sup if s in amem[j] and t in amem[j]]
                 if u and not any(interval <= amem[j] for j in u):
@@ -358,7 +352,7 @@ def _oracle_check(n, k):
     verts = {dp.poset.elements[b] for b in k.vertices()}
     mismatches = []
     pairs = 0
-    for s, t in _pairs(dp, strict=False):
+    for s, t in comparable_pairs(dp, strict=False):
         if s not in verts or t not in verts:
             continue
         pairs += 1

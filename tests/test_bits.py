@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +14,23 @@ def test_roundtrip():
     assert bit_list(0b1011) == [0, 1, 3]
     assert digits(0b1011) == "013"
     assert from_digits("013") == 0b1011
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_every_element_of_d10_to_d12_has_its_own_label(n):
+    labels = [digits(e) for e in d_elements((1 << (n + 1)) - 1)]
+    assert len(set(labels)) == len(labels) == 1 << n
+    assert [from_digits(label) for label in labels] == d_elements((1 << (n + 1)) - 1)
+
+
+def test_labels_past_nine_are_letters():
+    assert digits(mask_of([0, 10, 11, 12])) == "0abc"
+    assert from_digits("0c") == mask_of([0, 12]) != from_digits("012")
+    for bad in ["", "0d", "0A", "0x", "\u0663"]:
+        with pytest.raises(ValueError):
+            from_digits(bad)
+    with pytest.raises(ValueError):
+        digits(1 << 13)
 
 
 def test_min_max():

@@ -25,8 +25,9 @@ def test_dn_prints_poset(capsys):
     assert "012 < 02" in out
 
 
-# SHA-256 of `dn --n 12` stdout: 4,096 elements and 22,529 covers
-DN12_SHA = "3dc88032446cbd8746373864bf5b45d3282879d43de137a23865283ac829fd03"
+# SHA-256 of `dn --n 12` stdout: 4,096 elements, 10-12 printed as a-c, and
+# 22,529 covers
+DN12_SHA = "c991462a9460fa01af27bc4fb602412ad7664ea503d07717817d72c2ed72f25e"
 
 
 @pytest.mark.slow
@@ -38,6 +39,16 @@ def test_dn_n12_output_is_pinned(capsys):
 def test_dn_requires_a_ground_set(capsys):
     assert main(["dn"]) == 64
     assert "usage error" in capsys.readouterr().err
+
+
+def test_dn_labels_past_nine_are_distinct_and_read_back(tmp_path, capsys):
+    out = tmp_path / "d10.json"
+    assert main(["dn", "--n", "10", "--json", str(out)]) == 0
+    labels = json.loads(out.read_text())["elements"]
+    assert len(set(labels)) == len(labels) == 1 << 10
+    assert labels[-1] == "0123456789a"
+    assert main(["dn", "--ground", "0a"]) == 0
+    assert "D-poset on {0a}: 2 elements\n  0 < 0a\n" in capsys.readouterr().out
 
 
 def test_dn_json_is_built_only_for_json(tmp_path, monkeypatch):
@@ -324,7 +335,7 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
     ["horn", "--n", "3", "--i", "3"],
     ["mapping-space", "--n", "3", "--from", "0", "--to", "9"],
     ["mapping-space", "--n", "3", "--from", "03", "--to", "0"],
-    ["dn", "--ground", "0a"],
+    ["dn", "--ground", "0d"],
     ["verify", "lemma-colimit", "--count", "-3"],
     ["verify", "theorem-contractible", "--deep", "--n", "5", "--samples", "0"],
     ["verify", "lemma-distant", "--jobs", "0"],

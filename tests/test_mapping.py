@@ -13,9 +13,9 @@ from nervecheck.homotopy import Complex, _clique_graph, contractibility_verdict
 from nervecheck.horn import l_complex
 from nervecheck.mapping import (NECKLACE_MAX_VERTICES, _bottoms, flag_counts,
                                 flag_model, necklace_oracle, square_chain_poset)
-from nervecheck.oriental import build_d, standard_interval
+from nervecheck.oriental import build_d, comparable_pairs, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
-from nervecheck.suites import _dp, _horn, _pairs, run_suite
+from nervecheck.suites import _dp, _horn, run_suite
 
 D = from_digits
 
@@ -75,7 +75,7 @@ def theorem_grid():
     """(K, S, T) of the 394 n <= 4 theorem checks."""
     for n in (2, 3, 4):
         for i in range(1, n):
-            for s, t in _pairs(_dp(n), strict=False):
+            for s, t in comparable_pairs(_dp(n), strict=False):
                 yield _horn(n, i), s, t
 
 
@@ -206,7 +206,7 @@ def test_flag_model_raises_exactly_where_the_old_strata_are_no_clique_complex(mo
     refused = 0
     for c in sorted(c for c in horn.chains if c.bit_count() == 3)[:40]:
         k = ChainSubcomplex(horn.ambient, horn.chains - {c}, validate=False)
-        for s, t in _pairs(_dp(4), strict=False):
+        for s, t in comparable_pairs(_dp(4), strict=False):
             old = flag_model_oracle(k, s, t)
             index = {v: j for j, (v,) in enumerate(old.get(0, []))}
             if _clique_graph(old, index) is None:
@@ -401,7 +401,7 @@ def test_flag_model_lists_come_out_strictly_increasing():
     lists = 0
     for n in (2, 3, 4):
         for i in range(1, n):
-            for s, t in _pairs(_dp(n), strict=False):
+            for s, t in comparable_pairs(_dp(n), strict=False):
                 fm = flag_model(_horn(n, i), s, t)
                 assert_lists_strictly_increase(fm, (n, i, s, t))
                 lists += len(fm.simplices)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from nervecheck import oriental
 from nervecheck.bits import (bits, digits, from_digits, interval_mask, mask_of,
                              max_bit, subsets_of)
-from nervecheck.oriental import (build_d, d_elements, d_leq,
+from nervecheck.oriental import (build_d, comparable_pairs, d_elements, d_leq,
                                  d_via_under_category, rho_fully_faithful,
                                  rho_image, standard_interval,
                                  witness_set)
@@ -238,3 +238,13 @@ def test_rho_fully_faithful_property(n, data):
 
 def test_d_relation_transitive_antisymmetric_n5():
     build_d(standard_interval(5))  # Poset constructor validates
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_comparable_pairs_are_the_pairwise_scan_sorted(n):
+    dp = build_d(standard_interval(n))
+    els = dp.poset.elements
+    for strict in (True, False):
+        scan = [(s, t) for s in els for t in els
+                if (s != t or not strict) and dp.poset.less_eq(s, t)]
+        assert comparable_pairs(dp, strict) == scan == sorted(scan)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from nervecheck.bits import bits, from_digits
 from nervecheck.homotopy import (Complex, _clique_graph, contractibility_verdict,
                                  strong_collapse)
+from nervecheck.oriental import comparable_pairs
 from nervecheck.poset import Poset, nerve_chains, strict_interval
 from nervecheck.report import FAIL, PASS
-from nervecheck.suites import (SUITES, Check, UsageError, _dp, _execute, _pairs,
+from nervecheck.suites import (SUITES, Check, UsageError, _dp, _execute,
                                _poset_complex, _theorem_check, build_suite,
                                normalize_params, run_suite)
 
@@ -126,7 +127,7 @@ def test_the_crown_closes_its_core_on_both_routes():
 @pytest.mark.slow
 def test_the_n6_distant_intervals_get_the_listed_route_verdicts():
     dp = _dp(6)
-    distant = [(s, t) for s, t in _pairs(dp) if not dp.geometry.close(s, t)]
+    distant = [(s, t) for s, t in comparable_pairs(dp) if not dp.geometry.close(s, t)]
     assert len(distant) == 503
     for s, t in distant:
         g = strict_interval(dp.poset, s, t)
