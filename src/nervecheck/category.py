@@ -262,15 +262,17 @@ def extend_covers(p: Poset, e: FiniteCategory, obj: Mapping,
     endpoints or two first steps disagree (no functor extends cov).
     """
     els = p.elements
-    steps = [(ia, ib, cov[(els[ia], els[ib])]) for ia, ib in p.covers]
-    for ia, ib, m in steps:
+    steps = [[] for _ in els]  # per element, the covers (d, value) leaving it
+    for ia, ib in p.covers:
+        m = cov[(els[ia], els[ib])]
         if e.src[m] != obj[els[ia]] or e.tgt[m] != obj[els[ib]]:
             return None
+        steps[ia].append((ib, m))
     mor = {(a, a): e.ident[obj[a]] for a in els}
     for ia, ib in p.strict_pairs:
         b, down = els[ib], p.down_masks[ib]
         vals = {e.then(m, mor[(els[d], b)])
-                for c, d, m in steps if c == ia and down >> d & 1}
+                for d, m in steps[ia] if down >> d & 1}
         if len(vals) != 1:
             return None
         mor[(els[ia], b)] = vals.pop()

@@ -28,8 +28,8 @@ from .nerves import relative_nerve_2
 from .oriental import build_d, standard_interval
 from .poset import ChainSubcomplex, Poset, nerve_chains
 from .report import PASS, jsonable
-from .suites import (SUITES, UsageError, _base_change_check, _groth_check,
-                     _pi_star_check, run_suite)
+from .suites import (SUITES, SpecTables, UsageError, _base_change_check,
+                     _groth_check, _pi_star_check, run_suite)
 
 
 class Parser(argparse.ArgumentParser):
@@ -105,18 +105,22 @@ MAX_FLAG_SIMPLICES = 8_000_000
 # Largest --dim of nerve2, compare-nerves and base-change, --n of lift-check and
 # --count of verify: each takes at most about 10 s on its slowest battery spec
 # (2 cores, CPython 3.11).
-# nerve2 on oriental-two takes 0.35-0.37, 3.1-3.6 and 34 s at dim 4-6 (at most
-# 26 MB), each candidate's squares checked once, over the whole position set;
-# no category-base spec takes over 0.12 s at dim 5.
+# nerve2 on oriental-two takes 0.27, 1.7 and 14.8 s at dim 4-6 (21, 27 and
+# 52 MB), each simplex's theta built once as a candidate and once more when a
+# larger simplex reads it; no category-base spec takes over 0.12 s at dim 5.
 MAX_DIM_NERVE2 = 5
-# compare-nerves on three-chain takes 2.9, 9.7 and 24 s at dim 7-9 (100, 259 and
-# 706 MB); arrow-fold peaks at 345 MB at dim 8 and 1.3 GB at dim 9.
+# compare-nerves on three-chain takes 2.0, 8.4 and 19 s at dim 7-9 (104, 263 and
+# 710 MB), on arrow-fold 1.4, 5.6 and 25 s (102, 349 and 1343 MB).  The memory
+# is relative_nerve_1's table: on arrow-fold at dim 8 it peaks at 330 MB alone,
+# the total category's at 39 MB and relative_nerve_2's at 25 MB.
 MAX_DIM_COMPARE = 8
 # base-change along the identity of three-chain takes 3.4, 4.5 and 10 s at dim
 # 8-10, at most 64 MB.
 MAX_DIM_BASE_CHANGE = 10
-# lift-check on identity-oriental-two takes 0.17, 1.5 and 16 s at n = 3-5.
-MAX_N_LIFT = 4
+# lift-check on identity-oriental-two takes 0.15, 1.0 and 6.3 s at n = 3-5 (21,
+# 29 and 69 MB); every other lifting battery entry takes at most 4.0 s at n = 5.
+# At n = 6 the source and target nerves alone take 15 s each.
+MAX_N_LIFT = 5
 # verify lemma-colimit takes 1.4-1.6 ms per diagram: 1.4 s at --count 1000,
 # 16 s and 85 MB at 10000; oracle-flag-necklace takes half that.
 MAX_COUNT = 5_000
@@ -297,8 +301,9 @@ def _category_base(spec: FunctorSpec, path: str, command: str) -> FunctorSpec:
 
 def cmd_compare_nerves(args) -> int:
     spec = _category_base(_load_spec(args.spec), args.spec, "compare-nerves")
-    gro_verdict, gro = _groth_check(spec, args.dim)
-    pis_verdict, pis = _pi_star_check(spec, min(args.dim, 3))
+    tables = SpecTables()  # the family nerve at --dim serves both comparisons
+    gro_verdict, gro = _groth_check(spec, args.dim, tables)
+    pis_verdict, pis = _pi_star_check(spec, min(args.dim, 3), tables)
     print("total-category comparison: bijective =", gro["bijective"],
           "faces commute =", gro["faces_commute"])
     print("comparison map: well defined =", pis["well_defined"],

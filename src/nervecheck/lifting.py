@@ -157,8 +157,9 @@ def _sphere_xf(sphere: Mapping, n: int):
 def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
     """Partial functor on the subset poset assembled from the boundary.
 
-    Every proper position subset J contributes its face functor pushed
-    through the pullback pairing, read off the rho plan of J:
+    Every proper position subset J contributes its face functor (the
+    theta the backend keeps for that face) pushed through the pullback
+    pairing, read off the rho plan of J:
     an element s1|s2 takes the face value at s2 transported along the
     hom part s1.  On arrows the hom part moves contravariantly, so the
     transported face value is composed with the two-cell comparing the

@@ -11,7 +11,9 @@ act through the two-cell components of the diagram.
 The free data behind both constructions is one value object per vertex
 and one connecting morphism per vertex pair; everything else is forced
 by the squares.  Enumeration exploits this and then verifies the
-defining constraints on the result.
+defining constraints on the result.  A 2-nerve simplex's functor on a
+position set J is its sub-simplex's on all positions, relabelled, so
+each simplex's functor is built once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .bits import (bit_list, mask_of, max_bit, min_bit, subsets_of,
+from .bits import (bit_list, bits, mask_of, max_bit, min_bit, subsets_of,
                    subsets_with_min_max)
 from .category import CatFunctor, FiniteCategory, extend_covers, poset_functors
 from .funcspec import FunctorSpec, one_cells, pair_mask
@@ -109,7 +111,9 @@ class Rel2Backend:
     forced composites.  Candidates are kept when every subset functor
     is path independent and every transport square holds.  The base
     backend supplies the cells of base simplices, and path_cell keeps
-    each composite cell once.
+    each composite cell once.  The subset functor theta on a position
+    set J is that of the sub-simplex on J, relabelled: it is kept per
+    simplex once a larger simplex or a lifting problem reads it.
     """
 
     def __init__(self, spec: FunctorSpec):
@@ -119,6 +123,7 @@ class Rel2Backend:
         self._dps: dict[int, Poset] = {}
         self._path_cells: dict = {}
         self._valid: dict = {}
+        self._thetas: dict = {}
 
     def dpos(self, ground: int) -> Poset:
         if ground not in self._dps:
@@ -184,12 +189,30 @@ class Rel2Backend:
     # --- validation ----------------------------------------------------
 
     def theta_of(self, z, imask: int):
-        """Functor (objects, all pair values) of D^imask; None if path dependent."""
+        """Functor (objects, all pair values) of D^imask; None if path dependent.
+
+        It is the theta of the sub-simplex on the positions in imask,
+        relabelled; the theta of a whole position set is kept per simplex.
+        """
+        if imask != (1 << len(z[1])) - 1:
+            alpha, up = _relabel(imask)
+            th = self.theta_of(self.alpha_star(z, alpha), (1 << len(alpha)) - 1)
+            if th is None:
+                return None
+            return ({up[m]: y for m, y in th[0].items()},
+                    {(up[a], up[b]): g for (a, b), g in th[1].items()})
+        if z not in self._thetas:
+            self._thetas[z] = self._build_theta(z)
+        return self._thetas[z]
+
+    def _build_theta(self, z):
+        """Theta of the whole position set of z."""
         s, x, data = z
         k = len(x) - 1
         f = dict(zip(pair_order(k), data))
+        imask = (1 << (k + 1)) - 1
         p = self.dpos(imask)
-        e = self.value_at(s, min_bit(imask))
+        e = self.value_at(s, 0)
         obj = {sm: self.spec.functor(self.path_cell(s, sm)).obj[x[max_bit(sm)]]
                for sm in p.elements}
         cov = {}
@@ -236,7 +259,9 @@ class Rel2Backend:
                          for i in range(k + 1)):
             return False
         whole = (1 << (k + 1)) - 1
-        th = self.theta_of(z, whole)
+        # not kept: only a simplex that a larger one contains is read again,
+        # so the thetas of a table's top dimension are never held
+        th = self._build_theta(z)
         return th is not None and all(
             square_holds(self, z[0], whole, jm, th, self.theta_of(z, jm))
             for jm in range(1, whole))
@@ -259,6 +284,14 @@ class Rel2Backend:
 
     def dim_of(self, z) -> int:
         return len(z[1]) - 1
+
+
+@lru_cache(maxsize=None)
+def _relabel(imask: int) -> tuple:
+    """The positions alpha of imask, and per subset of alpha's domain the
+    subset of imask it names."""
+    alpha = tuple(bit_list(imask))
+    return alpha, tuple(mask_of(alpha[t] for t in bits(m)) for m in range(1 << len(alpha)))
 
 
 @lru_cache(maxsize=None)
@@ -464,15 +497,19 @@ def pi_star_map(z):
     return (s, x, f)
 
 
-def pi_star_check(spec: FunctorSpec, dim: int) -> dict:
-    """Compare the two relative nerves along the projection-induced map."""
-    b1, b2 = Rel1Backend(spec), Rel2Backend(spec)
+def pi_star_check(spec: FunctorSpec, dim: int, rel1: SimplexTable | None = None,
+                  rel2: SimplexTable | None = None) -> dict:
+    """Compare the two relative nerves along the projection-induced map,
+    on their tables through dim: rel1 and rel2 if handed in."""
+    t1 = relative_nerve_1(spec, dim) if rel1 is None else rel1
+    t2 = relative_nerve_2(spec, dim) if rel2 is None else rel2
+    b1, b2 = t1.backend, t2.backend
     report = {"well_defined": True, "faces_commute": True,
               "degeneracies_commute": True, "markings_match": True,
               "projection_commutes": True,
               "injective": {}, "bijective": {}}
     for k, (src, images, tgt, commute) in enumerate(
-            map_by_dimension(b1, b2, pi_star_map, dim)):
+            map_by_dimension(t1, t2, pi_star_map, dim)):
         if any(w not in tgt for w in images):
             report["well_defined"] = False
         if not commute:
@@ -503,12 +540,14 @@ def chi_groth_map(z):
     return (objs, mors)
 
 
-def chi_groth_comparison(spec: FunctorSpec, dim: int) -> dict:
-    """The family nerve against the nerve of the total category."""
-    total = CategoryNerveBackend(grothendieck_classical(spec))
+def chi_groth_comparison(spec: FunctorSpec, dim: int,
+                         rel1: SimplexTable | None = None) -> dict:
+    """The family nerve, its table rel1 if handed in, against the nerve
+    of the total category through dim."""
+    t1 = relative_nerve_1(spec, dim) if rel1 is None else rel1
+    total = SimplexTable(CategoryNerveBackend(grothendieck_classical(spec)), dim)
     report = {"counts": [], "bijective": True, "faces_commute": True}
-    for src, images, tgt, commute in map_by_dimension(
-            Rel1Backend(spec), total, chi_groth_map, dim):
+    for src, images, tgt, commute in map_by_dimension(t1, total, chi_groth_map, dim):
         report["counts"].append((len(src), len(tgt)))
         if not (len(set(images)) == len(src) and set(images) == tgt):
             report["bijective"] = False
@@ -563,7 +602,8 @@ def base_change_check(bf: CatFunctor, spec: FunctorSpec, dim: int) -> dict:
     pullback = PullbackBackend(bf, Rel2Backend(spec))
     report = {"dims": {}, "isomorphism": True, "faces_commute": True}
     for k, (src, images, tgt, commute) in enumerate(map_by_dimension(
-            pulled, pullback, lambda z: (z[0], (pullback.over(z[0]), z[1], z[2])), dim)):
+            SimplexTable(pulled, dim), SimplexTable(pullback, dim),
+            lambda z: (z[0], (pullback.over(z[0]), z[1], z[2])), dim)):
         ok = len(set(images)) == len(src) and set(images) == tgt
         report["dims"][k] = {"nerve": len(src), "pullback": len(tgt), "match": ok}
         if not ok:

@@ -10,8 +10,8 @@ present) and records every simplex of every dimension up to its bound,
 the degenerate ones as a set and the faces of each simplex, which are
 read from that record afterwards; the nondegenerate cells in a fixed
 order are sorted on first read.  Horn and boundary-sphere enumeration
-work on the table, and map_by_dimension checks every comparison map of
-two backends on their tables.  Markings belong to the backends:
+work on the table, and map_by_dimension checks every comparison map
+between two tables.  Markings belong to the backends:
 marked(e) on edges and thin(t) on triangles.
 """
 
@@ -121,17 +121,18 @@ class SimplexTable:
         return [len(c) for c in self.cells]
 
 
-def map_by_dimension(source, target, image, dim: int):
-    """Closure-check both backends through dim and map source into target.
+def map_by_dimension(src: SimplexTable, tgt: SimplexTable, image, dim: int):
+    """Map the simplices of src into tgt through dim, both tables built
+    at least that high.
 
     Yields, per dimension, the source simplices, their images, the
     target's simplex set and whether faces commute: each recorded face
     of a source simplex, mapped by image, must be the target's recorded
     face of the image (alpha_star for an image the target lacks).
     """
-    src, tgt = SimplexTable(source, dim), SimplexTable(target, dim)
     image_below: dict = {}
-    for k, (sims, faces) in enumerate(zip(src.simplices, src.faces)):
+    for k in range(dim + 1):
+        sims, faces = src.simplices[k], src.faces[k]
         images = [image(z) for z in sims]
         yield sims, images, tgt.simplex_set[k], k == 0 or all(
             tuple([image_below[f] for f in faces[z]]) == tgt.boundary(w)

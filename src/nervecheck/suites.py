@@ -29,11 +29,11 @@ from .horn import (a_elements, admissible_and_superior, is_admissible,
 from .lifting import reduced_lifting_check
 from .mapping import flag_model, necklace_oracle, square_chain_poset
 from .nerves import (base_change_check, chi_groth_comparison, pi_star_check,
-                     relative_nerve_2)
+                     relative_nerve_1, relative_nerve_2)
 from .oriental import DPoset, build_d, comparable_pairs, standard_interval
 from .poset import ChainSubcomplex, Poset, nerve_chains, strict_interval
 from .report import FAIL, INCONCLUSIVE, PASS, CheckResult, Report
-from .simplicial import horn_fill_check
+from .simplicial import SimplexTable, horn_fill_check
 
 SUITES: dict[str, Callable] = {}
 
@@ -364,38 +364,65 @@ def _oracle_check(n, k):
     return (PASS if not mismatches else FAIL), cert
 
 
+class SpecTables:
+    """The family-nerve tables of the spec its checks last asked for.
+
+    get(build, spec, dim) returns build(spec, dim), or the table an
+    earlier call built at least that high; asking about another spec
+    drops the tables held.  The checks of one spec share the tables of
+    one object, and a run holds at most one spec's tables at a time.
+    """
+
+    def __init__(self):
+        self.spec, self.tables = None, {}
+
+    def get(self, build, spec, dim: int) -> SimplexTable:
+        if spec is not self.spec:
+            self.spec, self.tables = spec, {}
+        table = self.tables.get(build)
+        if table is None or table.dim < dim:
+            table = self.tables[build] = build(spec, dim)
+        return table
+
+
 @_suite("nerve-comparison")
 def _nerve_cmp(params: dict) -> list[Check]:
     checks = []
+    tables = SpecTables()
     for name, sp in functor_battery():
         checks.append(Check(
             f"{name}/total-category",
             "family nerve matches the nerve of the total category",
-            _groth_check, (sp, 4)))
+            _groth_check, (sp, 4, tables)))
         checks.append(Check(
             f"{name}/comparison-map",
             "comparison map is simplicial, marked, and injective low down",
-            _pi_star_check, (sp, 3)))
+            _pi_star_check, (sp, 3, tables)))
         checks.append(Check(
             f"{name}/horn-fillers",
             "inner horns of the functor-family nerve fill",
-            _horn_fill_check, (sp,)))
+            _horn_fill_check, (sp, tables)))
         if name == "point-arrow":
             checks.append(Check(
                 f"{name}/comparison-over-point",
                 "comparison map is bijective through dimension 2",
-                _pi_star_point_check, (sp,)))
+                _pi_star_point_check, (sp, tables)))
     return checks
 
 
-def _groth_check(sp, dim):
-    rep = chi_groth_comparison(sp, dim)
+def _groth_check(sp, dim, tables):
+    rep = chi_groth_comparison(sp, dim, tables.get(relative_nerve_1, sp, dim))
     ok = rep["bijective"] and rep["faces_commute"]
     return (PASS if ok else FAIL), rep
 
 
-def _pi_star_check(sp, dim):
-    rep = pi_star_check(sp, dim)
+def _pi_star(sp, dim, tables):
+    return pi_star_check(sp, dim, tables.get(relative_nerve_1, sp, dim),
+                         tables.get(relative_nerve_2, sp, dim))
+
+
+def _pi_star_check(sp, dim, tables):
+    rep = _pi_star(sp, dim, tables)
     flags = (rep["well_defined"] and rep["faces_commute"]
              and rep["degeneracies_commute"] and rep["markings_match"]
              and rep["projection_commutes"])
@@ -404,14 +431,14 @@ def _pi_star_check(sp, dim):
     return (PASS if flags and inj and bij else FAIL), rep
 
 
-def _pi_star_point_check(sp):
-    rep = pi_star_check(sp, 2)
+def _pi_star_point_check(sp, tables):
+    rep = _pi_star(sp, 2, tables)
     ok = all(rep["bijective"][k] for k in range(3))
     return (PASS if ok else FAIL), rep
 
 
-def _horn_fill_check(sp):
-    table = relative_nerve_2(sp, 3)
+def _horn_fill_check(sp, tables):
+    table = tables.get(relative_nerve_2, sp, 3)
     cert = {}
     ok = True
     for n, i in ((2, 1), (3, 1), (3, 2)):

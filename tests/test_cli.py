@@ -262,8 +262,8 @@ def test_compare_nerves_follows_the_suite_rule(broken, tmp_path, capsys,
     if broken:
         real = suites.pi_star_check
 
-        def onto_lost(sp, dim):
-            rep = real(sp, dim)
+        def onto_lost(*args):
+            rep = real(*args)
             rep["bijective"][1] = False
             return rep
 

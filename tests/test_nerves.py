@@ -8,11 +8,14 @@ from functools import partial
 import pytest
 
 from nervecheck import nerves, suites
-from nervecheck.battery import chain3_spec, functor_battery, oriental_two_spec
-from nervecheck.bits import bit_list, mask_of, subsets_of
-from nervecheck.category import CatFunctor, FiniteCategory, chain_category, walking_iso
+from nervecheck.battery import (chain3_spec, functor_battery, lifting_battery,
+                                oriental_two_spec)
+from nervecheck.bits import bit_list, mask_of, max_bit, min_bit, subsets_of
+from nervecheck.category import (CatFunctor, FiniteCategory, chain_category,
+                                 extend_covers, walking_iso)
 from nervecheck.funcspec import FunctorSpec, constant_spec, pair_mask
 from nervecheck.groth import grothendieck_classical
+from nervecheck.lifting import _sphere_xf
 from nervecheck.nerves import (
     OrientalScaledBackend,
     PullbackBackend,
@@ -37,11 +40,14 @@ from nervecheck.simplicial import (
     codegeneracy,
     delta,
     horn_fill_check,
+    sphere_maps,
 )
 
 
 # SHA-256 of repr(relative_nerve_2(oriental_two_spec(), 5).simplices)
 ORIENTAL_TWO_DIM5_SHA = "5c0153dfb8a9646f1b913ccc30c4434a2f406457f820d91c727b815c65afc8f9"
+# the same at dimension 6, computed before theta was memoised per simplex
+ORIENTAL_TWO_DIM6_SHA = "56727507afa11d8ce6cea4eb3953feb54e1ef3c62529fef915055e04aec5f302"
 
 
 def oriental2_spec():
@@ -180,6 +186,52 @@ def _valid_by_definition(b: Rel2Backend, z) -> bool:
         return False
 
 
+def _theta_by_definition(b: Rel2Backend, z, imask: int):
+    """Theta of D^imask built from z's own data, with no memo and no relabelling."""
+    s, x, data = z
+    f = dict(zip(pair_order(len(x) - 1), data))
+    p = b.dpos(imask)
+    obj = {sm: b.spec.functor(b.path_cell(s, sm)).obj[x[max_bit(sm)]]
+           for sm in p.elements}
+    cov = {(p.elements[ia], p.elements[ib]):
+           b._cover_value(s, x, f, p.elements[ia], p.elements[ib])
+           for ia, ib in p.covers}
+    mor = extend_covers(p, b.value_at(s, min_bit(imask)), obj, cov)
+    return None if mor is None else (obj, mor)
+
+
+def _thetas_agree(b: Rel2Backend, z) -> bool:
+    return all(b.theta_of(z, m) == _theta_by_definition(b, z, m)
+               for m in range(1, 1 << len(z[1])))
+
+
+def test_theta_equals_the_unmemoised_theta_on_every_candidate():
+    b = Rel2Backend(oriental2_spec())
+    for k in range(4):
+        for s in b.base.simplices(k):
+            for z in b.candidates(s, k):
+                assert _thetas_agree(b, z), z
+
+
+def test_theta_equals_the_unmemoised_theta_on_every_boundary_sphere():
+    spheres = 0
+    for name, nat, level in lifting_battery():
+        if level != 2:
+            continue
+        table = relative_nerve_2(nat.source, 2)
+        b = table.backend
+        bases = {SimplexTable(b.base, 2).boundary(s): s for s in b.base.simplices(2)}
+        for sphere in sphere_maps(table, 2):
+            s = bases.get(tuple(sphere[i][0] for i in range(3)))
+            if s is None:  # no base simplex, so no lifting problem, fills it
+                continue
+            x, f = _sphere_xf(sphere, 2)
+            zv = (s, x, tuple(f[ab] for ab in pair_order(2)))
+            assert _thetas_agree(b, zv), (name, zv)
+            spheres += 1
+    assert spheres
+
+
 def _accepts(b: Rel2Backend, z) -> bool:
     try:
         return b.simplex_valid(z)
@@ -256,11 +308,48 @@ def test_each_candidate_is_validated_once_per_backend(monkeypatch):
     assert max(runs.values()) == 1
 
 
+def _count_theta_builds(monkeypatch) -> Counter:
+    builds = Counter()
+    build = Rel2Backend._build_theta
+
+    def counted(self, z):
+        builds[self, z] += 1  # the key keeps self alive, so no id is reused
+        return build(self, z)
+
+    monkeypatch.setattr(Rel2Backend, "_build_theta", counted)
+    return builds
+
+
+def test_each_theta_is_built_at_most_twice_per_backend(monkeypatch):
+    # once unkept to validate a candidate, once kept when a larger simplex
+    # or a lifting problem reads it
+    builds = _count_theta_builds(monkeypatch)
+    relative_nerve_2(oriental2_spec(), 3)
+    assert max(builds.values()) == 2
+    builds.clear()
+    assert suites.run_suite("reduced-lifting").counts()["PASS"] == 5
+    assert max(builds.values()) <= 2 and sum(builds.values()) <= 1200
+
+
+def _check_oriental_two_nerve(monkeypatch, counts, sha):
+    builds = _count_theta_builds(monkeypatch)
+    x = relative_nerve_2(oriental_two_spec(), len(counts) - 1)
+    assert [len(sims) for sims in x.simplices] == counts
+    assert hashlib.sha256(repr(x.simplices).encode()).hexdigest() == sha
+    # each simplex's theta once as a candidate, and below the top once more
+    assert sum(builds.values()) == sum(counts) + sum(counts[:-1])
+
+
 @pytest.mark.slow
-def test_oriental_two_nerve_at_dim_5_is_pinned():
-    x = relative_nerve_2(oriental_two_spec(), 5)
-    assert [len(sims) for sims in x.simplices] == [6, 19, 49, 116, 264, 589]
-    assert hashlib.sha256(repr(x.simplices).encode()).hexdigest() == ORIENTAL_TWO_DIM5_SHA
+def test_oriental_two_nerve_at_dim_5_is_pinned(monkeypatch):
+    _check_oriental_two_nerve(monkeypatch, [6, 19, 49, 116, 264, 589],
+                              ORIENTAL_TWO_DIM5_SHA)
+
+
+@pytest.mark.slow
+def test_oriental_two_nerve_at_dim_6_is_pinned(monkeypatch):
+    _check_oriental_two_nerve(monkeypatch, [6, 19, 49, 116, 264, 589, 1299],
+                              ORIENTAL_TWO_DIM6_SHA)
 
 
 def test_validator_rejects_corrupted_family():
@@ -421,20 +510,31 @@ def test_base_change_closure_checks_the_pulled_family_nerve(monkeypatch):
 
 
 def test_each_comparison_lists_each_nerve_once_per_dimension(monkeypatch):
-    # a nerve is a backend class over a spec (the pullback over itself)
-    listed = []
-    for cls in (Rel1Backend, Rel2Backend, PullbackBackend):
+    # a nerve is a backend class over a spec: the pullback over itself and
+    # the total category over its category.  listed holds every such
+    # object, so no id is reused during a run.
+    listed, totals = [], []
+
+    def recorded_total_category(spec):
+        totals.append(grothendieck_classical(spec))
+        return totals[-1]
+
+    monkeypatch.setattr(nerves, "grothendieck_classical", recorded_total_category)
+    for cls in (Rel1Backend, Rel2Backend, PullbackBackend, CategoryNerveBackend):
         def simplices(self, k, inner=cls.simplices):
-            listed.append((type(self).__name__, id(getattr(self, "spec", self)), k))
+            over = getattr(self, "spec", getattr(self, "cat", self))
+            if not isinstance(self, CategoryNerveBackend) or any(over is g for g in totals):
+                listed.append((type(self).__name__, over, k))
             return inner(self, k)
 
         monkeypatch.setattr(cls, "simplices", simplices)
-    sp = dict(functor_battery())["two-chain-mixed"]
-    for run in (partial(pi_star_check, sp, 3), partial(chi_groth_comparison, sp, 3),
-                partial(base_change_check, CatFunctor.identity(sp.base), sp, 3)):
+    for suite, nerves_read in (("nerve-comparison", 30), ("base-change", 12)):
         listed.clear()
-        run()
-        assert listed and len(set(listed)) == len(listed), listed
+        report = suites.run_suite(suite)
+        assert report.counts()["PASS"] == len(report.checks)
+        times = Counter((name, id(over), k) for name, over, k in listed)
+        assert max(times.values()) == 1, suite
+        assert len({key[:2] for key in times}) == nerves_read, suite
 
 
 def _checked_backends():

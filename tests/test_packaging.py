@@ -63,7 +63,6 @@ TEST_ONLY = {
     "superior_closed_form": "closed form of the superior faces",
     "sn_cells": "boundary sweep that boundary_functor is checked against",
     "ComplexBackend": "simplicial set of a complex, the SimplexTable fixture",
-    "relative_nerve_1": "Lurie's relative nerve as a table; the benchmark traces it",
 }
 
 # Methods and properties of the package that src/ never names.  Each is a

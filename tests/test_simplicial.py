@@ -258,11 +258,11 @@ def test_closure_errors(broken, message):
     good, bad = ComplexBackend(closure((0, 1, 2))), broken(closure((0, 1, 2)))
     with pytest.raises(ValueError, match=message):
         SimplexTable(bad, 2)
-    with pytest.raises(ValueError, match=message):
-        list(map_by_dimension(bad, good, lambda z: z, 2))
-    with pytest.raises(ValueError, match=message):
-        list(map_by_dimension(good, bad, lambda z: z, 2))
-    assert [len(s) for s in SimplexTable(good, 2).simplices] == [3, 6, 10]
+    table = SimplexTable(good, 2)
+    assert [len(s) for s in table.simplices] == [3, 6, 10]
+    # a comparison reads a table built higher only through its own dim
+    assert [len(sims) for sims, _, _, commute in
+            map_by_dimension(table, table, lambda z: z, 1) if commute] == [3, 6]
 
 
 def test_cells_are_sorted_on_first_read():
