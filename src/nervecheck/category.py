@@ -108,6 +108,13 @@ class FiniteCategory:
         return any(self.then(f, g) == self.ident[x] and self.then(g, f) == self.ident[y]
                    for g in self.hom(y, x))
 
+    def equals(self, other: "FiniteCategory") -> bool:
+        """Same objects and morphisms, endpoints, identities and composition."""
+        return (set(self.objects) == set(other.objects)
+                and set(self.morphisms) == set(other.morphisms)
+                and self.src == other.src and self.tgt == other.tgt
+                and self.ident == other.ident and self.comp == other.comp)
+
     def is_thin(self) -> bool:
         return all(len(v) <= 1 for v in self._hom.values())
 

@@ -314,6 +314,8 @@ def cmd_compare_nerves(args) -> int:
 
 def cmd_lift_check(args) -> int:
     spec, target = _parse(args.spec, "a lifting problem", _lift_problem)
+    if not spec.values:
+        raise UsageError(f"lift-check needs a nonempty base; {args.spec} has none")
     if target == "collapse":
         nat = collapse_nat(spec)
     elif target == "identity":
@@ -332,6 +334,8 @@ def cmd_lift_check(args) -> int:
 def cmd_base_change(args) -> int:
     bf = _parse(args.f, "a base functor", _base_functor)
     spec = _category_base(_load_spec(args.spec), args.spec, "base-change")
+    if not bf.target.equals(spec.base):
+        raise UsageError(f"the target of {args.f} is not the base of {args.spec}")
     verdict, rep = _base_change_check(bf, spec, args.dim)
     for k, row in rep["dims"].items():
         print(f"  dim {k}: nerve {row['nerve']} vs pullback {row['pullback']} "

@@ -51,6 +51,7 @@ class FunctorSpec:
         self.action = dict(action)
         self.two_cells = dict(two_cells or {})
         self._functors: dict = {}
+        self._identities: dict = {}
         if validate:
             self._validate()
 
@@ -79,11 +80,15 @@ class FunctorSpec:
         return self.action[cell]
 
     def tau(self, small, big) -> dict:
-        """Components of the transformation F(big) => F(small)."""
-        if small == big:
+        """Components of the transformation F(big) => F(small), kept per
+        cell when they are identities; callers only read them."""
+        if small != big:
+            return self.two_cells[(small, big)]
+        if small not in self._identities:
             f = self.functor(small)
-            return {x: f.target.ident[f.obj[x]] for x in f.source.objects}
-        return self.two_cells[(small, big)]
+            self._identities[small] = {x: f.target.ident[f.obj[x]]
+                                       for x in f.source.objects}
+        return self._identities[small]
 
     # --- validation ----------------------------------------------------
 
@@ -118,6 +123,8 @@ class FunctorSpec:
 
     def _validate_oriental(self) -> None:
         m = self.base
+        if m < 0:
+            raise ValueError(f"an oriental base needs m >= 0, got {m}")
         if sorted(self.values) != list(range(m + 1)):
             raise ValueError("values must be keyed by 0..m")
         pairs = sorted(pair_mask(a, b)

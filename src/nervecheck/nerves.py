@@ -497,19 +497,16 @@ def pi_star_map(z):
     return (s, x, f)
 
 
-def pi_star_check(spec: FunctorSpec, dim: int, rel1: SimplexTable | None = None,
-                  rel2: SimplexTable | None = None) -> dict:
-    """Compare the two relative nerves along the projection-induced map,
-    on their tables through dim: rel1 and rel2 if handed in."""
-    t1 = relative_nerve_1(spec, dim) if rel1 is None else rel1
-    t2 = relative_nerve_2(spec, dim) if rel2 is None else rel2
-    b1, b2 = t1.backend, t2.backend
+def pi_star_check(rel1: SimplexTable, rel2: SimplexTable, dim: int) -> dict:
+    """Compare the two relative nerves of one spec along the
+    projection-induced map, on their tables rel1 and rel2 through dim."""
+    b1, b2 = rel1.backend, rel2.backend
     report = {"well_defined": True, "faces_commute": True,
               "degeneracies_commute": True, "markings_match": True,
               "projection_commutes": True,
               "injective": {}, "bijective": {}}
     for k, (src, images, tgt, commute) in enumerate(
-            map_by_dimension(t1, t2, pi_star_map, dim)):
+            map_by_dimension(rel1, rel2, pi_star_map, dim)):
         if any(w not in tgt for w in images):
             report["well_defined"] = False
         if not commute:
@@ -540,14 +537,13 @@ def chi_groth_map(z):
     return (objs, mors)
 
 
-def chi_groth_comparison(spec: FunctorSpec, dim: int,
-                         rel1: SimplexTable | None = None) -> dict:
-    """The family nerve, its table rel1 if handed in, against the nerve
-    of the total category through dim."""
-    t1 = relative_nerve_1(spec, dim) if rel1 is None else rel1
-    total = SimplexTable(CategoryNerveBackend(grothendieck_classical(spec)), dim)
+def chi_groth_comparison(rel1: SimplexTable, dim: int) -> dict:
+    """The family nerve's table rel1 against the nerve of the total
+    category of its spec through dim."""
+    total = SimplexTable(CategoryNerveBackend(
+        grothendieck_classical(rel1.backend.spec)), dim)
     report = {"counts": [], "bijective": True, "faces_commute": True}
-    for src, images, tgt, commute in map_by_dimension(t1, total, chi_groth_map, dim):
+    for src, images, tgt, commute in map_by_dimension(rel1, total, chi_groth_map, dim):
         report["counts"].append((len(src), len(tgt)))
         if not (len(set(images)) == len(src) and set(images) == tgt):
             report["bijective"] = False

@@ -411,14 +411,14 @@ def _nerve_cmp(params: dict) -> list[Check]:
 
 
 def _groth_check(sp, dim, tables):
-    rep = chi_groth_comparison(sp, dim, tables.get(relative_nerve_1, sp, dim))
+    rep = chi_groth_comparison(tables.get(relative_nerve_1, sp, dim), dim)
     ok = rep["bijective"] and rep["faces_commute"]
     return (PASS if ok else FAIL), rep
 
 
 def _pi_star(sp, dim, tables):
-    return pi_star_check(sp, dim, tables.get(relative_nerve_1, sp, dim),
-                         tables.get(relative_nerve_2, sp, dim))
+    return pi_star_check(tables.get(relative_nerve_1, sp, dim),
+                         tables.get(relative_nerve_2, sp, dim), dim)
 
 
 def _pi_star_check(sp, dim, tables):

@@ -268,6 +268,27 @@ def test_extend_covers_matches_brute_force(pname, cname):
     assert extended == len(functors) > 0
 
 
+def _one_endomorphism(square):
+    """One object a with one non-identity endomorphism e, e then e = square."""
+    comp = {("ida", "ida"): "ida", ("ida", "e"): "e", ("e", "ida"): "e",
+            ("e", "e"): square}
+    return FiniteCategory(("a",), ("ida", "e"), {"ida": "a", "e": "a"},
+                          {"ida": "a", "e": "a"}, {"a": "ida"}, comp)
+
+
+def test_category_equals_compares_structure_not_order():
+    c = walking_iso()
+    data = c.to_json()
+    data["objects"].reverse()
+    data["morphisms"].reverse()
+    assert c.equals(FiniteCategory.from_json(data))
+    assert not c.equals(chain_category(1))
+    assert not chain_category(1).equals(chain_category(2))
+    # idempotent against involution: only the composition tells them apart
+    assert _one_endomorphism("e").equals(_one_endomorphism("e"))
+    assert not _one_endomorphism("e").equals(_one_endomorphism("ida"))
+
+
 def test_category_json_roundtrip():
     c = walking_iso()
     c2 = FiniteCategory.from_json(c.to_json())

@@ -5,7 +5,8 @@ import pytest
 
 from nervecheck import cli, homotopy, suites
 from nervecheck.battery import DEFAULT_SEED, functor_battery
-from nervecheck.category import chain_category, label_str
+from nervecheck.category import FiniteCategory, chain_category, label_str, walking_iso
+from nervecheck.funcspec import FunctorSpec
 from nervecheck.cli import main
 from nervecheck.report import PASS
 from test_funcspec import oriental2_spec
@@ -302,6 +303,18 @@ def _edge02_file(tmp_path):
     return fpath
 
 
+def _arrow_to_iso_file(tmp_path):
+    """The base functor [1] -> walking iso onto its arrow a -> b."""
+    iso = walking_iso()
+    fdata = {"source": chain_category(1).to_json(), "target": iso.to_json(),
+             "obj": {"0": "a", "1": "b"},
+             "mor": {label_str((0, 0)): "ida", label_str((1, 1)): "idb",
+                     label_str((0, 1)): "u"}}
+    fpath = tmp_path / "arrow_to_iso.json"
+    fpath.write_text(json.dumps(fdata))
+    return fpath
+
+
 def test_base_change_long_edge(tmp_path, capsys):
     spec = _spec_file(tmp_path, "two-chain-mixed")
     fpath = _edge02_file(tmp_path)
@@ -369,6 +382,10 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
      "--dim", str(cli.MAX_DIM_BASE_CHANGE + 1)],
     ["lift-check", "--n", str(cli.MAX_N_LIFT + 1), "--spec", "{mixed}"],
     ["verify", "lemma-colimit", "--count", str(cli.MAX_COUNT + 1)],
+    ["base-change", "--f", "{edge}", "--spec", "{fold}"],
+    ["base-change", "--f", "{to_iso}", "--spec", "{mixed}"],
+    ["lift-check", "--n", "2", "--spec", "{empty_base}"],
+    ["lift-check", "--n", "2", "--spec", "{oriental_m_negative}"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -380,7 +397,9 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
         "lift-check-n-1", "mapping-necklace-n5", "mapping-both-n7",
         "homology-simplex-24-vertices", "verify-dot", "nerve2-dim-above-ceiling",
         "compare-dim-above-ceiling", "base-change-dim-above-ceiling",
-        "lift-check-n-above-ceiling", "count-above-ceiling"])
+        "lift-check-n-above-ceiling", "count-above-ceiling",
+        "base-change-target-has-an-extra-object", "base-change-target-not-the-base",
+        "lift-check-empty-base", "lift-check-oriental-m-negative"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",
@@ -388,9 +407,18 @@ def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
              "oriental": tmp_path / "oriental.json",
              "edge": _edge02_file(tmp_path),
              "mixed": _spec_file(tmp_path, "two-chain-mixed"),
+             "fold": _spec_file(tmp_path, "arrow-fold"),
+             "to_iso": _arrow_to_iso_file(tmp_path),
+             "empty_base": tmp_path / "empty_base.json",
+             "oriental_m_negative": tmp_path / "oriental_m_negative.json",
              "simplex24": tmp_path / "simplex24.json"}
     paths["binary"].write_bytes(b"\xff\xfe\x00bad")
     paths["oriental"].write_text(json.dumps(oriental2_spec().to_json()))
+    no_objects = FiniteCategory((), (), {}, {}, {}, {})
+    paths["empty_base"].write_text(json.dumps(FunctorSpec(no_objects, {}, {}).to_json()))
+    paths["oriental_m_negative"].write_text(json.dumps(
+        {"base": {"kind": "oriental", "m": -1}, "values": {}, "action": {},
+         "two_cells": {}}))
     paths["string_simplices"].write_text(json.dumps({"simplices": "abc"}))
     paths["object_simplex"].write_text(json.dumps({"simplices": [{"x": 1}]}))
     # 16.7M faces once closed: refused before closing

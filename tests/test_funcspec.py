@@ -80,6 +80,8 @@ def test_oriental_spec_validation_errors():
     with pytest.raises(ValueError, match="keyed by the two-element"):
         FunctorSpec(2, spec.values, dict(list(spec.action.items())[:2]),
                     spec.two_cells)
+    with pytest.raises(ValueError, match="^an oriental base needs m >= 0, got -1$"):
+        FunctorSpec(-1, {}, {}, {})
 
 
 def test_constant_oriental_spec_passes_all_laws():
@@ -88,6 +90,18 @@ def test_constant_oriental_spec_passes_all_laws():
         assert spec.functor(from_digits("0" + "123"[:m])).obj == {0: 0, 1: 1}
     spec = constant_spec(3, FiniteCategory.point())
     assert len(spec.two_cells) == 7
+
+
+def test_identity_components_are_kept_per_cell():
+    for spec, cells in [(oriental2_spec(), one_cells(0, 2) + one_cells(1, 1)),
+                        (constant_spec(chain_category(2), chain_category(1)),
+                         chain_category(2).morphisms)]:
+        for cell in cells:
+            comp = spec.tau(cell, cell)
+            assert spec.tau(cell, cell) is comp
+            f = spec.functor(cell)
+            assert comp == {x: f.target.ident[f.obj[x]] for x in f.source.objects}
+            assert all(f.target.is_identity(h) for h in comp.values())
 
 
 def test_identity_two_cells_rejected_when_composites_differ():

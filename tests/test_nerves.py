@@ -69,6 +69,11 @@ def arrow_base_spec(values=None):
                        {(0, 1): CatFunctor.constant(vals[1], vals[0], at)})
 
 
+def pi_star(sp, dim):
+    """pi_star_check on both family-nerve tables of sp, built through dim."""
+    return pi_star_check(relative_nerve_1(sp, dim), relative_nerve_2(sp, dim), dim)
+
+
 # --- scaled nerves -------------------------------------------------------
 
 
@@ -139,7 +144,7 @@ def test_family_nerve_over_point_base_is_the_value_nerve():
     chi = relative_nerve_1(sp, 3)
     assert x.counts() == [2, 1, 0, 0]
     assert chi.counts() == [2, 1, 0, 0]
-    rep = pi_star_check(sp, 3)
+    rep = pi_star_check(chi, x, 3)
     assert all(rep["bijective"].values()) and rep["well_defined"]
 
 
@@ -408,7 +413,7 @@ def test_subset_families_satisfy_restriction_squares():
 def test_family_nerve_agrees_with_total_category_nerve():
     for sp in [arrow_base_spec(),
                arrow_base_spec({0: walking_iso(), 1: chain_category(1)})]:
-        rep = chi_groth_comparison(sp, 3)
+        rep = chi_groth_comparison(relative_nerve_1(sp, 3), 3)
         assert rep["bijective"]
         assert rep["faces_commute"]
 
@@ -416,7 +421,7 @@ def test_family_nerve_agrees_with_total_category_nerve():
 def test_projection_comparison_is_an_isomorphism_over_category_base():
     for sp in [arrow_base_spec(),
                arrow_base_spec({0: walking_iso(), 1: chain_category(1)})]:
-        rep = pi_star_check(sp, 2)
+        rep = pi_star(sp, 2)
         assert rep["well_defined"]
         assert rep["faces_commute"] and rep["degeneracies_commute"]
         assert rep["markings_match"] and rep["projection_commutes"]
@@ -478,9 +483,9 @@ def test_comparisons_still_closure_check_the_family_nerve(monkeypatch):
     _drop_a_nondegenerate_edge(monkeypatch)
     msg = "^face missing below dimension 2$"
     with pytest.raises(ValueError, match=msg):
-        chi_groth_comparison(sp, 4)
+        chi_groth_comparison(relative_nerve_1(sp, 4), 4)
     with pytest.raises(ValueError, match=msg):
-        pi_star_check(sp, 3)
+        pi_star(sp, 3)
     check = next(c for c in suites.build_suite("nerve-comparison", {})
                  if c.id == f"{name}/total-category")
     assert check.fn is suites._groth_check
@@ -573,8 +578,8 @@ def test_comparisons_catch_a_target_with_swapped_faces(monkeypatch):
     # the target's closure check still passes, so only a comparison that
     # computes the faces of both sides on its own can see the swap
     sp = dict(functor_battery())["arrow-collapse"]
-    assert chi_groth_comparison(sp, 3)["faces_commute"]
-    assert pi_star_check(sp, 3)["faces_commute"]
+    assert chi_groth_comparison(relative_nerve_1(sp, 3), 3)["faces_commute"]
+    assert pi_star(sp, 3)["faces_commute"]
     totals = []
 
     def recorded_total_category(spec):
@@ -585,9 +590,11 @@ def test_comparisons_catch_a_target_with_swapped_faces(monkeypatch):
     _swap_d0_d1_in_dimension_2(monkeypatch, CategoryNerveBackend,
                                lambda b: any(b.cat is g for g in totals))
     _swap_d0_d1_in_dimension_2(monkeypatch, Rel2Backend, lambda b: True)
-    rep = chi_groth_comparison(sp, 3)
+    # the tables are built after the patches, so the family nerve's
+    # recorded faces are the swapped ones
+    rep = chi_groth_comparison(relative_nerve_1(sp, 3), 3)
     assert totals and rep["bijective"] and not rep["faces_commute"]
-    rep = pi_star_check(sp, 3)
+    rep = pi_star(sp, 3)
     assert rep["well_defined"] and all(rep["bijective"].values())
     assert rep["degeneracies_commute"] and not rep["faces_commute"]
     # base change, swapped on the pullback's family side only: over the
@@ -600,6 +607,36 @@ def test_comparisons_catch_a_target_with_swapped_faces(monkeypatch):
     _swap_d0_d1_in_dimension_2(monkeypatch, Rel2Backend, lambda b: b.spec is pt)
     rep = base_change_check(bf, pt, 3)
     assert rep["isomorphism"] and not rep["faces_commute"]
+
+
+# chi_groth_comparison's counts at dim 4; every pi_star_check flag holds at dim 3
+COMPARISON_COUNTS = {
+    "arrow-fold": [(4, 4), (11, 11), (26, 26), (57, 57), (120, 120)],
+    "two-chain-mixed": [(6, 6), (16, 16), (32, 32), (55, 55), (86, 86)],
+}
+
+
+def test_comparisons_read_only_the_tables_handed_in(monkeypatch):
+    battery = dict(functor_battery())
+    tables = {name: (relative_nerve_1(battery[name], 4),
+                     relative_nerve_2(battery[name], 3))
+              for name in COMPARISON_COUNTS}
+
+    def refuse(self, k):
+        raise AssertionError("a comparison enumerated a family nerve")
+
+    monkeypatch.setattr(Rel1Backend, "simplices", refuse)
+    monkeypatch.setattr(Rel2Backend, "simplices", refuse)
+    every_dim = {k: True for k in range(4)}
+    for name, counts in COMPARISON_COUNTS.items():
+        rel1, rel2 = tables[name]
+        assert chi_groth_comparison(rel1, 4) == {
+            "counts": counts, "bijective": True, "faces_commute": True}
+        assert pi_star_check(rel1, rel2, 3) == {
+            "well_defined": True, "faces_commute": True,
+            "degeneracies_commute": True, "markings_match": True,
+            "projection_commutes": True,
+            "injective": every_dim, "bijective": every_dim}
 
 
 def _path_cell_by_folding(base, s, pos_mask):
@@ -663,9 +700,9 @@ def test_degenerate_edges_are_marked_and_degenerate_triangles_thin():
                          ids=["rel2-marks-all", "rel1-marks-none"])
 def test_pi_star_check_catches_a_changed_marking(monkeypatch, cls, marks):
     battery = functor_battery()
-    assert all(pi_star_check(sp, 2)["markings_match"] for _, sp in battery)
+    assert all(pi_star(sp, 2)["markings_match"] for _, sp in battery)
     monkeypatch.setattr(cls, "marked", lambda self, z: marks)
-    assert not all(pi_star_check(sp, 2)["markings_match"] for _, sp in battery)
+    assert not all(pi_star(sp, 2)["markings_match"] for _, sp in battery)
 
 
 # --- base change ----------------------------------------------------------
