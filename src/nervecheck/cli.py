@@ -257,8 +257,14 @@ def cmd_homology(args) -> int:
     return 0
 
 
-def _load_spec(path: str) -> FunctorSpec:
-    return _parse(path, "a functor spec", FunctorSpec.from_json)
+def _load_spec(path: str, what: str = "a functor spec", build=FunctorSpec.from_json):
+    """build() of the JSON in path, a spec or a (spec, target) pair whose
+    base has objects: over an empty base every nerve is empty."""
+    loaded = _parse(path, what, build)
+    spec = loaded[0] if isinstance(loaded, tuple) else loaded
+    if not spec.values:
+        raise UsageError(f"{path} has a base with no objects, so every nerve over it is empty")
+    return loaded
 
 
 def _lift_problem(payload) -> tuple[FunctorSpec, str]:
@@ -313,9 +319,7 @@ def cmd_compare_nerves(args) -> int:
 
 
 def cmd_lift_check(args) -> int:
-    spec, target = _parse(args.spec, "a lifting problem", _lift_problem)
-    if not spec.values:
-        raise UsageError(f"lift-check needs a nonempty base; {args.spec} has none")
+    spec, target = _load_spec(args.spec, "a lifting problem", _lift_problem)
     if target == "collapse":
         nat = collapse_nat(spec)
     elif target == "identity":

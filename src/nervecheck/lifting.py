@@ -7,8 +7,8 @@ simplex whose image is the prescribed one.  The reduced form trades
 the filler for a single functor out of the subset poset on the simplex
 positions: the sphere pins the functor on the subposets swept out by
 the boundary faces, and the G-simplex pins its composite with p.  The
-boundary pins are read off the same plan of the union map rho
-(nerves.rho_plan) that the nerve's transport squares walk.  Both
+boundary pins are each face's theta moved along the union map rho by
+nerves.transported, the function the nerve's square check reads.  Both
 solution sets are enumerated and compared through the explicit map
 sending a filler to its position-subset functor.
 """
@@ -20,7 +20,7 @@ from typing import Mapping
 from .bits import digits, max_bit, min_bit
 from .category import CatFunctor, FiniteCategory, poset_functors
 from .funcspec import FunctorSpec, constant_spec, pair_mask
-from .nerves import Rel2Backend, pair_order, relative_nerve_2, rho_plan
+from .nerves import Rel2Backend, pair_order, relative_nerve_2, transported
 from .oriental import d_leq, rho_image
 from .simplicial import SimplexTable, sphere_maps
 
@@ -158,39 +158,22 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
     """Partial functor on the subset poset assembled from the boundary.
 
     Every proper position subset J contributes its face functor (the
-    theta the backend keeps for that face) pushed through the pullback
-    pairing, read off the rho plan of J:
-    an element s1|s2 takes the face value at s2 transported along the
-    hom part s1.  On arrows the hom part moves contravariantly, so the
-    transported face value is composed with the two-cell comparing the
-    two paths.  Reflexive pairs are left to the identities.
+    theta the backend keeps for that face) moved along rho by
+    nerves.transported.  Reflexive pairs are left to the identities.
     """
-    spec = back.spec
-    s = zv[0]
-    e0 = back.value_at(s, 0)
     full = (1 << (n + 1)) - 1
-    obj: dict = {}
-    mor: dict = {}
+    pins: tuple[dict, dict] = ({}, {})
     for jm in range(1, full):
         th = back.theta_of(zv, jm)
         if th is None:
             raise ValueError("boundary data is path dependent")
-        th_obj, th_mor = th
-        for s1, elems, steps in rho_plan(full, jm):
-            f_s1 = spec.functor(back.path_cell(s, s1))
-            for m, s2 in elems:
-                val = f_s1.obj[th_obj[s2]]
-                if obj.setdefault(m, val) != val:
-                    raise ValueError("boundary functors disagree on an element")
-            for s1p, pairs in steps:
-                tau = spec.tau(back.path_cell(s, s1p), back.path_cell(s, s1))
-                for key, (s2, t2) in pairs:
-                    if key[0] == key[1]:
-                        continue
-                    arrow = e0.then(f_s1.on_mor(th_mor[(s2, t2)]), tau[th_obj[t2]])
-                    if mor.setdefault(key, arrow) != arrow:
-                        raise ValueError("boundary functors disagree on an arrow")
-    return obj, mor
+        for part, key, val in transported(back, zv[0], full, jm, th):
+            if part and key[0] == key[1]:
+                continue
+            if pins[part].setdefault(key, val) != val:
+                raise ValueError("boundary functors disagree on "
+                                 + ("an arrow" if part else "an element"))
+    return pins
 
 
 def reduced_solutions(nat: NatTrans, back: Rel2Backend, zv, gbar) -> list[dict]:

@@ -312,29 +312,39 @@ def rho_plan(imask: int, jmask: int) -> tuple:
                  for s1 in connectors)
 
 
+def transported(back, s, imask, jmask, th_j):
+    """What th_j forces on rho's image in D^I, J inside I.
+
+    Yields (0, s1|s2, the object of s2 moved along the base cell s1) per
+    element of the image, and (1, pair, arrow) per comparable pair of it,
+    reflexive ones included: the arrow of the D^J pair moved the same
+    way, composed with the two-cell tau(s1p, s1).
+    """
+    spec = back.spec
+    comp = back.value_at(s, min_bit(imask)).comp
+    obj_j, mor_j = th_j
+    for s1, elems, steps in rho_plan(imask, jmask):
+        f_s1 = spec.functor(back.path_cell(s, s1))
+        f_obj, f_mor = f_s1.obj, f_s1.mor
+        for m, s2 in elems:
+            yield 0, m, f_obj[obj_j[s2]]
+        for s1p, pairs in steps:
+            tau = spec.tau(back.path_cell(s, s1p), back.path_cell(s, s1))
+            for ikey, jkey in pairs:
+                yield 1, ikey, comp[f_mor[mor_j[jkey]], tau[obj_j[jkey[1]]]]
+
+
 def square_holds(back, s, imask, jmask, th_i, th_j) -> bool:
-    """Transport square of the union map for J inside I, on every
-    comparable pair.
+    """Transport square of the union map for J inside I: th_i takes
+    every value that th_j forces.
 
     Families built from free data satisfy the object components
     automatically, but they are cheap and guard the literal
     enumeration, where objects are genuinely unconstrained.
     """
-    spec = back.spec
-    e = back.value_at(s, min_bit(imask))
-    obj_j, mor_j = th_j
-    obj_i, mor_i = th_i
-    for s1, elems, steps in rho_plan(imask, jmask):
-        f_s1 = spec.functor(back.path_cell(s, s1))
-        for m, s2 in elems:
-            if obj_i[m] != f_s1.obj[obj_j[s2]]:
-                return False
-        for s1p, pairs in steps:
-            tau = spec.tau(back.path_cell(s, s1p), back.path_cell(s, s1))
-            for ikey, jkey in pairs:
-                want = e.then(f_s1.on_mor(mor_j[jkey]), tau[obj_j[jkey[1]]])
-                if mor_i[ikey] != want:
-                    return False
+    for part, key, val in transported(back, s, imask, jmask, th_j):
+        if th_i[part][key] != val:
+            return False
     return True
 
 

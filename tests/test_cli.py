@@ -386,6 +386,9 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
     ["base-change", "--f", "{to_iso}", "--spec", "{mixed}"],
     ["lift-check", "--n", "2", "--spec", "{empty_base}"],
     ["lift-check", "--n", "2", "--spec", "{oriental_m_negative}"],
+    ["nerve2", "--spec", "{empty_base}", "--dim", "2", "--out", "{dir}/T.json"],
+    ["compare-nerves", "--spec", "{empty_base}", "--dim", "2"],
+    ["base-change", "--f", "{empty_functor}", "--spec", "{empty_base}"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -399,7 +402,8 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
         "compare-dim-above-ceiling", "base-change-dim-above-ceiling",
         "lift-check-n-above-ceiling", "count-above-ceiling",
         "base-change-target-has-an-extra-object", "base-change-target-not-the-base",
-        "lift-check-empty-base", "lift-check-oriental-m-negative"])
+        "lift-check-empty-base", "lift-check-oriental-m-negative",
+        "nerve2-empty-base", "compare-nerves-empty-base", "base-change-empty-base"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",
@@ -410,12 +414,15 @@ def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
              "fold": _spec_file(tmp_path, "arrow-fold"),
              "to_iso": _arrow_to_iso_file(tmp_path),
              "empty_base": tmp_path / "empty_base.json",
+             "empty_functor": tmp_path / "empty_functor.json",
              "oriental_m_negative": tmp_path / "oriental_m_negative.json",
              "simplex24": tmp_path / "simplex24.json"}
     paths["binary"].write_bytes(b"\xff\xfe\x00bad")
     paths["oriental"].write_text(json.dumps(oriental2_spec().to_json()))
     no_objects = FiniteCategory((), (), {}, {}, {}, {})
     paths["empty_base"].write_text(json.dumps(FunctorSpec(no_objects, {}, {}).to_json()))
+    paths["empty_functor"].write_text(json.dumps(
+        {"source": no_objects.to_json(), "target": no_objects.to_json(), "obj": {}, "mor": {}}))
     paths["oriental_m_negative"].write_text(json.dumps(
         {"base": {"kind": "oriental", "m": -1}, "values": {}, "action": {},
          "two_cells": {}}))

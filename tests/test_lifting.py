@@ -1,13 +1,13 @@
 import pytest
 
-from nervecheck.battery import lifting_battery
-from nervecheck.bits import min_bit
+from nervecheck.battery import lifting_battery, oriental_two_spec
+from nervecheck.bits import min_bit, subsets_of
 from nervecheck.category import CatFunctor, FiniteCategory, chain_category
 from nervecheck.funcspec import FunctorSpec, pair_mask
 from nervecheck.lifting import (NatTrans, _sphere_xf, boundary_functor,
                                 collapse_nat, identity_nat, image_simplex,
                                 point_spec, reduced_lifting_check, sn_cells)
-from nervecheck.nerves import pair_order, relative_nerve_2
+from nervecheck.nerves import pair_order, relative_nerve_2, transported
 from nervecheck.oriental import build_d, d_leq, rho_image
 from nervecheck.simplicial import sphere_maps
 
@@ -96,33 +96,69 @@ def rho_preimage(sub, element):
     return element & ((1 << (sub_lo + 1)) - 1), element & ~((1 << sub_lo) - 1)
 
 
-def elementwise_boundary_functor(back, zv, n):
-    """Oracle for boundary_functor: each face's image under rho listed by
-    rho_image, split back by rho_preimage, and its arrows found by a scan
-    of all pairs through d_leq."""
+def elementwise_transport(back, zv, imask, jm):
+    """Oracle for nerves.transported: J's image under rho in D^I listed by
+    rho_image, split back by rho_preimage, and its arrows, reflexive ones
+    included, found by a scan of all pairs through d_leq."""
     spec = back.spec
-    e0 = back.value_at(zv[0], 0)
+    e = back.value_at(zv[0], min_bit(imask))
+    th_obj, th_mor = back.theta_of(zv, jm)
+    elems = rho_image(imask, jm)
+    pre = {m: rho_preimage(jm, m) for m in elems}
+    obj = {m: spec.functor(back.path_cell(zv[0], s1)).obj[th_obj[s2]]
+           for m, (s1, s2) in pre.items()}
+    mor = {}
+    for m in elems:
+        for mp in elems:
+            if not d_leq(m, mp):
+                continue
+            (s1, s2), (t1, t2) = pre[m], pre[mp]
+            big = back.path_cell(zv[0], s1)
+            small = back.path_cell(zv[0], t1)
+            mor[(m, mp)] = e.then(spec.functor(big).on_mor(th_mor[(s2, t2)]),
+                                  spec.tau(small, big)[th_obj[t2]])
+    return obj, mor
+
+
+def elementwise_boundary_functor(back, zv, n):
+    """Oracle for boundary_functor: elementwise_transport of every proper
+    face into D^[0..n], merged, with the reflexive pairs left out."""
     full = (1 << (n + 1)) - 1
     obj, mor = {}, {}
     for jm in range(1, full):
-        th_obj, th_mor = back.theta_of(zv, jm)
-        elems = rho_image(full, jm)
-        pre = {m: rho_preimage(jm, m) for m in elems}
-        for m in elems:
-            s1, s2 = pre[m]
-            val = spec.functor(back.path_cell(zv[0], s1)).obj[th_obj[s2]]
+        face_obj, face_mor = elementwise_transport(back, zv, full, jm)
+        for m, val in face_obj.items():
             assert obj.setdefault(m, val) == val
-        for m in elems:
-            for mp in elems:
-                if m == mp or not d_leq(m, mp):
-                    continue
-                (s1, s2), (t1, t2) = pre[m], pre[mp]
-                big = back.path_cell(zv[0], s1)
-                small = back.path_cell(zv[0], t1)
-                arrow = e0.then(spec.functor(big).on_mor(th_mor[(s2, t2)]),
-                                spec.tau(small, big)[th_obj[t2]])
-                assert mor.setdefault((m, mp), arrow) == arrow
+        for key, arrow in face_mor.items():
+            if key[0] != key[1]:
+                assert mor.setdefault(key, arrow) == arrow
     return obj, mor
+
+
+# 19, 49 and 116 simplices of dimension 1-3, with 2, 12 and 50 pairs J < I
+SQUARES_THROUGH_DIM_3 = 19 * 2 + 49 * 12 + 116 * 50
+
+
+def test_transported_matches_elementwise_oracle_on_every_square():
+    # every I inside [0..k] and proper nonempty J inside I, so also the
+    # squares with I proper that the literal enumeration checks
+    table = relative_nerve_2(oriental_two_spec(), 3)
+    back = table.backend
+    squares = 0
+    for k, sims in enumerate(table.simplices):
+        for z in sims:
+            for imask in range(1, 1 << (k + 1)):
+                for jm in subsets_of(imask):
+                    if jm in (0, imask):
+                        continue
+                    got = ({}, {})
+                    for part, key, val in transported(back, z[0], imask, jm,
+                                                      back.theta_of(z, jm)):
+                        assert key not in got[part]
+                        got[part][key] = val
+                    assert got == elementwise_transport(back, z, imask, jm), (z, imask, jm)
+                    squares += 1
+    assert squares == SQUARES_THROUGH_DIM_3
 
 
 SPHERES_WITH_PROBLEMS = {"identity-oriental-two": 49, "collapse-oriental-two": 49,

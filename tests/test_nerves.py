@@ -42,6 +42,7 @@ from nervecheck.simplicial import (
     horn_fill_check,
     sphere_maps,
 )
+from test_lifting import elementwise_boundary_functor
 
 
 # SHA-256 of repr(relative_nerve_2(oriental_two_spec(), 5).simplices)
@@ -355,6 +356,35 @@ def test_oriental_two_nerve_at_dim_5_is_pinned(monkeypatch):
 def test_oriental_two_nerve_at_dim_6_is_pinned(monkeypatch):
     _check_oriental_two_nerve(monkeypatch, [6, 19, 49, 116, 264, 589, 1299],
                               ORIENTAL_TWO_DIM6_SHA)
+
+
+def test_squares_reject_a_theta_the_boundary_does_not_force(monkeypatch):
+    """Give a valid candidate z the theta of another valid candidate over
+    the same base simplex.  The faces of z still hold and the theta still
+    exists, so only the squares (whole set, J) decide: z must be accepted
+    exactly when that theta takes every value the boundary of z forces."""
+    ref = Rel2Backend(oriental_two_spec())
+    swaps = rejected = 0
+    for k in (1, 2, 3):
+        whole = (1 << (k + 1)) - 1
+        for s in ref.base.simplices(k):
+            valid = ref.fill(s, k)
+            for z in valid:
+                pins = elementwise_boundary_functor(ref, z, k)
+                for other in valid:
+                    if other == z:
+                        continue
+                    th = ref.theta_of(other, whole)
+                    b = Rel2Backend(ref.spec)
+                    monkeypatch.setattr(b, "_build_theta",
+                                        lambda y, z=z, th=th, build=b._build_theta:
+                                        th if y == z else build(y))
+                    forced = all(th[part][key] == val
+                                 for part in (0, 1) for key, val in pins[part].items())
+                    assert b.simplex_valid(z) == forced, (z, other)
+                    swaps += 1
+                    rejected += not forced
+    assert (swaps, rejected) == (504, 374)
 
 
 def test_validator_rejects_corrupted_family():
