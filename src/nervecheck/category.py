@@ -9,6 +9,7 @@ enough that unit and associativity laws are checked on construction.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
 from typing import Hashable, Iterable, Mapping
 
 from .poset import Poset
@@ -288,67 +289,38 @@ def extend_covers(p: Poset, e: FiniteCategory, obj: Mapping,
 
 def poset_functors(p: Poset, e: FiniteCategory,
                    obj_pin: Mapping | None = None,
-                   edge_pin: Mapping | None = None) -> list[dict]:
-    """All functors from a poset to a finite category.
+                   edge_pin: Mapping | None = None) -> list[tuple[dict, dict]]:
+    """All functors from a poset to a finite category, as (obj, mor) pairs.
 
-    A functor is returned as {"obj": {label: object}, "mor": {(a, b):
-    morphism}} with morphisms recorded on every comparable pair.
-    Optional pins fix object values (by poset label) or morphism values
-    (by comparable label pair) in advance.  The enumeration assigns
-    objects along a linear extension, picks images for cover relations
-    and rejects assignments whose composites depend on the path.
+    obj maps each label to an object and mor each comparable label pair
+    to a morphism, the format of the nerves' theta.  Objects are placed
+    along a linear extension, each kept only when every cover into it
+    has a nonempty hom; the cover values of each object assignment form
+    one product, and extend_covers keeps the path-independent ones.
+    Optional pins fix object values (by label) or morphism values (by
+    comparable label pair) in advance.
     """
-    obj_pin = dict(obj_pin or {})
-    edge_pin = dict(edge_pin or {})
-    order = sorted(range(len(p)), key=lambda i: p.topo_rank[i])
-    labels = [p.elements[i] for i in order]
-    covers = sorted(p.covers)
-    results: list[dict] = []
-
-    def assign_objects(k: int, obj: dict) -> None:
-        if k == len(labels):
-            assign_edges(obj)
-            return
-        a = labels[k]
-        candidates = [obj_pin[a]] if a in obj_pin else list(e.objects)
-        for x in candidates:
-            if x not in e.obj_index:
-                continue
-            ok = True
-            for b in labels[:k]:
-                if p.less_eq(b, a) and not e.hom(obj[b], x):
-                    ok = False
-                    break
-                if p.less_eq(a, b) and not e.hom(x, obj[b]):
-                    ok = False
-                    break
-            if ok:
-                obj[a] = x
-                assign_objects(k + 1, obj)
-                del obj[a]
-
-    def assign_edges(obj: dict) -> None:
-        def pick(k: int, cov: dict) -> None:
-            if k == len(covers):
-                finish(obj, cov)
-                return
-            ia, ib = covers[k]
-            a, b = p.elements[ia], p.elements[ib]
-            options = e.hom(obj[a], obj[b])
-            if (a, b) in edge_pin:
-                options = [edge_pin[(a, b)]] if edge_pin[(a, b)] in options else []
-            for m in options:
-                cov[(a, b)] = m
-                pick(k + 1, cov)
-                del cov[(a, b)]
-
-        pick(0, {})
-
-    def finish(obj: dict, cov: dict) -> None:
-        mor = extend_covers(p, e, obj, cov)
-        if mor is None or any(mor.get(pair) != m for pair, m in edge_pin.items()):
-            return
-        results.append({"obj": dict(obj), "mor": mor})
-
-    assign_objects(0, {})
+    obj_pin = obj_pin or {}
+    edge_pin = edge_pin or {}
+    els = p.elements
+    into = [[] for _ in els]  # per element, the labels it covers
+    for ia, ib in p.covers:
+        into[ib].append(els[ia])
+    objs = [{}]
+    for i in sorted(range(len(p)), key=p.topo_rank.__getitem__):
+        b = els[i]
+        objs = [{**obj, b: x} for obj in objs
+                for x in ((obj_pin[b],) if b in obj_pin else e.objects)
+                if x in e.obj_index and all(e.hom(obj[a], x) for a in into[i])]
+    covers = [(els[ia], els[ib]) for ia, ib in sorted(p.covers)]
+    results = []
+    for obj in objs:
+        options = [e.hom(obj[a], obj[b]) for a, b in covers]
+        for k, c in enumerate(covers):
+            if c in edge_pin:
+                options[k] = (edge_pin[c],) if edge_pin[c] in options[k] else ()
+        for ms in product(*options):
+            mor = extend_covers(p, e, obj, dict(zip(covers, ms)))
+            if mor is not None and all(mor.get(pq) == m for pq, m in edge_pin.items()):
+                results.append((dict(obj), mor))
     return results

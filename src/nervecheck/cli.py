@@ -41,13 +41,19 @@ def _common(p: Parser) -> None:
     p.add_argument("--json", metavar="FILE", help="write JSON result here")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _emit(args, payload: dict, dot: Callable[[], str] | None = None) -> None:
     """Write --json, and --dot where dot builds a picture, only when asked for."""
     if args.json:
-        text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
-        Path(args.json).write_text(text + "\n")
+        _write(args.json, json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
     if dot is not None and args.dot:
-        Path(args.dot).write_text(dot())
+        _write(args.dot, dot())
 
 
 def _at_least(lo: int, most: int | None = None):
@@ -292,7 +298,7 @@ def cmd_nerve2(args) -> int:
            "marked_edges": marked, "thin_triangles": thin,
            "simplices": {k: [repr(s) for s in cells]
                          for k, cells in enumerate(table.cells)}}
-    Path(args.out).write_text(json.dumps(jsonable(out), indent=2) + "\n")
+    _write(args.out, json.dumps(jsonable(out), indent=2) + "\n")
     print("table written to", args.out)
     _emit(args, {"counts": counts, "marked_edges": marked,
                  "thin_triangles": thin})
@@ -445,7 +451,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, FileNotFoundError) as err:
+    except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 64
 

@@ -176,20 +176,23 @@ def boundary_functor(back: Rel2Backend, zv, n: int) -> tuple[dict, dict]:
     return pins
 
 
-def reduced_solutions(nat: NatTrans, back: Rel2Backend, zv, gbar) -> list[dict]:
+def reduced_solutions(nat: NatTrans, back: Rel2Backend, zv, gbar) -> list[tuple[dict, dict]]:
     """Functors on the full subset poset extending the boundary data.
 
-    Candidates are pinned on the boundary sweep, then filtered to lie
-    over the functor induced by the prescribed G-simplex.
+    Candidates come from poset_functors' one cover-pruned product,
+    pinned by the boundary sweep, and are kept when they lie over the
+    functor induced by the prescribed G-simplex.  Each is an (obj, mor)
+    pair, the format of the backend's theta.
     """
     n = len(zv[1]) - 1
     dp = back.dpos((1 << (n + 1)) - 1)
     obj_pin, edge_pin = boundary_functor(back, zv, n)
     p0 = nat.component(zv[0][0][0])
     g_obj, g_mor = gbar
-    return [cand for cand in poset_functors(dp, back.value_at(zv[0], 0), obj_pin, edge_pin)
-            if all(p0.obj[cand["obj"][m]] == g_obj[m] for m in dp.elements)
-            and all(p0.on_mor(v) == g_mor[k] for k, v in cand["mor"].items())]
+    cands = poset_functors(dp, back.value_at(zv[0], 0), obj_pin, edge_pin)
+    return [(obj, mor) for obj, mor in cands
+            if all(p0.obj[obj[m]] == g_obj[m] for m in dp.elements)
+            and all(p0.on_mor(v) == g_mor[k] for k, v in mor.items())]
 
 
 def _freeze(obj: Mapping, mor: Mapping) -> tuple:
@@ -216,7 +219,7 @@ def _solve(nat: NatTrans, tf: SimplexTable, tg: SimplexTable,
         "reduced": len(red),
         "match": len(originals) == len(red),
         "bijection": len(mapped) == len(originals) == len(red)
-        and mapped == {_freeze(r["obj"], r["mor"]) for r in red},
+        and mapped == {_freeze(*r) for r in red},
     }
 
 

@@ -362,12 +362,8 @@ def relative2_simplices_literal(spec: FunctorSpec, s, k: int) -> list:
     """
     back = Rel2Backend(spec)
     imasks = sorted(range(1, 1 << (k + 1)), key=lambda m: (m.bit_count(), m))
-    per_i = {}
-    for imask in imasks:
-        p = back.dpos(imask)
-        e = back.value_at(s, min_bit(imask))
-        per_i[imask] = [({sm: f["obj"][sm] for sm in p.elements}, f["mor"])
-                        for f in poset_functors(p, e)]
+    per_i = {imask: poset_functors(back.dpos(imask), back.value_at(s, min_bit(imask)))
+             for imask in imasks}
     out = []
 
     def place(t: int, chosen: dict) -> None:

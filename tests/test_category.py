@@ -188,10 +188,10 @@ def test_poset_functors_monotone_maps():
     e = chain_category(1)
     fs = poset_functors(p, e)
     assert len(fs) == 4  # monotone maps [2] -> [1]
-    for f in fs:
-        objs = [f["obj"][k] for k in (0, 1, 2)]
+    for obj, mor in fs:
+        objs = [obj[k] for k in (0, 1, 2)]
         assert objs == sorted(objs)
-        assert f["mor"][(0, 2)] == (f["obj"][0], f["obj"][2])
+        assert mor[(0, 2)] == (obj[0], obj[2])
 
 
 def test_poset_functors_respect_pins():
@@ -199,11 +199,11 @@ def test_poset_functors_respect_pins():
     e = chain_category(1)
     fs = poset_functors(p, e, obj_pin={0: 1})
     assert len(fs) == 1
-    assert fs[0]["obj"] == {0: 1, 1: 1, 2: 1}
+    assert fs[0][0] == {0: 1, 1: 1, 2: 1}
     fs = poset_functors(p, e, edge_pin={(0, 1): (0, 1)})
     # 0 and 1 are pinned through the edge and 2 >= 1 forces value 1
     assert len(fs) == 1
-    assert fs[0]["obj"] == {0: 0, 1: 1, 2: 1}
+    assert fs[0][0] == {0: 0, 1: 1, 2: 1}
 
 
 def test_poset_functors_path_independence():
@@ -213,10 +213,10 @@ def test_poset_functors_path_independence():
         lambda a, b: a[0] <= b[0] and a[1] <= b[1])
     j = walking_iso()
     fs = poset_functors(sq, j)
-    for f in fs:
-        m1 = j.then(f["mor"][((0, 0), (0, 1))], f["mor"][((0, 1), (1, 1))])
-        m2 = j.then(f["mor"][((0, 0), (1, 0))], f["mor"][((1, 0), (1, 1))])
-        assert m1 == m2 == f["mor"][((0, 0), (1, 1))]
+    for _, mor in fs:
+        m1 = j.then(mor[((0, 0), (0, 1))], mor[((0, 1), (1, 1))])
+        m2 = j.then(mor[((0, 0), (1, 0))], mor[((1, 0), (1, 1))])
+        assert m1 == m2 == mor[((0, 0), (1, 1))]
     # object assignments are unconstrained (every hom is a singleton)
     assert len(fs) == 16
 
@@ -239,10 +239,9 @@ def _brute_functors(p, e):
     return out
 
 
-@pytest.mark.parametrize("pname", ["chain1", "chain2", "square", "d012"])
-@pytest.mark.parametrize("cname", ["C1", "parallel-pair", "walking-iso"])
-def test_extend_covers_matches_brute_force(pname, cname):
-    p = {"chain1": Poset.from_relation([0, 1], lambda a, b: a <= b),
+def _grid_case(pname, cname):
+    p = {"empty": Poset.from_relation([], lambda a, b: a == b),
+         "chain1": Poset.from_relation([0, 1], lambda a, b: a <= b),
          "chain2": Poset.from_relation([0, 1, 2], lambda a, b: a <= b),
          "square": Poset.from_relation(
              [(0, 0), (0, 1), (1, 0), (1, 1)],
@@ -250,6 +249,16 @@ def test_extend_covers_matches_brute_force(pname, cname):
          "d012": build_d(0b111).poset}[pname]
     e = {"C1": chain_category(1), "parallel-pair": parallel_pair(),
          "walking-iso": walking_iso()}[cname]
+    return p, e
+
+
+GRID = pytest.mark.parametrize("cname", ["C1", "parallel-pair", "walking-iso"])
+
+
+@pytest.mark.parametrize("pname", ["chain1", "chain2", "square", "d012"])
+@GRID
+def test_extend_covers_matches_brute_force(pname, cname):
+    p, e = _grid_case(pname, cname)
     els = p.elements
     covers = [(els[i], els[j]) for i, j in p.covers]
     functors = {}
@@ -266,6 +275,34 @@ def test_extend_covers_matches_brute_force(pname, cname):
             assert got == want, (objs, ms)
             extended += want is not None
     assert extended == len(functors) > 0
+
+
+def _frozen(functors):
+    return sorted((sorted(obj.items()), sorted(mor.items())) for obj, mor in functors)
+
+
+@pytest.mark.parametrize("pname", ["empty", "chain1", "chain2", "square", "d012"])
+@GRID
+def test_poset_functors_match_brute_force_with_pins(pname, cname):
+    p, e = _grid_case(pname, cname)
+    brute = _brute_functors(p, e)
+    assert _frozen(poset_functors(p, e)) == _frozen(brute)
+    if not p.elements:
+        return
+    els = p.elements
+    obj, mor = brute[len(brute) // 2]
+    cover = (els[p.covers[0][0]], els[p.covers[0][1]])
+    far = [(a, b) for a, b in mor if a != b and (p.index[a], p.index[b]) not in p.covers]
+    pins = [({els[-1]: obj[els[-1]]}, None), (None, {cover: mor[cover]}),
+            ({els[0]: "outside"}, None), (None, {cover: "outside"})]
+    if far:
+        pins.append((None, {far[0]: mor[far[0]]}))
+    for obj_pin, edge_pin in pins:
+        want = [f for f in brute
+                if all(f[0][a] == x for a, x in (obj_pin or {}).items())
+                and all(f[1][pq] == m for pq, m in (edge_pin or {}).items())]
+        got = poset_functors(p, e, obj_pin, edge_pin)
+        assert _frozen(got) == _frozen(want), (obj_pin, edge_pin)
 
 
 def _one_endomorphism(square):

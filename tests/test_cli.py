@@ -389,6 +389,11 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
     ["nerve2", "--spec", "{empty_base}", "--dim", "2", "--out", "{dir}/T.json"],
     ["compare-nerves", "--spec", "{empty_base}", "--dim", "2"],
     ["base-change", "--f", "{empty_functor}", "--spec", "{empty_base}"],
+    ["dn", "--n", "2", "--json", "{dir}"],
+    ["dn", "--n", "2", "--json", "{mixed}/x.json"],
+    ["verify", "lemma-close", "--json", "{dir}"],
+    ["nerve2", "--spec", "{mixed}", "--dim", "1", "--out", "{dir}"],
+    ["dn", "--n", "2", "--dot", "{dir}"],
 ], ids=["horn-outer-i", "mapping-unknown-target", "mapping-not-below",
         "ground-not-digits", "count-negative", "samples-zero", "jobs-zero",
         "verify-n-not-taken", "verify-seed-not-taken", "mapping-dim-negative",
@@ -403,7 +408,9 @@ def test_base_change_follows_the_suite_rule(broken, tmp_path, capsys, monkeypatc
         "lift-check-n-above-ceiling", "count-above-ceiling",
         "base-change-target-has-an-extra-object", "base-change-target-not-the-base",
         "lift-check-empty-base", "lift-check-oriental-m-negative",
-        "nerve2-empty-base", "compare-nerves-empty-base", "base-change-empty-base"])
+        "nerve2-empty-base", "compare-nerves-empty-base", "base-change-empty-base",
+        "dn-json-dir", "dn-json-under-file", "verify-json-dir", "nerve2-out-dir",
+        "dn-dot-dir"])
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     paths = {"dir": tmp_path, "binary": tmp_path / "binary.json",
              "string_simplices": tmp_path / "string.json",

@@ -459,6 +459,46 @@ def test_projection_comparison_is_an_isomorphism_over_category_base():
         assert all(rep["bijective"].values())
 
 
+def test_projection_commutes_fails_when_the_base_simplex_moves(monkeypatch):
+    # over the walking iso with equal values, swapping a and b is an
+    # automorphism of the family nerve: the moved map is still a
+    # bijective simplicial map, and only the projection notices
+    j, c1 = walking_iso(), chain_category(1)
+    ident = CatFunctor.identity(c1)
+    sp = FunctorSpec(j, {"a": c1, "b": c1}, {"u": ident, "v": ident})
+    swap = {"a": "b", "b": "a", "ida": "idb", "idb": "ida", "u": "v", "v": "u"}
+    straight = nerves.pi_star_map
+
+    def moved(z):
+        (objs, mors), x, f = straight(z)
+        return ((tuple(swap[o] for o in objs), tuple(swap[m] for m in mors)), x, f)
+
+    monkeypatch.setattr(nerves, "pi_star_map", moved)
+    rep = pi_star(sp, 2)
+    assert rep["well_defined"] and all(rep["bijective"].values())
+    assert rep["faces_commute"] and rep["degeneracies_commute"]
+    assert not rep["projection_commutes"]
+
+
+def test_degeneracies_commute_fails_on_mirrored_degeneracies(monkeypatch):
+    sp = arrow_base_spec()
+    rel1, rel2 = relative_nerve_1(sp, 2), relative_nerve_2(sp, 2)
+    b1 = rel1.backend
+    straight = b1.alpha_star
+
+    def mirrored(z, alpha):
+        k = b1.dim_of(z)
+        for j in range(k + 1):
+            if alpha == codegeneracy(j, k):
+                return straight(z, codegeneracy(k - j, k))
+        return straight(z, alpha)
+
+    monkeypatch.setattr(b1, "alpha_star", mirrored)
+    rep = pi_star_check(rel1, rel2, 2)
+    # faces are read from the tables, built before the patch
+    assert rep["faces_commute"] and not rep["degeneracies_commute"]
+
+
 def alpha_star_oracle(backend: Rel1Backend, z, alpha):
     """Rel1Backend.alpha_star restricting every subset's theta on its own."""
     s, thetas = z
