@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from functools import partial
@@ -38,7 +39,19 @@ class Parser(argparse.ArgumentParser):
 
 
 def _common(p: Parser) -> None:
-    p.add_argument("--json", metavar="FILE", help="write JSON result here")
+    p.add_argument("--json", metavar="FILE", type=_writable, help="write JSON result here")
+
+
+def _writable(path: str) -> str:
+    """An output path, refused while the arguments are parsed, so before any
+    work, when it is a directory or its parent is not a writable directory."""
+    parent = Path(path).parent
+    if Path(path).is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {path}: Is a directory")
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {parent} is not a "
+                                         "writable directory")
+    return path
 
 
 def _write(path: str, text: str) -> None:
@@ -111,10 +124,10 @@ MAX_FLAG_SIMPLICES = 8_000_000
 # Largest --dim of nerve2, compare-nerves and base-change, --n of lift-check and
 # --count of verify: each takes at most about 10 s on its slowest battery spec
 # (2 cores, CPython 3.11).
-# nerve2 on oriental-two takes 0.27, 1.7 and 14.8 s at dim 4-6 (21, 27 and
-# 52 MB), each simplex's theta built once as a candidate and once more when a
-# larger simplex reads it; no category-base spec takes over 0.12 s at dim 5.
-MAX_DIM_NERVE2 = 5
+# nerve2 on oriental-two, the slowest, takes 0.37, 1.1, 3.5-4.4 and 14-16 s at
+# dim 6-9 (24, 29, 42 and 70 MB), building no theta; three-chain, the slowest
+# category-base spec, takes 1.1 s at dim 8.
+MAX_DIM_NERVE2 = 8
 # compare-nerves on three-chain takes 2.0, 8.4 and 19 s at dim 7-9 (104, 263 and
 # 710 MB), on arrow-fold 1.4, 5.6 and 25 s (102, 349 and 1343 MB).  The memory
 # is relative_nerve_1's table: on arrow-fold at dim 8 it peaks at 330 MB alone,
@@ -123,9 +136,9 @@ MAX_DIM_COMPARE = 8
 # base-change along the identity of three-chain takes 3.4, 4.5 and 10 s at dim
 # 8-10, at most 64 MB.
 MAX_DIM_BASE_CHANGE = 10
-# lift-check on identity-oriental-two takes 0.15, 1.0 and 6.3 s at n = 3-5 (21,
-# 29 and 69 MB); every other lifting battery entry takes at most 4.0 s at n = 5.
-# At n = 6 the source and target nerves alone take 15 s each.
+# lift-check on identity-oriental-two takes 0.21, 0.74 and 3.7 s at n = 3-5 (21,
+# 28 and 65 MB), and 24 s and 321 MB at n = 6; every other lifting battery entry
+# takes at most 2.7 s at n = 5.
 MAX_N_LIFT = 5
 # verify lemma-colimit takes 1.4-1.6 ms per diagram: 1.4 s at --count 1000,
 # 16 s and 85 MB at 10000; oracle-flag-necklace takes half that.
@@ -403,7 +416,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("nerve2", help="enumerate the functor-family nerve")
     p.add_argument("--spec", required=True, metavar="F.json")
     p.add_argument("--dim", type=_at_least(0, MAX_DIM_NERVE2), required=True)
-    p.add_argument("--out", required=True, metavar="T.json")
+    p.add_argument("--out", required=True, metavar="T.json", type=_writable)
     _common(p)
     p.set_defaults(func=cmd_nerve2)
 
@@ -441,7 +454,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_verify)
 
     for name in ("dn", "horn", "mapping-space"):
-        sub.choices[name].add_argument("--dot", metavar="FILE",
+        sub.choices[name].add_argument("--dot", metavar="FILE", type=_writable,
                                        help="write a DOT Hasse diagram")
     return top
 

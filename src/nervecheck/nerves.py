@@ -10,10 +10,12 @@ act through the two-cell components of the diagram.
 
 The free data behind both constructions is one value object per vertex
 and one connecting morphism per vertex pair; everything else is forced
-by the squares.  Enumeration exploits this and then verifies the
-defining constraints on the result.  A 2-nerve simplex's functor on a
-position set J is its sub-simplex's on all positions, relabelled, so
-each simplex's functor is built once.
+by the squares.  Enumeration lists the free data alone: that every
+family it lists satisfies the definition (faces, path independence,
+squares) is a claim, checked by the nerve-definition suite through
+Rel2Backend.simplex_valid.  A 2-nerve simplex's functor on a position
+set J is its sub-simplex's on all positions, relabelled, so each
+simplex's functor is built once.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .bits import (bit_list, bits, mask_of, max_bit, min_bit, subsets_of,
-                   subsets_with_min_max)
-from .category import CatFunctor, FiniteCategory, extend_covers, poset_functors
+from .bits import bit_list, bits, mask_of, max_bit, min_bit, subsets_with_min_max
+from .category import CatFunctor, FiniteCategory, extend_covers
 from .funcspec import FunctorSpec, one_cells, pair_mask
 from .groth import grothendieck_classical
 from .oriental import build_d, comparable_pairs
@@ -108,12 +109,13 @@ class Rel2Backend:
 
     A simplex is (sigma, x, f) with one object per vertex and one
     morphism per vertex pair; pairs beyond the consecutive ones are the
-    forced composites.  Candidates are kept when every subset functor
-    is path independent and every transport square holds.  The base
-    backend supplies the cells of base simplices, and path_cell keeps
-    each composite cell once.  The subset functor theta on a position
-    set J is that of the sub-simplex on J, relabelled: it is kept per
-    simplex once a larger simplex or a lifting problem reads it.
+    forced composites.  simplex_valid(z) is the definition: every subset
+    functor is path independent and every transport square holds; fill
+    does not read it.  The base backend supplies the cells of base
+    simplices, and path_cell keeps each composite cell once.  The subset
+    functor theta on a position set J is that of the sub-simplex on J,
+    relabelled: it is kept per simplex once a larger simplex or a lifting
+    problem reads it.
     """
 
     def __init__(self, spec: FunctorSpec):
@@ -152,17 +154,7 @@ class Rel2Backend:
         return out
 
     def fill(self, s, k: int) -> list:
-        """All simplices over one base simplex.
-
-        Category bases need no filtering: triviality of the two-cells
-        makes every candidate satisfy the squares.
-        """
-        if self.spec.oriental_base:
-            return [z for z in self.candidates(s, k) if self.simplex_valid(z)]
-        return self.candidates(s, k)
-
-    def candidates(self, s, k: int) -> list:
-        """Every family the free data derive over one base simplex, unfiltered."""
+        """Every family the free data derive over one base simplex."""
         spec = self.spec
         vals = [self.value_at(s, j) for j in range(k + 1)]
         step = [spec.functor(self.base.cell(s, j, j + 1)) for j in range(k)]
@@ -353,40 +345,6 @@ def relative_nerve_2(spec: FunctorSpec, dim: int) -> SimplexTable:
     return SimplexTable(Rel2Backend(spec), dim)
 
 
-def relative2_simplices_literal(spec: FunctorSpec, s, k: int) -> list:
-    """Definition-shaped enumeration over one base simplex.
-
-    Assigns a functor D^I -> value for every subset independently and
-    keeps the families passing every transport square at every pair.
-    Exponentially slower than fill(); used to certify it.
-    """
-    back = Rel2Backend(spec)
-    imasks = sorted(range(1, 1 << (k + 1)), key=lambda m: (m.bit_count(), m))
-    per_i = {imask: poset_functors(back.dpos(imask), back.value_at(s, min_bit(imask)))
-             for imask in imasks}
-    out = []
-
-    def place(t: int, chosen: dict) -> None:
-        if t == len(imasks):
-            x = tuple(chosen[1 << j][0][1 << j] for j in range(k + 1))
-            f = tuple(chosen[pair_mask(a, b)][1]
-                      [(1 << a, pair_mask(a, b))] for a, b in pair_order(k))
-            out.append((s, x, f))
-            return
-        imask = imasks[t]
-        for cand in per_i[imask]:
-            ok = all(square_holds(back, s, imask, jmask, cand, chosen[jmask])
-                     for jmask in subsets_of(imask)
-                     if jmask not in (0, imask))
-            if ok:
-                chosen[imask] = cand
-                place(t + 1, chosen)
-                del chosen[imask]
-
-    place(0, {})
-    return sorted(out, key=lambda z: (repr(z[1]), repr(z[2])))
-
-
 class Rel1Backend:
     """Simplices carry one value simplex per nonempty vertex subset."""
 
@@ -467,31 +425,6 @@ def _restriction_plan(alpha) -> tuple:
 def relative_nerve_1(spec: FunctorSpec, dim: int) -> SimplexTable:
     # kept as a name of its own because perfbench/spans.py traces it
     return SimplexTable(Rel1Backend(spec), dim)
-
-
-def transport_chain(func: CatFunctor, chain):
-    objs, mors = chain
-    return (tuple(func.obj[y] for y in objs), tuple(func.on_mor(m) for m in mors))
-
-
-def chi_squares_hold(spec: FunctorSpec, z) -> bool:
-    """Literal restriction squares for a simplex-family nerve simplex."""
-    s, thetas = z
-    k = len(s[0]) - 1
-    base = CategoryNerveBackend(spec.base)
-    for imask in range(1, 1 << (k + 1)):
-        ps = bit_list(imask)
-        nb = spec.values[s[0][ps[0]]]
-        for jmask in subsets_of(imask):
-            if jmask == 0:
-                continue
-            qs = bit_list(jmask)
-            beta = tuple(ps.index(q) for q in qs)
-            sub = CategoryNerveBackend(nb).alpha_star(thetas[imask - 1], beta)
-            trans = spec.functor(base.cell(s, ps[0], qs[0]))
-            if sub != transport_chain(trans, thetas[jmask - 1]):
-                return False
-    return True
 
 
 def pi_star_map(z):

@@ -18,8 +18,9 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable
 
-from .battery import (DEFAULT_SEED, functor_battery, lifting_battery,
-                      seeded_diagrams, seeded_pairs, seeded_subcomplexes)
+from .battery import (DEFAULT_SEED, chain3_spec, functor_battery, lifting_battery,
+                      oriental_two_spec, seeded_diagrams, seeded_pairs,
+                      seeded_subcomplexes)
 from .bits import bits, digits, interval_mask, max_bit
 from .category import CatFunctor, FiniteCategory, chain_category
 from .groth import grothendieck_poset
@@ -28,8 +29,8 @@ from .horn import (a_elements, admissible_and_superior, is_admissible,
                    l_complex, phi_on_objects)
 from .lifting import reduced_lifting_check
 from .mapping import flag_model, necklace_oracle, square_chain_poset
-from .nerves import (base_change_check, chi_groth_comparison, pi_star_check,
-                     relative_nerve_1, relative_nerve_2)
+from .nerves import (Rel2Backend, base_change_check, chi_groth_comparison,
+                     pi_star_check, relative_nerve_1, relative_nerve_2)
 from .oriental import DPoset, build_d, comparable_pairs, standard_interval
 from .poset import ChainSubcomplex, Poset, nerve_chains, strict_interval
 from .report import FAIL, INCONCLUSIVE, PASS, CheckResult, Report
@@ -448,6 +449,33 @@ def _horn_fill_check(sp, tables):
                                  "unfilled": rep["unfilled_examples"]}
         ok = ok and rep["all_filled"]
     return (PASS if ok else FAIL), cert
+
+
+CLAIM_DEFINITION = ("every free-data family through dim 3 satisfies the "
+                    "definition (faces, theta, squares)")
+
+
+@_suite("nerve-definition")
+def _nerve_definition(params: dict) -> list[Check]:
+    specs = [*functor_battery(), ("oriental-two", oriental_two_spec()),
+             ("three-chain", chain3_spec())]
+    return [Check(name, CLAIM_DEFINITION, _definition_check, (sp, 3))
+            for name, sp in specs]
+
+
+def _definition_check(sp, dim):
+    """Per dimension, the families fill lists and how many of them
+    simplex_valid accepts; the first it refuses is named."""
+    back = Rel2Backend(sp)
+    cert = {"candidates": [], "valid": []}
+    for k in range(dim + 1):
+        listed = [z for s in back.base.simplices(k) for z in back.fill(s, k)]
+        bad = [z for z in listed if not back.simplex_valid(z)]
+        cert["candidates"].append(len(listed))
+        cert["valid"].append(len(listed) - len(bad))
+        if bad and "invalid" not in cert:
+            cert["invalid"] = repr(bad[0])
+    return (FAIL if "invalid" in cert else PASS), cert
 
 
 CLAIM_SQUARE = "chain-square map is monotone with the expected image"

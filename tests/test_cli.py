@@ -442,6 +442,30 @@ def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma-close", "--json", "{dir}"],
+    ["verify", "lemma-close", "--json", "{dir}/missing/r.json"],
+    ["nerve2", "--spec", "{spec}", "--dim", "2", "--out", "{dir}"],
+    ["nerve2", "--spec", "{spec}", "--dim", "2", "--out", "{spec}/T.json"],
+    ["dn", "--n", "2", "--json", "{dir}/d.json", "--dot", "{dir}"],
+], ids=["verify-json-dir", "verify-json-missing-parent", "nerve2-out-dir",
+        "nerve2-out-under-file", "dn-dot-dir-json-fine"])
+def test_unwritable_output_is_refused_before_the_run(argv, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before its output path was checked")
+
+    for name in ("run_suite", "relative_nerve_2", "build_d"):
+        monkeypatch.setattr(cli, name, refuse)
+    spec = _spec_file(tmp_path, "two-chain-mixed")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.format(dir=tmp_path, spec=spec) for a in argv]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "cannot write" in err
+    assert sorted(tmp_path.rglob("*")) == before  # no file left behind
+
+
 OUT_OF_RANGE = "--n out of range (0..7)"
 FULL_NERVE_N7 = "--n out of range without --i (0..6): the full nerve of D^7 is too large"
 NECKLACE_N5 = "D^5 has 32 vertices, the necklace oracle takes at most 16"

@@ -26,6 +26,8 @@ DIGESTS = {
         "a72c9b81615e2b67e117368f3eb0ccc41fc00ca1e9e1a3a31c576de4ccb45930",
     "nerve-comparison":
         "11e49595de81cb4788d25ab90a29e4f4212f0ec07c4afde1038120bdf26eb0ca",
+    "nerve-definition":
+        "43121258a58b68033c7c115bc36794dc2972c9220ea3edfe31f108bbf9b90661",
     "oracle-flag-necklace":
         "7df0214494c7f3054d5f4cf61151bc58ab8c0d618ff04b725cdc6a9a9022f5af",
     "reduced-lifting":

@@ -1172,7 +1172,7 @@ def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monk
         rep = run_suite(name)
         assert {c.verdict for c in rep.checks} == {"PASS"}, name
         assert walks == [], name
-    assert len(suites.SUITES) == 11
+    assert len(suites.SUITES) == 12
     assert calls == []
     assert listers and set(listers) == {"_oracle"}  # no order complex lists a chain
     make_inputs = _homology_inputs().make_inputs

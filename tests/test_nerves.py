@@ -23,17 +23,15 @@ from nervecheck.nerves import (
     Rel2Backend,
     base_change_check,
     chi_groth_comparison,
-    chi_squares_hold,
     pair_order,
     pi_star_check,
     pull_spec,
-    relative2_simplices_literal,
     relative_nerve_1,
     relative_nerve_2,
     rho_plan,
 )
 from nervecheck.oriental import d_leq, rho_image
-from nervecheck.report import FAIL
+from nervecheck.report import FAIL, PASS
 from nervecheck.simplicial import (
     CategoryNerveBackend,
     SimplexTable,
@@ -42,6 +40,7 @@ from nervecheck.simplicial import (
     horn_fill_check,
     sphere_maps,
 )
+from oracles import chi_squares_hold, relative2_simplices_literal
 from test_lifting import elementwise_boundary_functor
 
 
@@ -215,7 +214,7 @@ def test_theta_equals_the_unmemoised_theta_on_every_candidate():
     b = Rel2Backend(oriental2_spec())
     for k in range(4):
         for s in b.base.simplices(k):
-            for z in b.candidates(s, k):
+            for z in b.fill(s, k):
                 assert _thetas_agree(b, z), z
 
 
@@ -249,7 +248,7 @@ def test_validation_from_faces_agrees_with_the_definition():
     b = Rel2Backend(oriental2_spec())
     for k in range(4):
         for s in b.base.simplices(k):
-            for z in b.candidates(s, k):
+            for z in b.fill(s, k):
                 assert b.simplex_valid(z) == _valid_by_definition(b, z)
 
 
@@ -308,7 +307,7 @@ def test_each_candidate_is_validated_once_per_backend(monkeypatch):
     x = relative_nerve_2(oriental2_spec(), 3)
     for k in range(4):
         for s in x.backend.base.simplices(k):
-            for z in x.backend.candidates(s, k):
+            for z in x.backend.fill(s, k):
                 assert x.backend.simplex_valid(z)
     assert set(runs) >= {z for sims in x.simplices for z in sims}
     assert max(runs.values()) == 1
@@ -327,10 +326,13 @@ def _count_theta_builds(monkeypatch) -> Counter:
 
 
 def test_each_theta_is_built_at_most_twice_per_backend(monkeypatch):
-    # once unkept to validate a candidate, once kept when a larger simplex
-    # or a lifting problem reads it
+    # a table build validates nothing, so it builds no theta; the definition
+    # check builds each once unkept to validate a family, and once more, kept,
+    # when a larger simplex or a lifting problem reads it
     builds = _count_theta_builds(monkeypatch)
     relative_nerve_2(oriental2_spec(), 3)
+    assert not builds
+    assert suites._definition_check(oriental2_spec(), 3)[0] == PASS
     assert max(builds.values()) == 2
     builds.clear()
     assert suites.run_suite("reduced-lifting").counts()["PASS"] == 5
@@ -342,7 +344,10 @@ def _check_oriental_two_nerve(monkeypatch, counts, sha):
     x = relative_nerve_2(oriental_two_spec(), len(counts) - 1)
     assert [len(sims) for sims in x.simplices] == counts
     assert hashlib.sha256(repr(x.simplices).encode()).hexdigest() == sha
-    # each simplex's theta once as a candidate, and below the top once more
+    assert not builds  # a table build validates nothing
+    verdict, cert = suites._definition_check(oriental_two_spec(), len(counts) - 1)
+    assert (verdict, cert["candidates"], cert["valid"]) == (PASS, counts, counts)
+    # each simplex's theta once to validate it, and below the top once more
     assert sum(builds.values()) == sum(counts) + sum(counts[:-1])
 
 
@@ -385,6 +390,33 @@ def test_squares_reject_a_theta_the_boundary_does_not_force(monkeypatch):
                     swaps += 1
                     rejected += not forced
     assert (swaps, rejected) == (504, 374)
+
+
+def _derive_without_tau(self, s, k, x, fc):
+    """Rel2Backend._derive with each longer morphism composed along the path
+    alone: the two-cell tau it should be composed with is dropped."""
+    f = {(j, j + 1): fc[j] for j in range(k)}
+    for span in range(2, k + 1):
+        for a in range(k + 1 - span):
+            b, c = a + 1, a + span
+            moved = self.spec.functor(self.base.cell(s, a, b)).on_mor(f[(b, c)])
+            f[(a, c)] = self.value_at(s, a).then(f[(a, b)], moved)
+    return tuple(f[p] for p in pair_order(k))
+
+
+def test_nerve_definition_fails_when_derive_drops_tau(monkeypatch):
+    monkeypatch.setattr(Rel2Backend, "_derive", _derive_without_tau)
+    verdict, cert = suites._definition_check(oriental_two_spec(), 3)
+    assert verdict == FAIL
+    assert cert["candidates"] == [6, 19, 49, 116]
+    assert cert["valid"] == [6, 19, 44, 87]
+    b = Rel2Backend(oriental_two_spec())
+    named = [z for s in b.base.simplices(2) for z in b.fill(s, 2)
+             if repr(z) == cert["invalid"]]
+    assert len(named) == 1 and not b.simplex_valid(named[0])
+    # over category bases every tau is an identity, so only oriental-two fails
+    rep = suites.run_suite("nerve-definition")
+    assert [c.id for c in rep.checks if c.verdict == FAIL] == ["oriental-two"]
 
 
 def test_validator_rejects_corrupted_family():

@@ -56,8 +56,6 @@ def test_no_unused_imports_in_package():
 # independent oracle or fixture that a test compares against.
 TEST_ONLY = {
     "collapse": "greedy collapse, the oracle of strong_collapse",
-    "relative2_simplices_literal": "literal enumeration that certifies Rel2Backend",
-    "chi_squares_hold": "literal restriction squares of the relative 1-nerve",
     "d_via_under_category": "under-category oracle of build_d",
     "rho_fully_faithful": "order embedding of the pullback pairing",
     "superior_closed_form": "closed form of the superior faces",

@@ -1,12 +1,15 @@
 import os
 import pickle
+import re
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nervecheck.battery import functor_battery
 from nervecheck.bits import bits, from_digits
 from nervecheck.homotopy import (Complex, _clique_graph, contractibility_verdict,
                                  strong_collapse)
@@ -22,9 +25,30 @@ def test_registry_names():
     assert set(SUITES) == {
         "theorem-contractible", "lemma-distant", "lemma-close",
         "lemma-admissible", "lemma-colimit", "adjoint-lambda",
-        "oracle-flag-necklace", "nerve-comparison",
+        "oracle-flag-necklace", "nerve-comparison", "nerve-definition",
         "straightening-fragment", "reduced-lifting", "base-change",
     }
+
+
+def test_readme_suite_table_names_every_suite():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| suite | claim checked |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.match(r"\| `([a-z-]+)` \|", line) for line in table.splitlines()]
+    assert None not in rows
+    assert sorted(m[1] for m in rows) == sorted(SUITES)
+
+
+def test_nerve_definition_holds_on_every_shipped_spec():
+    rep = run_suite("nerve-definition")
+    names = [name for name, _ in functor_battery()]
+    assert [c.id for c in rep.checks] == [*names, "oriental-two", "three-chain"]
+    assert {c.verdict for c in rep.checks} == {PASS}
+    for c in rep.checks:
+        cert = c.certificate
+        assert len(cert["candidates"]) == 4 and cert["valid"] == cert["candidates"]
+        assert "invalid" not in cert
+    assert rep.checks[-2].certificate["candidates"] == [6, 19, 49, 116]
+    assert sum(sum(c.certificate["candidates"]) for c in rep.checks) == 1253
 
 
 def test_unknown_suite_rejected():
