@@ -446,11 +446,14 @@ def _clique_graph(strata: dict, index: dict[int, int]) -> list[int] | None:
 
 
 def _closed(up: list[int]) -> list[int]:
-    """up, upward neighbour masks, made closed neighbourhoods in place."""
+    """up, upward neighbour masks, made closed neighbourhoods in place; set
+    bits are walked inline, as in drop: a generator resumed per edge costs more."""
     for i in reversed(range(len(up))):  # up[i] gains bits below i only
-        for j in bits(up[i]):
-            up[j] |= 1 << i
-        up[i] |= 1 << i
+        m = up[i]
+        up[i] |= (bit := 1 << i)
+        while m:
+            up[(low := m & -m).bit_length() - 1] |= bit
+            m ^= low
     return up
 
 
@@ -466,7 +469,10 @@ def _on_graph(nbr: list[int]):
 
     def drop(v: int) -> list[int] | None:
         bit, common, near = 1 << v, nbr[v], []
-        for u in bits(common ^ bit):
+        m = common ^ bit
+        while m:
+            u = (low := m & -m).bit_length() - 1
+            m ^= low
             if (common := common & nbr[u]) == bit:
                 stop[v] = u
                 return None

@@ -6,8 +6,8 @@ M0 c M1 c ... c Mk of chains from S to T such that for each pair of
 consecutive elements a < b of M0 the segment of Mk between a and b
 (endpoints included) is a chain of K.  Faces drop flag levels, so the
 family is an abstract simplicial complex on the set of such chains.
-flag_model builds its 1-skeleton and counts it in closed form
-(flag_counts); its flags are listed only when something reads them.
+flag_model builds its 1-skeleton one segment of M0 at a time and counts
+it in closed form (flag_counts); its flags are listed only when read.
 
 The necklace oracle recomputes the same simplices along a different
 route: sequences of beads (K-chains with matching endpoints) glued end
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import count, product
 from math import comb
-from operator import and_, or_
-from typing import Iterator
+from operator import and_
 
 from .bits import bit_list, bits, max_bit, min_bit, subsets_of
 from .homotopy import Complex
@@ -66,62 +65,58 @@ class FlagModel:
                    sorted(other.simplices.get(k, [])) for k in keys)
 
 
-def _edge_paths(k: ChainSubcomplex, s_idx: int, t_idx: int) -> list[int]:
-    """Chains from S to T all of whose consecutive pairs are edges of K."""
-    p = k.ambient
-    if s_idx == t_idx:
-        return [1 << s_idx] if (1 << s_idx) in k.chains else []
-    interval = p.between(s_idx, t_idx)
-    found: list[int] = []
-
-    def walk(mask: int, last: int) -> None:
-        if last == t_idx:
-            found.append(mask)
-            return
-        for nxt in bits(p.up_masks[last] & interval & ~(1 << last)):
-            if ((1 << last) | (1 << nxt)) in k.chains:
-                walk(mask | (1 << nxt), nxt)
-
-    walk(1 << s_idx, s_idx)
-    return sorted(found)
-
-
-def _bottoms(k: ChainSubcomplex, s: int, t: int) -> Iterator[tuple[int, list[int]]]:
-    """Each vertex M0 of the model between S and T, with the sorted chains
-    M that may top a flag over it (the unions of one K-chain per segment)."""
+def _edge_paths(k: ChainSubcomplex, s: int, t: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Chains from S to T all of whose consecutive pairs are edges of K,
+    ascending, each with its indices from S up to T."""
     p = k.ambient
     s_idx, t_idx = p.index[s], p.index[t]
     if not p.up_masks[s_idx] >> t_idx & 1:
         raise ValueError("source must be below target")
-    for bottom in _edge_paths(k, s_idx, t_idx):
-        tup = p.chain_tuple(bottom)
-        per_segment = [k.segments[a, b] for a, b in zip(tup, tup[1:])]
-        yield bottom, sorted({reduce(or_, c, bottom) for c in product(*per_segment)})
+    if s_idx == t_idx:
+        return [(1 << s_idx, (s_idx,))] if (1 << s_idx) in k.chains else []
+    interval = p.between(s_idx, t_idx)
+    found: list[tuple[int, tuple[int, ...]]] = []
+
+    def walk(mask: int, path: tuple[int, ...], last: int) -> None:
+        if last == t_idx:
+            found.append((mask, path))
+            return
+        for nxt in bits(p.up_masks[last] & interval & ~(1 << last)):
+            if ((1 << last) | (1 << nxt)) in k.chains:
+                walk(mask | (1 << nxt), path + (nxt,), nxt)
+
+    walk(1 << s_idx, (s_idx,), s_idx)
+    return sorted(found)
 
 
 def flag_model(k: ChainSubcomplex, s: int, t: int,
                max_dim: int | None = None) -> FlagModel:
     """Mapping-space model between comparable vertices S and T of K.
 
-    Its vertices are the bottoms b in ascending order, and up[b] masks
-    the vertices of A(b) other than b: the 1-skeleton.  A flag from b
-    is a strict chain in A(b), so the model is the clique complex of its
+    Its vertices are the bottoms b, the edge paths of K from S to T, in
+    ascending order.  A(b) holds the unions of one K-chain per segment of
+    b, built a segment at a time; each is an edge path, so a bottom, and
+    up[b] masks those other than b: the 1-skeleton.  A flag from b is a
+    strict chain in A(b), so the model is the clique complex of its
     1-skeleton exactly when, for each edge b -> x, every vertex of A(b)
     strictly above x lies in A(x).  That is checked here (_check_cliques)
     and a failure raises ValueError; given it, the vertices of A(b)
     strictly above x are up[b] & up[x], so up is a flag graph and
-    clique_strata lists the flags.  An untruncated model is handed to
-    its Complex as labels, graph and flag_counts, and no flag is listed
-    here; a model cut at max_dim lists its flags through that dimension
-    and carries no graph.
+    clique_strata lists the flags.  An untruncated model is handed to its
+    Complex as labels, graph and flag_counts, and no flag is listed here;
+    a model cut at max_dim lists its flags through that dimension and
+    carries no graph.
     """
-    found = list(_bottoms(k, s, t))
-    masks = [b for b, _ in found]
-    index = {b: i for i, b in enumerate(masks)}
-    # each chain of A(b) is an edge path of K, so itself a bottom
-    up = [sum(map((1).__lshift__, map(index.__getitem__, admissible))) & ~(1 << i)
-          for i, (_, admissible) in enumerate(found)]
-    del found
+    paths = _edge_paths(k, s, t)
+    masks = [b for b, _ in paths]
+    bit = {b: 1 << i for i, b in enumerate(masks)}
+    up = []
+    for b, path in paths:
+        acc = [b]  # segments' interiors are disjoint, so no union repeats
+        for seg in map(k.segments.__getitem__, zip(path, path[1:])):
+            if len(seg) > 1:  # else it is the edge, already in b
+                acc = [x | c for x in acc for c in seg]
+        up.append(sum(map(bit.__getitem__, acc)) ^ bit[b])
     _check_cliques(masks, up)
     if max_dim is None:
         cx = Complex(labels=masks, graph=up, counts=flag_counts(k, s, t))
@@ -135,13 +130,14 @@ def _check_cliques(masks: list[int], up: list[int]) -> None:
     strictly above x lie in A(x).  The vertices strictly above x are the
     AND, over x's elements, of the vertices holding each element."""
     holding: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        for e in bits(m):
+    elements = list(map(bit_list, masks))  # each mask's bits, walked once
+    for i, es in enumerate(elements):
+        for e in es:
             holding[e] = holding.get(e, 0) | 1 << i
     # the vertices strictly above x outside A(x): an edge into x can fail
     # only where this is nonempty
-    outside = [(reduce(and_, map(holding.__getitem__, bits(m))) ^ 1 << i) & ~up[i]
-               for i, m in enumerate(masks)]
+    outside = [(reduce(and_, map(holding.__getitem__, es)) ^ 1 << i) & ~up[i]
+               for i, es in enumerate(elements)]
     some = sum(1 << j for j, o in enumerate(outside) if o)
     for i, b in enumerate(masks):
         for j in bits(up[i] & some):

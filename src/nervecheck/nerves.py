@@ -37,6 +37,17 @@ def pair_order(k: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(k + 1) for b in range(a + 1, k + 1)]
 
 
+def _free_data(vals: list[FiniteCategory], step: list[CatFunctor]) -> list:
+    """Each object tuple x of the values, in product order, with each choice
+    fc of a morphism x[j] -> step[j](x[j + 1]) per consecutive pair; x grows
+    left to right only where that hom is nonempty."""
+    level = [((y,), ()) for y in vals[0].objects]
+    for j, f in enumerate(step):
+        level = [(x + (y,), homs + (h,)) for x, homs in level
+                 for y in vals[j + 1].objects if (h := vals[j].hom(x[j], f.obj[y]))]
+    return [(x, fc) for x, homs in level for fc in product(*homs)]
+
+
 @lru_cache(maxsize=None)
 def _pair_plan(k: int, alpha) -> tuple:
     """Per pair (a, b) of alpha's domain, alpha(a) and the index of the
@@ -155,15 +166,9 @@ class Rel2Backend:
 
     def fill(self, s, k: int) -> list:
         """Every family the free data derive over one base simplex."""
-        spec = self.spec
         vals = [self.value_at(s, j) for j in range(k + 1)]
-        step = [spec.functor(self.base.cell(s, j, j + 1)) for j in range(k)]
-        res = []
-        for x in product(*(e.objects for e in vals)):
-            opts = [vals[j].hom(x[j], step[j].obj[x[j + 1]]) for j in range(k)]
-            for fc in product(*opts):
-                res.append((s, x, self._derive(s, k, x, fc)))
-        return res
+        step = [self.spec.functor(self.base.cell(s, j, j + 1)) for j in range(k)]
+        return [(s, x, self._derive(s, k, x, fc)) for x, fc in _free_data(vals, step)]
 
     def _derive(self, s, k: int, x, fc) -> tuple:
         base, spec = self.base, self.spec
@@ -361,31 +366,24 @@ class Rel1Backend:
         out = []
         for s in self.catnerve.simplices(k):
             vals = [spec.values[c] for c in s[0]]
-            paths = {}
-            for a in range(k + 1):
-                for b in range(a, k + 1):
-                    paths[(a, b)] = spec.functor(self.catnerve.cell(s, a, b))
+            paths = {(a, b): spec.functor(self.catnerve.cell(s, a, b))
+                     for a in range(k + 1) for b in range(a, k + 1)}
             step = [paths[(j, j + 1)] for j in range(k)]
             # per subset, the maps and positions that build its theta
             plans = [([(paths[(ps[0], p)].obj, p) for p in ps],
                       [(paths[(ps[0], a)].mor, (a, b))
                        for a, b in zip(ps, ps[1:])]) for ps in subsets]
-            for x in product(*(e.objects for e in vals)):
-                opts = [vals[j].hom(x[j], step[j].obj[x[j + 1]])
-                        for j in range(k)]
-                for fc in product(*opts):
-                    g = {(j, j + 1): fc[j] for j in range(k)}
-                    for span in range(2, k + 1):
-                        for a in range(k + 1 - span):
-                            c = a + span
-                            g[(a, c)] = vals[a].then(
-                                g[(a, c - 1)],
-                                paths[(a, c - 1)].on_mor(g[(c - 1, c)]))
-                    thetas = tuple(
-                        (tuple([obj[x[p]] for obj, p in objs]),
-                         tuple([mor[g[ab]] for mor, ab in mors]))
-                        for objs, mors in plans)
-                    out.append((s, thetas))
+            for x, fc in _free_data(vals, step):
+                g = {(j, j + 1): fc[j] for j in range(k)}
+                for a, c in pair_order(k):  # (a, c - 1) comes first
+                    if c > a + 1:
+                        g[a, c] = vals[a].then(g[a, c - 1],
+                                               paths[a, c - 1].on_mor(g[c - 1, c]))
+                thetas = tuple(
+                    (tuple([obj[x[p]] for obj, p in objs]),
+                     tuple([mor[g[ab]] for mor, ab in mors]))
+                    for objs, mors in plans)
+                out.append((s, thetas))
         return out
 
     def alpha_star(self, z, alpha):

@@ -25,6 +25,7 @@ from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, comparable_pairs, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 from nervecheck.suites import _dp, _horn, run_suite
+from test_mapping import THEOREM_N5_SEED1
 
 
 def simplex_set(cx):
@@ -464,6 +465,18 @@ def test_strong_collapse_matches_its_oracle_on_the_theorem_grid():
                     fm.to_complex(), Complex(strata=fm.simplices))
                 checked += 1
     assert checked == 394
+
+
+def test_strong_collapse_matches_its_oracle_on_the_wide_masks_of_the_theorem_n5_rows():
+    # 253 to 837 vertices: each neighbourhood mask spans several machine
+    # words, where the n <= 4 grid's fit in one
+    widths = []
+    for i, s, t in THEOREM_N5_SEED1:
+        fm = flag_model(_horn(5, i), from_digits(s), from_digits(t))
+        assert_strong_collapse_matches_its_oracle(
+            fm.to_complex(), Complex(strata=fm.simplices))
+        widths.append(len(fm.vertices()))
+    assert (min(widths), max(widths)) == (253, 837)
 
 
 def test_strong_collapse_matches_its_oracle_on_the_seeded_homology_inputs():

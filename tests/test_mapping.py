@@ -11,11 +11,12 @@ from nervecheck import homotopy, mapping
 from nervecheck.bits import bit_list, bits, from_digits
 from nervecheck.homotopy import Complex, _clique_graph, contractibility_verdict
 from nervecheck.horn import l_complex
-from nervecheck.mapping import (NECKLACE_MAX_VERTICES, _bottoms, flag_counts,
+from nervecheck.mapping import (NECKLACE_MAX_VERTICES, flag_counts,
                                 flag_model, necklace_oracle, square_chain_poset)
 from nervecheck.oriental import build_d, comparable_pairs, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 from nervecheck.suites import _dp, _horn, run_suite
+from oracles import flag_model_oracle
 
 D = from_digits
 
@@ -34,36 +35,6 @@ def tuples_of(model):
     for k, flags in model.simplices.items():
         out[k] = sorted(tuple(p.chain_tuple(m) for m in f) for f in flags)
     return out
-
-
-def _strict_supersets(admissible):
-    """Each mask of the sorted family with its strict supersets there."""
-    # a strict superset is the larger int, so only later masks can be one
-    return {m: [b for b in admissible[i + 1:] if m & ~b == 0]
-            for i, m in enumerate(admissible)}
-
-
-def _flags_above(bottom, admissible, max_dim):
-    """Strict inclusion flags in the sorted admissible family starting at
-    bottom, one level (flag length) at a time."""
-    sups = _strict_supersets(admissible)
-    level = [(bottom,)]
-    while level:
-        yield level
-        if max_dim is not None and len(level[0]) - 1 >= max_dim:
-            break
-        level = [f + (b,) for f in level for b in sups[f[-1]]]
-
-
-def flag_model_oracle(k, s, t, max_dim=None):
-    """flag_model's simplices as they were listed before it built its
-    1-skeleton: each bottom's strict supersets found by scanning its
-    admissible family, with no clique check; kept as its oracle."""
-    simplices = {}
-    for bottom, admissible in _bottoms(k, s, t):
-        for d, level in enumerate(_flags_above(bottom, admissible, max_dim)):
-            simplices.setdefault(d, []).extend(level)
-    return simplices
 
 
 def listed_counts(fm):
@@ -88,14 +59,20 @@ TRUNCATED = [(3, 1, "0", "03"), (4, 1, "0", "04"), (4, 2, "01", "014"),
              (4, 3, "0", "0234")]
 
 
+def assert_model_matches_its_oracle_and_clique_walk(k, s, t):
+    """flag_model(k, s, t) lists its oracle's simplices, and its graph is
+    the one _clique_graph walks from them."""
+    fm = flag_model(k, s, t)
+    assert fm.simplices == flag_model_oracle(k, s, t), (s, t)
+    index = {v: j for j, (v,) in enumerate(fm.simplices[0])}
+    walked = _clique_graph(fm.simplices, index)
+    assert walked is not None and fm.to_complex().graph == walked, (s, t)
+
+
 def test_flag_model_matches_its_oracle_and_clique_walk_on_the_theorem_grid():
     checked = 0
     for k, s, t in theorem_grid():
-        fm = flag_model(k, s, t)
-        assert fm.simplices == flag_model_oracle(k, s, t), (s, t)
-        index = {v: j for j, (v,) in enumerate(fm.simplices[0])}
-        walked = _clique_graph(fm.simplices, index)
-        assert walked is not None and fm.to_complex().graph == walked, (s, t)
+        assert_model_matches_its_oracle_and_clique_walk(k, s, t)
         checked += 1
     assert checked == 394
 
@@ -114,9 +91,9 @@ def test_a_truncated_model_matches_its_oracle_and_carries_no_graph():
 
 
 def test_flag_model_matches_its_oracle_on_the_seeded_theorem_n5_rows():
+    # and its graph, of 253 to 837 vertices, matches the clique walk's
     for i, s, t in THEOREM_N5_SEED1:
-        k = _horn(5, i)
-        assert flag_model(k, D(s), D(t)).simplices == flag_model_oracle(k, D(s), D(t))
+        assert_model_matches_its_oracle_and_clique_walk(_horn(5, i), D(s), D(t))
 
 
 @pytest.mark.slow

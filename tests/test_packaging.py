@@ -70,6 +70,7 @@ UNNAMED_METHODS = {
     "Geometry.distance": "taxicab metric, checked against path length in the Hasse diagram",
     "Geometry.atomic": "unit coordinate steps, checked to be exactly the covers",
     "Parser.error": "argparse calls it on a bad command line",
+    "Poset.chain_tuple": "a chain in poset order, read by tests and the flag-model oracle",
     "Poset.leq": "relation as a matrix, read by tests and perfbench/gen_n5_sizes.py",
 }
 
