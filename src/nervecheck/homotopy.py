@@ -7,8 +7,9 @@ list of the distinct simplices of one dimension.  Flag models and order
 complexes, proved clique complexes, hand in only labels, graph and
 counts, and none of their simplices is listed here.  Other producers
 hand in families closed by construction, grouped and sorted once, and
-generate interns and closes outside input, refusing input that may
-close to more than MAX_INPUT_FACES simplices.  facets walks the strata
+generate interns outside input and closes it one level at a time from
+the top down, refusing input that may close to more than
+MAX_INPUT_FACES simplices.  facets walks the strata
 from the top down and checks closure on the way: each level's set must
 hold every face of the level above, and those faces are discarded from
 it as they are generated, never held.  Strong collapse removes
@@ -19,11 +20,13 @@ wider than a facet holding its largest neighbour, so these masks take at
 most dimension + 1 times the facet path's bits.
 If more than one vertex survives, homology and an edge-path-group search
 run on the strong core.
-Homology works over Python ints, so no overflow exists: unit pivots
-eliminated sparsely, then Smith normal form on the residual row dicts in
+Homology works over Python ints, so no overflow exists.  Degree 1 has
+no matrix: its rank is the edges a union-find joins, V minus the number
+of components.  Higher boundary matrices lose their unit pivots
+sparsely, then Smith normal form runs on the residual row dicts in
 place (least-entry pivots, floor remainders), with torsion as invariant
-factors; indexed Tietze search for the edge-path group.  Each boundary
-matrix is eliminated along its shorter side: by columns when most of its
+factors; indexed Tietze search for the edge-path group.  Each of those
+matrices is eliminated along its shorter side: by columns when most of its
 nonzero columns have at most two entries and most of its rows do not, as
 in the top matrix of a closed surface, where eliminating by rows would
 merge triangles into ever longer polygons.  Strong collapse preserves
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat
 from math import gcd
 from operator import and_
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from .bits import bits
 
@@ -225,43 +228,52 @@ class HomologySummary:
 def homology(cx: Complex) -> HomologySummary:
     """Reduced homology with integer coefficients.
 
-    Each boundary matrix, rows the d-simplices in order, first loses its
-    unit pivots (_eliminate_units); Smith normal form runs on the rows
-    left.  The matrix is transposed first when most of its nonzero columns
-    have at most two entries and most of its rows do not: in a
-    pseudo-manifold's top matrix each codimension-1 face lies on at most
-    two facets, and by columns the elimination has no fill-in.  Torsion is
-    reported as invariant factors.  A missing codimension-1 face raises
-    ValueError naming it.
+    Degree 1 needs no matrix: rank d1 = V - c, the edges a union-find
+    (path halving) joins, and its invariant factors are all 1, since
+    coker d1 = H_0 is free.  Each higher boundary matrix, rows the
+    d-simplices in order (combinations drops the last vertex first, so
+    its q-th face has sign (-1)^(d-q)), first loses its unit pivots
+    (_eliminate_units); Smith normal form runs on the rows left.  The
+    matrix is transposed first when most of its nonzero columns have at
+    most two entries and most of its rows do not: in a pseudo-manifold's
+    top matrix each codimension-1 face lies on at most two facets, and by
+    columns the elimination has no fill-in.  Torsion is reported as
+    invariant factors.  A missing codimension-1 face raises ValueError
+    naming it.
     """
     if cx.is_empty():
         return HomologySummary([], [])
     strata = cx.strata
     top = cx.dimension()
-    index = {d: {s: i for i, s in enumerate(strata.get(d, []))} for d in range(top + 1)}
-
-    def boundary(d: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-        """The boundary map from degree d to degree d-1, by rows (the
-        d-simplices in order) and by columns (the (d-1)-simplices)."""
-        faces = index[d - 1]
+    parent = {v: v for v in cx.labels}
+    joined = 0
+    for e in strata.get(1, []):
+        a, b = e
+        try:
+            while (p := parent[a]) != a:
+                parent[a] = a = parent[p]
+            while (p := parent[b]) != b:
+                parent[b] = b = parent[p]
+        except KeyError:
+            raise _missing_face(e, strata.get(0, [])) from None
+        if a != b:
+            parent[a] = b
+            joined += 1
+    ranks = {1: joined}
+    torsions: dict[int, list[int]] = {}
+    for d in range(2, top + 1):
+        faces = {s: i for i, s in enumerate(strata.get(d - 1, []))}
+        signs = [-1 if (d - q) & 1 else 1 for q in range(d + 1)]
         rows = []
         cols: list[dict[int, int]] = [{} for _ in faces]
         for i, s in enumerate(strata.get(d, [])):
-            row: dict[int, int] = {}
-            for k in range(len(s)):
-                f = s[:k] + s[k + 1:]
-                try:
-                    j = faces[f]
-                except KeyError:
-                    raise ValueError(f"face {f} of {s} is missing") from None
-                row[j] = cols[j][i] = -1 if k & 1 else 1
+            try:
+                row = dict(zip(map(faces.__getitem__, combinations(s, d)), signs))
+            except KeyError:
+                raise _missing_face(s, faces) from None
+            for j, v in row.items():
+                cols[j][i] = v
             rows.append(row)
-        return rows, cols
-
-    ranks: dict[int, int] = {}
-    torsions: dict[int, list[int]] = {}
-    for d in range(1, top + 1):
-        rows, cols = boundary(d)
         if _mostly_short(cols) and not _mostly_short(rows):
             rows, cols = cols, rows
         units, rest = _eliminate_units(rows, cols)
@@ -278,6 +290,13 @@ def homology(cx: Complex) -> HomologySummary:
         betti.append(b)
         torsion.append(torsions.get(d + 1, []))
     return HomologySummary(betti, torsion)
+
+
+def _missing_face(s: tuple[int, ...], present: Iterable[tuple[int, ...]]) -> ValueError:
+    """The error naming the first face of s, dropping vertex 0 first, not in present."""
+    present = set(present)
+    f = next(f for k in range(len(s)) if (f := s[:k] + s[k + 1:]) not in present)
+    return ValueError(f"face {f} of {s} is missing")
 
 
 @dataclass
@@ -694,11 +713,11 @@ def contractibility_verdict(cx: Complex) -> Verdict:
 
 # Largest outside input generate closes, by the sum of 2^|s| - 1 over its
 # distinct simplices: an upper bound on the closed size, known before
-# closing.  At the bound, homology --input takes ~4.7 s and 175 MB peak RSS
-# on the 19-vertex simplex (524,287 faces) and ~4.5 s and 323 MB on a
-# 193 x 193 torus (521,486 by the sum); a 270 x 270 torus, at twice the
-# bound, takes 949 MB, and one 24-vertex simplex (16.7M faces) runs out of
-# memory under a 1.5 GB cap.
+# closing.  At the bound, homology --input takes 1.8-2.0 s and 105 MB peak
+# RSS on the 19-vertex simplex (524,287 faces) and 2.5 s and 210 MB on a
+# 193 x 193 torus (521,486 by the sum), read with RUSAGE_CHILDREN from a
+# wrapper process (2 cores, CPython 3.11); one 24-vertex simplex would
+# close to 16.7M faces, 32 times the bound.
 MAX_INPUT_FACES = 2 ** 19
 
 
@@ -708,14 +727,13 @@ def generate(simplices: Iterable[Sequence[Hashable]]) -> Complex:
     Input that may close to more than MAX_INPUT_FACES simplices raises
     ValueError before anything is closed.
     """
-    labels: dict[Hashable, int] = {}
-    family: set[tuple[int, ...]] = set()
-    for s in simplices:
-        t = tuple(sorted(labels.setdefault(v, len(labels)) for v in s))
-        if len(set(t)) != len(t):
-            raise ValueError("repeated vertex in simplex")
-        if t:
-            family.add(t)
+    simplices = list(simplices)
+    labels = dict.fromkeys(chain.from_iterable(simplices))
+    ids = dict(zip(labels, range(len(labels))))
+    family = {tuple(sorted(map(ids.__getitem__, s))) for s in simplices}
+    if any(len(set(t)) != len(t) for t in family):
+        raise ValueError("repeated vertex in simplex")
+    family.discard(())
     size = sum(2 ** len(t) - 1 for t in family)
     if size > MAX_INPUT_FACES:
         raise ValueError(f"its simplices have up to {size} faces, "
@@ -723,24 +741,26 @@ def generate(simplices: Iterable[Sequence[Hashable]]) -> Complex:
     return _close(family)
 
 
-def _close(family: Iterable[tuple[int, ...]]) -> Complex:
-    """Complex of strictly increasing int tuples and all their nonempty faces."""
-    family = set(family)
-    stack = list(family)
-    while stack:
-        s = stack.pop()
-        if len(s) > 1:
-            for f in combinations(s, len(s) - 1):
-                if f not in family:
-                    family.add(f)
-                    stack.append(f)
-    return Complex(family)
+def _close(family: Collection[tuple[int, ...]]) -> Complex:
+    """Complex of strictly increasing int tuples and all their nonempty
+    faces, closed one level at a time from the top down."""
+    levels: list[set[tuple[int, ...]]] = [set() for _ in range(max(map(len, family), default=0))]
+    for s in family:
+        levels[len(s) - 1].add(s)
+    for d in reversed(range(1, len(levels))):
+        levels[d - 1].update(_faces(levels[d], d - 1))
+    return Complex(strata={d: sorted(level) for d, level in enumerate(levels)})
 
 
 def complex_from_json(data: dict) -> Complex:
+    """generate of data["simplices"], whose vertices are JSON strings and
+    numbers: true and false would be the vertices 1 and 0."""
+    if not isinstance(data, dict) or "simplices" not in data:
+        raise ValueError('expected an object with a "simplices" key')
     sims = data["simplices"]
     if not isinstance(sims, list) or any(
-            not isinstance(s, list) or any(isinstance(v, (list, dict)) for v in s)
+            not isinstance(s, list) or any(
+                isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in s)
             for s in sims):
-        raise ValueError('"simplices" must be an array of arrays of scalars')
+        raise ValueError('"simplices" must be an array of arrays of strings and numbers')
     return generate(sims)

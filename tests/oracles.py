@@ -1,4 +1,5 @@
-"""Independent cross-checks of the nerve enumerations and the flag model.
+"""Independent cross-checks of the nerve enumerations, the flag model and
+the closure of outside input.
 
 Each builds what the package builds another way, straight from the
 definition, so the two can be compared: exponentially slower, and used
@@ -6,12 +7,13 @@ only by the tests.
 """
 
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from operator import or_
 
 from nervecheck.bits import bit_list, min_bit, subsets_of
 from nervecheck.category import CatFunctor, poset_functors
 from nervecheck.funcspec import FunctorSpec, pair_mask
+from nervecheck.homotopy import Complex
 from nervecheck.mapping import _edge_paths
 from nervecheck.nerves import Rel2Backend, pair_order, square_holds
 from nervecheck.simplicial import CategoryNerveBackend
@@ -115,3 +117,34 @@ def flag_model_oracle(k, s, t, max_dim=None):
         for d, level in enumerate(_flags_above(bottom, admissible, max_dim)):
             simplices.setdefault(d, []).extend(level)
     return simplices
+
+
+def generate_oracle(simplices):
+    """homotopy.generate, less its size bound, as it was before it closed
+    its input one level at a time: labels interned one vertex at a time,
+    then close_oracle; kept as its oracle."""
+    labels = {}
+    family = set()
+    for s in simplices:
+        t = tuple(sorted(labels.setdefault(v, len(labels)) for v in s))
+        if len(set(t)) != len(t):
+            raise ValueError("repeated vertex in simplex")
+        if t:
+            family.add(t)
+    return close_oracle(family)
+
+
+def close_oracle(family):
+    """The complex of a family of increasing tuples and all their nonempty
+    faces, closed by a stack: each new face is pushed and its own
+    codimension-1 faces are added in turn."""
+    family = set(family)
+    stack = list(family)
+    while stack:
+        s = stack.pop()
+        if len(s) > 1:
+            for f in combinations(s, len(s) - 1):
+                if f not in family:
+                    family.add(f)
+                    stack.append(f)
+    return Complex(family)

@@ -544,6 +544,36 @@ def test_homology_rejects_malformed_json(tmp_path, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, named", [
+    ({"simplices": [[0, 1], [1, 2], [2, 0], [True, 3], [3, 0]]}, "strings and numbers"),
+    ({"simplices": [[1, True]]}, "strings and numbers"),
+    ({"simplices": [[0, False]]}, "strings and numbers"),
+    ({"simplices": [[None, 1]]}, "strings and numbers"),
+    ({"simplex": [[0, 1]]}, '"simplices" key'),
+    ([[0, 1]], '"simplices" key'),
+], ids=["true-in-a-cycle", "true-beside-1", "false-beside-0", "null", "no-simplices-key",
+        "top-level-list"])
+def test_homology_refuses_vertices_that_are_no_string_or_number(content, named,
+                                                                 tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(content))
+    assert main(["homology", "--input", str(src)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert named in err and "KeyError" not in err
+
+
+def test_homology_takes_string_and_number_vertices(tmp_path, capsys):
+    # with "t" in place of true, 0-1-2 is the one cycle; true would be 1, closing 0-1-3
+    src = tmp_path / "labels.json"
+    src.write_text(json.dumps({"simplices": [[0, 1], [1, 2], [2, 0], ["t", 3], [3, 0],
+                                             [0, 1.5]]}))
+    assert main(["homology", "--input", str(src)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  H~_0: betti 0, torsion []", "  H~_1: betti 1, torsion []",
+        "verdict: NotContractible (homology)"]
+
+
 @pytest.mark.parametrize("argv", [
     ["lift-check", "--n", "2", "--spec", "{bad}"],
     ["nerve2", "--spec", "{bad}", "--dim", "1", "--out", "{out}"],

@@ -25,6 +25,7 @@ from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, comparable_pairs, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 from nervecheck.suites import _dp, _horn, run_suite
+from oracles import close_oracle, generate_oracle
 from test_mapping import THEOREM_N5_SEED1
 
 
@@ -336,6 +337,30 @@ def test_generate_bounds_the_faces_of_distinct_input_simplices(monkeypatch):
     assert len(generate([(0, 1, 2), (2, 1, 0), (2, 3)])) == 9
     with pytest.raises(ValueError, match="up to 13 faces, more than 10"):
         generate([(0, 1, 2), (2, 3), (3, 4)])
+
+
+@st.composite
+def labelled_families(draw):
+    """Up to 8 simplices of dimension at most 4 over ints and strings, with
+    repeated and empty simplices: outside input as generate takes it."""
+    label = st.sampled_from([0, 1, 2, 3, 7, "a", "b", "c"])
+    return draw(st.lists(st.lists(label, max_size=5, unique=True), max_size=8))
+
+
+def same_complex(got, want):
+    return (list(got.strata.items()), got.labels, got.counts) == (
+        list(want.strata.items()), want.labels, want.counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_families())
+@example([["b", 0, 3, 1, 2], [7], [], ["c", "a"], [2, "b"]])
+def test_generate_matches_the_stack_closure(family):
+    cx = generate(family)
+    assert same_complex(cx, generate_oracle(family))
+    # the verdict closes a strong core from its facets, labels kept
+    core = strong_collapse(cx).core
+    assert same_complex(homotopy._close(core), close_oracle(core))
 
 
 def test_collapse_rejects_unclosed_family():
@@ -832,8 +857,8 @@ def test_closed_surface_top_matrix_is_eliminated_by_columns(monkeypatch):
 
     monkeypatch.setattr(homotopy, "_eliminate_units", spy)
     h = homology(cx)
-    # d1 by rows (every edge row has two entries), d2 by its edge columns
-    assert shapes == [(edges, vertices), (edges, triangles)]
+    # d1 has no matrix (its rank is a union-find count), d2 by its edge columns
+    assert shapes == [(edges, triangles)]
     assert (h.betti, h.torsion) == ([0, 0, 0], [[], [2], []])
 
 
@@ -1025,6 +1050,32 @@ def assert_clique_path_matches_the_facet_path(cx):
 @given(random_graphs())
 def test_clique_path_matches_the_oracle_on_random_graphs(graph):
     assert_clique_path_matches_the_facet_path(clique_complex(*graph))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(), st.integers(min_value=0, max_value=3))
+def test_degree_one_homology_meets_its_closed_form(graph, isolated):
+    # reduced betti_0 = c - 1 and betti_1 = E - V + c over c components, no
+    # torsion; vertex v is labelled 2v + 5, and c is counted breadth first
+    n, edges = graph
+    vertices = range(n + isolated)
+    near = {v: [] for v in vertices}
+    for a, b in edges:
+        near[a].append(b)
+        near[b].append(a)
+    seen, components = set(), 0
+    for v in vertices:
+        if v not in seen:
+            components += 1
+            seen.add(v)
+            queue = [v]
+            for u in queue:
+                fresh = [w for w in near[u] if w not in seen]
+                seen.update(fresh)
+                queue += fresh
+    cx = Complex([(2 * v + 5,) for v in vertices] + [(2 * a + 5, 2 * b + 5) for a, b in edges])
+    want = [components - 1, len(edges) - len(vertices) + components][:cx.dimension() + 1]
+    assert homology(cx) == HomologySummary(want, [[] for _ in want])
 
 
 @settings(max_examples=60, deadline=None)
