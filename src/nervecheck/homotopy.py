@@ -11,13 +11,11 @@ generate interns outside input and closes it one level at a time from
 the top down, refusing input that may close to more than
 MAX_INPUT_FACES simplices.  facets walks the strata
 from the top down and checks closure on the way: each level's set must
-hold every face of the level above, and those faces are discarded from
-it as they are generated, never held.  Strong collapse removes
-dominated vertices on neighbourhood bitmasks of that graph, or of the
-1-skeleton when a walk over its cliques meets the strata exactly (which
-proves closure too), else on the facet list.  A vertex's mask is no
-wider than a facet holding its largest neighbour, so these masks take at
-most dimension + 1 times the facet path's bits.
+hold every face of that dimension of the facets found above it, and
+those faces are discarded from it as they are generated, never held.
+Strong collapse removes dominated vertices on neighbourhood bitmasks of
+the graph when a producer handed one in, else on the facets, each held
+as the set of its vertex ids, in memory linear in the input.
 If more than one vertex survives, homology and an edge-path-group search
 run on the strong core.
 Homology works over Python ints, so no overflow exists.  Degree 1 has
@@ -46,9 +44,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
+from itertools import chain, combinations, repeat
 from math import gcd
-from operator import and_
 from typing import Collection, Hashable, Iterable, Sequence
 
 from .bits import bits
@@ -348,31 +345,33 @@ def collapse(cx: Complex) -> CollapseResult:
     return CollapseResult(success, pairs, critical)
 
 
-def _faces(level: list[tuple[int, ...]], d: int) -> Iterable[tuple[int, ...]]:
-    """The d-dimensional faces of the (d+1)-simplices of level, with repeats."""
-    return chain.from_iterable(map(combinations, level, repeat(d + 1)))
+def _faces(simplices: Iterable[tuple[int, ...]], d: int) -> Iterable[tuple[int, ...]]:
+    """The d-dimensional faces of simplices of dimension d + 1 or more, with repeats."""
+    return chain.from_iterable(map(combinations, simplices, repeat(d + 1)))
 
 
 def facets(cx: Complex) -> list[tuple[int, ...]]:
     """Simplices that are no codimension-1 face of another, sorted.
 
     Walks the strata from the top dimension down and checks closure on
-    the way: the set of each level must contain every codimension-1 face
-    of the level above, and those faces are then discarded from it, so
-    what is left are the level's facets.  The faces are generated twice,
-    once for each pass, and never held.  A missing one raises ValueError
-    naming the least missing face and the least simplex containing it.
+    the way: the set of each level must contain every face of that
+    dimension of the facets found above it, and those faces are then
+    discarded from it, so what is left are the level's facets.  Every
+    simplex lies in a facet, so this checks every face of every simplex.
+    The faces are generated twice, once for each pass, and never held.
+    A missing one raises ValueError naming the least missing face and the
+    least simplex of the level above containing it.
     """
     out: list[tuple[int, ...]] = []
     above: list[tuple[int, ...]] = []
     for d in range(cx.dimension(), -1, -1):
         level = cx.strata.get(d, [])
         present = set(level)
-        if not present.issuperset(_faces(above, d)):
-            f = min(set(_faces(above, d)).difference(present))
+        if not present.issuperset(_faces(out, d)):
+            f = min(set(_faces(out, d)).difference(present))
             s = min(s for s in above if set(f) <= set(s))
             raise ValueError(f"face {f} of {s} is missing")
-        present.difference_update(_faces(above, d))
+        present.difference_update(_faces(out, d))
         out += present
         above = level
     out.sort()
@@ -403,14 +402,12 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
     there v is tried again only when a neighbour goes at or below the one
     where its last test stopped.  No other removal can unblock v, so the
     vertices go in the order that retrying every neighbour gives.
-    The upward neighbour masks are cx.graph when its producer handed them
-    in, else _clique_graph's; _closed closes a copy of them, and a complex
-    the walk refuses is collapsed on its facets.
+    The route follows the representation: a complex handed in as a graph
+    collapses on a closed copy of its upward neighbour masks, any other on
+    its facets.
     """
     labels = cx.labels
-    index = {v: i for i, v in enumerate(labels)}
-    up = _clique_graph(cx.strata, index) if cx.graph is None else list(cx.graph)
-    drop, core = _on_facets(cx, index) if up is None else _on_graph(_closed(up))
+    drop, core = _on_facets(cx) if cx.graph is None else _on_graph(_closed(list(cx.graph)))
     heap = list(range(len(labels)))
     queued = [True] * len(labels)
     removed = 0
@@ -426,42 +423,6 @@ def strong_collapse(cx: Complex) -> StrongCollapseResult:
                 heapq.heappush(heap, u)
     core = sorted(tuple(labels[i] for i in ids) for ids in core())
     return StrongCollapseResult(removed, core, cx.dimension())
-
-
-def _clique_graph(strata: dict, index: dict[int, int]) -> list[int] | None:
-    """Upward neighbour masks by vertex id, as Complex.graph holds them, if
-    the strata are exactly the clique complex of their 1-skeleton, else
-    None.  A depth-first walk over those masks lists the cliques by
-    increasing ids, each dimension in lexicographic order, and stops at
-    the first that is not the next simplex of its stratum.  Faces of
-    cliques are cliques, so meeting every stratum to its end proves closure.
-    """
-    n = len(index)
-    up = [0] * n
-    levels = [strata.get(d, []) for d in range(max(strata, default=-1) + 2)]
-    ends = [0] * len(levels)  # the next simplex to meet in each stratum
-
-    def walk(prefix: tuple[int, ...], cand: int, d: int) -> bool:
-        level, k = levels[d], ends[d]
-        while cand:
-            j = (low := cand & -cand).bit_length() - 1
-            cand ^= low
-            if level[k] != (s := prefix + levels[0][j]):  # IndexError past the end
-                return False
-            k += 1
-            if (c := cand & up[j]) and not walk(s, c, d + 1):
-                return False
-        ends[d] = k
-        return True
-
-    try:  # KeyError: an edge on no vertex; IndexError: no strata at all
-        for a, b in levels[1]:
-            up[index[a]] |= 1 << index[b]
-        if not walk((), (1 << n) - 1, 0) or ends != list(map(len, levels)):
-            return None
-    except (KeyError, IndexError):
-        return None
-    return up
 
 
 def _closed(up: list[int]) -> list[int]:
@@ -516,42 +477,38 @@ def _on_graph(nbr: list[int]):
         cliques((v,), m) for v, m in enumerate(nbr) if m)
 
 
-def _on_facets(cx: Complex, index: dict[int, int]):
-    """strong_collapse's drop and core on facet bitmasks."""
-    tops = facets(cx)  # checks closure, so index names every vertex
-    star: list[set[int]] = [set() for _ in index]  # facet masks per vertex
-    members: dict[int, tuple[int, ...]] = {}  # live facet mask -> vertex ids
-    for f in tops:
-        ids = tuple(map(index.__getitem__, f))
-        m = sum(map((1).__lshift__, ids))
-        members[m] = ids
-        for i in ids:
-            star[i].add(m)
+def _on_facets(cx: Complex):
+    """strong_collapse's drop and core on the facets, each held as the
+    frozenset of its vertex ids, with star[v] the live facets on v."""
+    index = {v: i for i, v in enumerate(cx.labels)}
+    star: list[set[frozenset[int]]] = [set() for _ in index]
+    for f in facets(cx):  # checks closure, so index names every vertex
+        f = frozenset(map(index.__getitem__, f))
+        for i in f:
+            star[i].add(f)
 
     def drop(v: int) -> list[int] | None:
-        mine, bit = star[v], 1 << v
-        # the running AND of v's facets only shrinks; stop once it is v alone
-        if bit in accumulate(mine, and_):
-            return None
+        mine = star[v]
+        common = set(next(iter(mine)))
+        for f in mine:  # the running intersection only shrinks: stop at {v}
+            common &= f
+            if len(common) == 1:
+                return None
         star[v] = set()
         shrunk = []
-        for m in mine:
-            ids = members.pop(m)
-            for u in ids:
-                if u != v:
-                    star[u].discard(m)
-            shrunk.append((m ^ bit, tuple(u for u in ids if u != v)))
+        for f in mine:
+            for u in (g := f - {v}):
+                star[u].discard(f)
+            shrunk.append(g)
         # F - v is kept unless a facet without v contains it; two shrunk
         # facets never contain one another, since their originals did not
-        for g, ids in shrunk:
-            smallest_star = min(map(star.__getitem__, ids), key=len)
-            if g not in map(g.__and__, smallest_star):
-                members[g] = ids
-                for u in ids:
+        for g in shrunk:
+            if not any(g <= f for f in min(map(star.__getitem__, g), key=len)):
+                for u in g:
                     star[u].add(g)
-        return [u for _, ids in shrunk for u in ids]
+        return [u for g in shrunk for u in g]
 
-    return drop, members.values
+    return drop, lambda: map(sorted, set().union(*star))
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -713,9 +670,9 @@ def contractibility_verdict(cx: Complex) -> Verdict:
 
 # Largest outside input generate closes, by the sum of 2^|s| - 1 over its
 # distinct simplices: an upper bound on the closed size, known before
-# closing.  At the bound, homology --input takes 1.8-2.0 s and 105 MB peak
-# RSS on the 19-vertex simplex (524,287 faces) and 2.5 s and 210 MB on a
-# 193 x 193 torus (521,486 by the sum), read with RUSAGE_CHILDREN from a
+# closing.  At the bound, homology --input takes 2.0-2.9 s and 105 MB peak
+# RSS on the 19-vertex simplex (524,287 faces) and 1.4-1.7 s and 122 MB on
+# a 193 x 193 torus (521,486 by the sum), read with RUSAGE_CHILDREN from a
 # wrapper process (2 cores, CPython 3.11); one 24-vertex simplex would
 # close to 16.7M faces, 32 times the bound.
 MAX_INPUT_FACES = 2 ** 19

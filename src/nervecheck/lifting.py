@@ -33,13 +33,11 @@ class NatTrans:
     family nerves well defined on derived pair data.
     """
 
-    def __init__(self, source: FunctorSpec, target: FunctorSpec,
-                 components: Mapping, validate: bool = True):
+    def __init__(self, source: FunctorSpec, target: FunctorSpec, components: Mapping):
         self.source = source
         self.target = target
         self.components = dict(components)
-        if validate:
-            self._validate()
+        self._validate()
 
     def component(self, c) -> CatFunctor:
         return self.components[c]

@@ -1,5 +1,5 @@
-"""Independent cross-checks of the nerve enumerations, the flag model and
-the closure of outside input.
+"""Independent cross-checks of the nerve enumerations, the flag model, the
+closure of outside input and the graph of a clique complex.
 
 Each builds what the package builds another way, straight from the
 definition, so the two can be compared: exponentially slower, and used
@@ -148,3 +148,41 @@ def close_oracle(family):
                     family.add(f)
                     stack.append(f)
     return Complex(family)
+
+
+def clique_graph_oracle(strata):
+    """Upward neighbour masks over the positions of strata[0], as
+    Complex.graph holds them, if the strata are exactly the clique complex
+    of their 1-skeleton, else None.  A depth-first walk over those masks
+    lists the cliques by increasing ids, each dimension in lexicographic
+    order, and stops at the first that is not the next simplex of its
+    stratum.  Faces of cliques are cliques, so meeting every stratum to its
+    end proves closure.  strong_collapse took this walk on every complex
+    held as strata before it chose its route by representation alone."""
+    index = {v: i for i, (v,) in enumerate(strata.get(0, []))}
+    n = len(index)
+    up = [0] * n
+    levels = [strata.get(d, []) for d in range(max(strata, default=-1) + 2)]
+    ends = [0] * len(levels)  # the next simplex to meet in each stratum
+
+    def walk(prefix, cand, d):
+        level, k = levels[d], ends[d]
+        while cand:
+            j = (low := cand & -cand).bit_length() - 1
+            cand ^= low
+            if level[k] != (s := prefix + levels[0][j]):  # IndexError past the end
+                return False
+            k += 1
+            if (c := cand & up[j]) and not walk(s, c, d + 1):
+                return False
+        ends[d] = k
+        return True
+
+    try:  # KeyError: an edge on no vertex; IndexError: no strata at all
+        for a, b in levels[1]:
+            up[index[a]] |= 1 << index[b]
+        if not walk((), (1 << n) - 1, 0) or ends != list(map(len, levels)):
+            return None
+    except (KeyError, IndexError):
+        return None
+    return up

@@ -25,7 +25,7 @@ from nervecheck.mapping import flag_model
 from nervecheck.oriental import build_d, comparable_pairs, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 from nervecheck.suites import _dp, _horn, run_suite
-from oracles import close_oracle, generate_oracle
+from oracles import clique_graph_oracle, close_oracle, generate_oracle
 from test_mapping import THEOREM_N5_SEED1
 
 
@@ -112,7 +112,7 @@ def test_homology_disjoint_points():
     assert h.betti[0] == 2  # reduced
 
 
-def grid_surface(k, glue):
+def grid_triangles(k, glue):
     """k x k grid of squares, each cut in two triangles, glued by glue(x, y)."""
     tris = []
     for x in range(k):
@@ -120,7 +120,11 @@ def grid_surface(k, glue):
             a, b, c, d = (glue(x, y), glue(x + 1, y), glue(x + 1, y + 1),
                           glue(x, y + 1))
             tris += [(a, b, c), (a, c, d)]
-    return generate(tris)
+    return tris
+
+
+def grid_surface(k, glue):
+    return generate(grid_triangles(k, glue))
 
 
 def torus(k):
@@ -1031,15 +1035,24 @@ def facet_calls(monkeypatch):
     return calls
 
 
-def assert_clique_path_matches_the_facet_path(cx):
-    """strong_collapse takes the clique path on cx without calling facets,
-    and it and the verdict agree with the oracle and with the facet path."""
+def graph_form(cx):
+    """cx, a clique complex held as strata, handed in as its graph."""
+    graph = clique_graph_oracle(cx.strata)
+    assert graph is not None
+    return Complex(labels=cx.labels, graph=graph, counts=cx.counts)
+
+
+def assert_graph_route_matches_the_facet_route(cx):
+    """The graph form of cx collapses without calling facets, cx itself on
+    its facets; the two give the same strong collapse and verdict, and
+    agree with the oracle."""
+    lazy = graph_form(cx)
     with pytest.MonkeyPatch.context() as mp:
         calls = facet_calls(mp)
-        got, verdict = strong_collapse(cx), contractibility_verdict(cx)
+        got, verdict = strong_collapse(lazy), contractibility_verdict(lazy)
         assert calls == []
-        mp.setattr(homotopy, "_clique_graph", lambda strata, index: None)
-        assert contractibility_verdict(cx) == verdict
+        assert (strong_collapse(cx), contractibility_verdict(cx)) == (got, verdict)
+        assert calls == [cx, cx]
     want = strong_collapse_oracle(cx)
     assert (got.removed, got.core, got.dimension) == (
         want.removed, want.core, want.dimension)
@@ -1049,7 +1062,7 @@ def assert_clique_path_matches_the_facet_path(cx):
 @settings(max_examples=80, deadline=None)
 @given(random_graphs())
 def test_clique_path_matches_the_oracle_on_random_graphs(graph):
-    assert_clique_path_matches_the_facet_path(clique_complex(*graph))
+    assert_graph_route_matches_the_facet_route(clique_complex(*graph))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1081,7 +1094,7 @@ def test_degree_one_homology_meets_its_closed_form(graph, isolated):
 @settings(max_examples=60, deadline=None)
 @given(random_order_complexes())
 def test_clique_path_matches_the_oracle_on_random_order_complexes(cx):
-    assert_clique_path_matches_the_facet_path(cx)
+    assert_graph_route_matches_the_facet_route(cx)
 
 
 def retry_every_neighbour(nbr):
@@ -1099,8 +1112,9 @@ def retry_every_neighbour(nbr):
 
 
 def removal_order(cx, make_drop=None):
-    """strong_collapse(cx) and the vertex ids its drop removed, in order,
-    with drop replaced by make_drop(nbr) when that is given."""
+    """strong_collapse(cx) on the graph route and the vertex ids its drop
+    removed, in order, with drop replaced by make_drop(nbr) when that is
+    given."""
     order = []
     real = homotopy._on_graph
 
@@ -1120,11 +1134,13 @@ def removal_order(cx, make_drop=None):
 
 
 def assert_pruned_retries_remove_what_every_retry_removes(cx):
-    got, order = removal_order(cx)
-    want, want_order = removal_order(cx, retry_every_neighbour)
+    facet_route = assert_graph_route_matches_the_facet_route(cx)
+    lazy = graph_form(cx)
+    got, order = removal_order(lazy)
+    want, want_order = removal_order(lazy, retry_every_neighbour)
     assert order == want_order
     assert len(order) == got.removed
-    assert (got.removed, got.core) == (want.removed, want.core)
+    assert got == want == facet_route
 
 
 @settings(max_examples=80, deadline=None)
@@ -1148,7 +1164,7 @@ OCTAHEDRON = [(a, b) for a, b in combinations(range(6), 2) if b != a + 1 or a % 
 ])
 def test_clique_path_keeps_an_octahedral_core(extra, removed):
     cx = clique_complex(1 + max(map(max, extra)), OCTAHEDRON + extra)
-    got = assert_clique_path_matches_the_facet_path(cx)
+    got = assert_graph_route_matches_the_facet_route(cx)
     octahedron = [t for t in combinations(range(6), 3)
                   if set(combinations(t, 2)) <= set(OCTAHEDRON)]
     assert (got.removed, got.core) == (removed, octahedron)
@@ -1158,7 +1174,7 @@ def test_clique_path_keeps_an_octahedral_core(extra, removed):
 def test_clique_path_keeps_a_torus_core_under_a_whisker():
     tris = facets(torus(6))
     cx = Complex(simplex_set(torus(6)) | {(0, 99), (99,)})
-    got = assert_clique_path_matches_the_facet_path(cx)
+    got = assert_graph_route_matches_the_facet_route(cx)
     assert (got.removed, got.core) == (1, tris)
     v = contractibility_verdict(cx)
     assert (v.method, v.homology.betti) == ("homology", [0, 2, 1])
@@ -1196,6 +1212,7 @@ def strata_out_of_order():
 ], ids=["missing-top-simplex", "strata-out-of-order"])
 def test_complexes_the_walk_refuses_take_the_facet_path(monkeypatch, make):
     cx = make()
+    assert clique_graph_oracle(cx.strata) is None
     calls = facet_calls(monkeypatch)
     got = strong_collapse(cx)
     assert calls == [cx]
@@ -1216,15 +1233,8 @@ def test_the_facet_path_names_a_face_the_walk_misses(strata, message):
 
 def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monkeypatch):
     # flag models and order complexes hand over their graph; outside
-    # input is walked by _clique_graph
+    # input is held as strata, so it collapses on its facets
     calls = facet_calls(monkeypatch)
-    walks = []
-    walk = homotopy._clique_graph
-
-    def spy(strata, index):
-        walks.append(strata)
-        return walk(strata, index)
-    monkeypatch.setattr(homotopy, "_clique_graph", spy)
     listers = []
     list_chains = suites.nerve_chains
 
@@ -1235,7 +1245,6 @@ def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monk
     for name in suites.SUITES:
         rep = run_suite(name)
         assert {c.verdict for c in rep.checks} == {"PASS"}, name
-        assert walks == [], name
     assert len(suites.SUITES) == 12
     assert calls == []
     assert listers and set(listers) == {"_oracle"}  # no order complex lists a chain
@@ -1243,6 +1252,25 @@ def test_default_suites_collapse_on_the_graph_and_homology_inputs_on_facets(monk
     for seed in range(1, 9):
         for item in make_inputs(seed):
             cx = complex_from_json(item["input"])
+            assert cx.graph is None
             contractibility_verdict(cx)
-            assert calls[-1] is cx and walks[-1] is cx.strata, (seed, item["name"])
-    assert len(calls) == 56 and len(walks) == 56
+            assert calls[-1] is cx, (seed, item["name"])
+    assert len(calls) == 56
+
+
+@pytest.mark.parametrize("simplices, removed, status, method, detail", [
+    (grid_triangles(12, lambda x, y: x % 12 * 12 + y % 12), 0,
+     "NotContractible", "homology", {"degree": 2, "betti": 1, "torsion": [], "core_cells": 864}),
+    ([tuple(range(10))], 9, "Contractible", "strong-collapse", {"removed": 9, "vertex": 9}),
+], ids=["12x12-torus", "9-simplex"])
+def test_outside_flag_input_collapses_on_its_facets(monkeypatch, simplices, removed,
+                                                    status, method, detail):
+    # clique complexes read from JSON, which the clique walk used to take;
+    # the figures are those the walk gave
+    cx = complex_from_json({"simplices": [list(s) for s in simplices]})
+    assert clique_graph_oracle(cx.strata) is not None
+    calls = facet_calls(monkeypatch)
+    v = contractibility_verdict(cx)
+    assert calls == [cx]
+    assert (v.status, v.method, v.detail) == (status, method, detail)
+    assert strong_collapse(cx).removed == removed

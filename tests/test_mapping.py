@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from nervecheck import homotopy, mapping
 from nervecheck.bits import bit_list, bits, from_digits
-from nervecheck.homotopy import Complex, _clique_graph, contractibility_verdict
+from nervecheck.homotopy import Complex, contractibility_verdict
 from nervecheck.horn import l_complex
 from nervecheck.mapping import (NECKLACE_MAX_VERTICES, flag_counts,
                                 flag_model, necklace_oracle, square_chain_poset)
 from nervecheck.oriental import build_d, comparable_pairs, standard_interval
 from nervecheck.poset import ChainSubcomplex, Poset, nerve_chains
 from nervecheck.suites import _dp, _horn, run_suite
-from oracles import flag_model_oracle
+from oracles import clique_graph_oracle, flag_model_oracle
 
 D = from_digits
 
@@ -61,11 +61,10 @@ TRUNCATED = [(3, 1, "0", "03"), (4, 1, "0", "04"), (4, 2, "01", "014"),
 
 def assert_model_matches_its_oracle_and_clique_walk(k, s, t):
     """flag_model(k, s, t) lists its oracle's simplices, and its graph is
-    the one _clique_graph walks from them."""
+    the one clique_graph_oracle walks from them."""
     fm = flag_model(k, s, t)
     assert fm.simplices == flag_model_oracle(k, s, t), (s, t)
-    index = {v: j for j, (v,) in enumerate(fm.simplices[0])}
-    walked = _clique_graph(fm.simplices, index)
+    walked = clique_graph_oracle(fm.simplices)
     assert walked is not None and fm.to_complex().graph == walked, (s, t)
 
 
@@ -185,8 +184,7 @@ def test_flag_model_raises_exactly_where_the_old_strata_are_no_clique_complex(mo
         k = ChainSubcomplex(horn.ambient, horn.chains - {c}, validate=False)
         for s, t in comparable_pairs(_dp(4), strict=False):
             old = flag_model_oracle(k, s, t)
-            index = {v: j for j, (v,) in enumerate(old.get(0, []))}
-            if _clique_graph(old, index) is None:
+            if clique_graph_oracle(old) is None:
                 refused += 1
                 with pytest.raises(ValueError, match="not a clique complex") as got:
                     flag_model(k, s, t)

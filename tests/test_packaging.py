@@ -158,6 +158,23 @@ def test_scan_flags_a_helper_only_a_test_names(tmp_path):
     assert _unused_in_src(tmp_path / "src", tests) == ({"helper"}, {"orphan", "Box.spare"})
 
 
+def test_a_failing_property_test_does_not_stop_the_session(tmp_path):
+    # under the repo's warning filters, a failing @given test is reported and
+    # the session goes on: the import its report makes warns, and must not
+    # become an INTERNALERROR
+    (tmp_path / "test_case.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n\n\n"
+        "def test_passes():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(TESTS.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_case.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
 # numpy is blocked in the child: any import of it raises ImportError.
 _WITHOUT_NUMPY = (
     "import runpy, sys\n"
